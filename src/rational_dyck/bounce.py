@@ -142,7 +142,8 @@ def initial_bounce(path: DyckPath) -> BouncePath:
     if a < 2:
         raise DimensionTooSmall("bounce needs a >= 2 so that 0 < b mod a < a")
     k, r = divmod(b, a)
-    assert 0 < r < a  # coprimality
+    if not 0 < r < a:
+        raise InternalInvariantError(f"({a}, {b}) is not coprime")
     east_rows = path.east_rows()
     v: list[int] = []
     h: list[int] = []

@@ -1,7 +1,8 @@
 """Command-line interface: stats, map, invert, verify, render.
 
 Exit codes: 0 success, 1 usage or parse error, 2 conjecture violation
-(with a JSON witness on stdout), 3 internal cross-check disagreement.
+(with a JSON witness on stdout), 3 internal cross-check disagreement or
+any other internal invariant failure.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from .errors import DyckError, MethodDisagreement, PathParseError
+from .errors import DyckError, InternalInvariantError, MethodDisagreement, PathParseError
 from .inverse import STRATEGIES, chi, zeta_inverse_detailed
 from .paths import (
     DyckPath,
@@ -31,20 +32,7 @@ from .verification import (
     rational_q_catalan,
     sl_rank_generating,
 )
-from .zeta import (
-    eta,
-    eta_via_cores,
-    eta_via_intervals,
-    eta_via_lasers,
-    eta_via_sweep,
-    lambda_partition,
-    mu_partition,
-    zeta,
-    zeta_via_cores,
-    zeta_via_intervals,
-    zeta_via_lasers,
-    zeta_via_sweep,
-)
+from .zeta import _ETA_METHODS, _ZETA_METHODS, eta, zeta
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -111,38 +99,29 @@ def _cmd_stats(args) -> int:
     return EXIT_OK
 
 
-_MAP_METHODS = {
-    "zeta": {
-        "cores": zeta_via_cores,
-        "sweep": zeta_via_sweep,
-        "laser": zeta_via_lasers,
-        "intervals": zeta_via_intervals,
-    },
-    "eta": {
-        "cores": eta_via_cores,
-        "sweep": eta_via_sweep,
-        "laser": eta_via_lasers,
-        "intervals": eta_via_intervals,
-    },
-}
-
-
 def _cmd_map(args) -> int:
     records = []
     lines = []
     for path in _paths_from_args(args):
         if args.map in ("zeta", "eta"):
+            canonical, methods = {
+                "zeta": (zeta, _ZETA_METHODS),
+                "eta": (eta, _ETA_METHODS),
+            }[args.map]
             if args.method == "all":
-                image = (zeta if args.map == "zeta" else eta)(path, check=True)
+                image = canonical(path, check=True)
             else:
-                image = _MAP_METHODS[args.map][args.method](path)
+                image = methods[args.method](path)
             record = image.to_json()
             if args.method == "all":
                 record["methods_agree"] = True
+            # lambda and mu are read off the image: lambda bounds zeta(P),
+            # and mu is the conjugate of the partition that bounds eta(P)
+            bounded = image.bounded_partition()
             if args.map == "zeta":
-                record["lambda"] = list(lambda_partition(path).parts)
+                record["lambda"] = list(bounded.padded(path.a).parts)
             else:
-                record["mu"] = list(mu_partition(path).parts)
+                record["mu"] = list(bounded.conjugate().padded(path.b).parts)
         else:
             fn = {"chi": chi, "conjugate": conjugate, "flip": flip, "reverse": reverse}[
                 args.map
@@ -267,9 +246,9 @@ def build_parser() -> _Parser:
     )
     p_map.add_argument(
         "--method",
-        default="cores",
-        choices=("cores", "sweep", "laser", "intervals", "all"),
-        help="construction to use for zeta/eta",
+        default="sweep",
+        choices=(*_ZETA_METHODS, "all"),
+        help="construction to use for zeta/eta (default: the canonical sweep)",
     )
     p_map.set_defaults(fn=_cmd_map)
 
@@ -316,7 +295,7 @@ def main(argv=None) -> int:
     except PathParseError as exc:
         print(f"dyck: parse error at offset {exc.offset}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except MethodDisagreement as exc:
+    except (MethodDisagreement, InternalInvariantError) as exc:
         print(f"dyck: {exc}", file=sys.stderr)
         return EXIT_DISAGREEMENT
     except (DyckError, ValueError, OSError) as exc:

@@ -23,9 +23,11 @@ from .errors import (
     InternalInvariantError,
     InvalidValleyIndex,
     Level1NotVisited,
+    MethodDisagreement,
     NoPreimage,
     NotADyckPath,
     NotSquareCase,
+    RoundTripFailure,
     TooManyBoxes,
     WrongDescentCount,
 )
@@ -219,6 +221,8 @@ def zeta_inverse_detailed(q: DyckPath, strategy: str = "auto") -> InversionResul
     for name in order:
         try:
             result = _STRATEGY_FUNCS[name](q)
+        except (InternalInvariantError, MethodDisagreement, RoundTripFailure):
+            raise  # a bug in the strategy, not a failed precondition
         except DyckError:
             continue
         if zeta(result.path) == q:
@@ -291,8 +295,9 @@ def split_dims(a: int, b: int) -> tuple[int, int, int, int]:
     a1 = pow(b, -1, a)
     b1 = (a1 * b - 1) // a
     a2, b2 = a - a1, b - b1
-    assert a1 * b - b1 * a == 1 and b2 * a - a2 * b == 1
-    assert 0 < a1 < a and 0 < b1 < b
+    ok = a1 * b - b1 * a == 1 and b2 * a - a2 * b == 1 and 0 < a1 < a and 0 < b1 < b
+    if not ok:
+        raise InternalInvariantError(f"bad split ({a1}, {b1}, {a2}, {b2}) of ({a}, {b})")
     return a1, b1, a2, b2
 
 

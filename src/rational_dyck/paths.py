@@ -19,6 +19,7 @@ from .errors import (
     AreaZero,
     BelowDiagonal,
     DoesNotFitAboveDiagonal,
+    InternalInvariantError,
     NotACycle,
     NotCoprime,
     NotSquareCase,
@@ -494,7 +495,8 @@ def rational_catalan_number(a: int, b: int) -> int:
     if math.gcd(a, b) != 1:
         raise NotCoprime(f"gcd({a}, {b}) != 1")
     binom = math.comb(a + b, a)
-    assert binom % (a + b) == 0
+    if binom % (a + b) != 0:
+        raise InternalInvariantError(f"C({a + b}, {a}) is not divisible by {a + b}")
     return binom // (a + b)
 
 
@@ -556,6 +558,7 @@ def predecessor(path: DyckPath) -> DyckPath:
         raise AreaZero(f"{path} has no box to remove")
     i = word.index(m)
     steps = path.steps
-    assert steps[i - 1] == NORTH and steps[i] == EAST
+    if steps[i - 1] != NORTH or steps[i] != EAST:
+        raise InternalInvariantError(f"maximal level of {path} is not at a peak")
     new = steps[: i - 1] + EAST + NORTH + steps[i + 1 :]
     return DyckPath(path.a, path.b, new)

@@ -11,7 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DyckError, InexactDivision, NotCoprime
+from .errors import (
+    InconsistentPair,
+    InexactDivision,
+    InternalInvariantError,
+    NotACycle,
+    NotADyckPath,
+    NotCoprime,
+)
 from .inverse import iota
 from .paths import DyckPath, enumerate_paths, rational_catalan_number
 from .stats import area, co_skew_length, coarea, core_rank, dinv, path_rank, skew_length
@@ -272,12 +279,16 @@ def bijectivity_report(a: int, b: int, *, unique_pair_scan: bool = False) -> Bij
             for r in paths:
                 try:
                     iota(q, r)
-                except DyckError:
-                    continue
+                except (NotACycle, NotADyckPath, InconsistentPair):
+                    continue  # r is not a partner of q
                 count += 1
             uniqueness[str(q)] = count
 
-    assert len(paths) == rational_catalan_number(a, b)
+    if len(paths) != rational_catalan_number(a, b):
+        raise InternalInvariantError(
+            f"enumerated {len(paths)} ({a},{b})-paths, expected "
+            f"{rational_catalan_number(a, b)}"
+        )
     return BijectivityReport(
         a=a,
         b=b,

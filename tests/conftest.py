@@ -54,6 +54,22 @@ def brute_force_paths(a: int, b: int) -> set[str]:
     return words
 
 
+def cycle_lemma_path(rng, a: int, b: int) -> DyckPath:
+    """A uniformly random (a,b)-Dyck path, at sizes enumeration cannot reach.
+
+    Of the a+b rotations of a random word with a norths and b easts, exactly
+    one stays weakly above the diagonal: the one starting at the lowest point.
+    """
+    word = [NORTH] * a + [EAST] * b
+    rng.shuffle(word)
+    level, lowest, start = 0, 0, 0
+    for i, s in enumerate(word):
+        level += b if s == NORTH else -a
+        if level < lowest:
+            lowest, start = level, i + 1
+    return make_path(a, b, "".join(word[start:] + word[:start]))
+
+
 def geometric_conjugate(path: DyckPath) -> DyckPath:
     """Cyclic-shift below the diagonal, then rotate half a turn.
 

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
+import rational_dyck as rd
 from rational_dyck.cli import main
 
 
@@ -59,6 +62,31 @@ class TestMap:
         assert code == 0
         assert record["steps"] == "NNENEENEEENEE"
         assert record["mu"] == [3, 2, 2, 1, 1, 1, 0, 0]
+
+    @pytest.mark.parametrize("method", ("cores", "sweep", "laser", "intervals", "all"))
+    def test_lambda_mu_fields_match_the_core_route(self, capsys, tmp_path, method):
+        paths = rd.enumerate_paths(5, 8) + rd.enumerate_paths(4, 7)
+        spec_file = tmp_path / "paths.txt"
+        spec_file.write_text("".join(f"{p.a} {p.b} {p.steps}\n" for p in paths))
+        for name, field, oracle in (
+            ("zeta", "lambda", rd.lambda_partition),
+            ("eta", "mu", rd.mu_partition),
+        ):
+            code, out, _ = run(
+                capsys, "map", "--file", str(spec_file), "--map", name,
+                "--method", method, "--json",
+            )
+            records = json.loads(out)
+            assert code == 0 and len(records) == len(paths)
+            for p, record in zip(paths, records):
+                assert record[field] == list(oracle(p).parts)
+
+    def test_zeta_of_full_40_61_is_lowest(self, capsys):
+        code, out, _ = run(
+            capsys, "map", "--a", "40", "--b", "61", "--path", "N" * 40 + "E" * 61,
+            "--map", "zeta",
+        )
+        assert code == 0 and out.strip() == rd.lowest_path(40, 61).steps
 
     def test_conjugate_twice_is_identity(self, capsys):
         code, out, _ = run(
@@ -148,6 +176,20 @@ class TestVerify:
             "--map", "zeta", "--method", "all",
         )
         assert code == 3 and "cores" in err and "sweep" in err
+
+    def test_internal_invariant_error_exit_3(self, capsys, monkeypatch):
+        import rational_dyck.cli as cli
+        from rational_dyck.errors import InternalInvariantError
+
+        def broken(path, check=False):
+            raise InternalInvariantError("demo invariant")
+
+        monkeypatch.setattr(cli, "zeta", broken)
+        code, _, err = run(
+            capsys, "map", "--a", "2", "--b", "3", "--path", "NENEE",
+            "--map", "zeta", "--method", "all",
+        )
+        assert code == 3 and "demo invariant" in err
 
 
 class TestRender:

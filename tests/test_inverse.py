@@ -5,15 +5,19 @@ from __future__ import annotations
 import pytest
 
 import rational_dyck as rd
+from rational_dyck import inverse
 from rational_dyck.errors import (
     DimensionTooSmall,
     InconsistentPair,
+    InternalInvariantError,
     InvalidValleyIndex,
     Level1NotVisited,
+    MethodDisagreement,
     NoPreimage,
     NotACycle,
     NotADyckPath,
     NotSquareCase,
+    RoundTripFailure,
     TooManyBoxes,
 )
 from rational_dyck.inverse import level_point
@@ -119,6 +123,30 @@ class TestZetaInverseDispatcher:
         assert not q.visits(*level_point(5, 8, 1))
         with pytest.raises((NoPreimage, Level1NotVisited)):
             rd.zeta_inverse_detailed(q, "level1")
+
+    @pytest.mark.parametrize(
+        "error",
+        (
+            InternalInvariantError("demo"),
+            MethodDisagreement("zeta(demo)", {"cores": "x", "sweep": "y"}),
+            RoundTripFailure("demo"),
+        ),
+    )
+    def test_auto_propagates_a_strategy_bug(self, monkeypatch, error):
+        def broken(q):
+            raise error
+
+        monkeypatch.setitem(inverse._STRATEGY_FUNCS, "square", broken)
+        with pytest.raises(type(error)):
+            rd.zeta_inverse_detailed(rd.full_path(4, 5))
+
+    def test_auto_moves_on_after_a_failed_precondition(self, monkeypatch):
+        def not_square(q):
+            raise NotSquareCase("demo")
+
+        monkeypatch.setitem(inverse._STRATEGY_FUNCS, "square", not_square)
+        result = rd.zeta_inverse_detailed(rd.full_path(4, 5))
+        assert result.path == rd.lowest_path(4, 5) and result.strategy != "square"
 
 
 class TestChi:

@@ -9,7 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rational_dyck as rd
-from rational_dyck.errors import InexactDivision, NotCoprime
+from rational_dyck import verification
+from rational_dyck.errors import InexactDivision, InternalInvariantError, NotCoprime
 from rational_dyck.verification import QPolynomial, QTPolynomial
 
 from conftest import coprime_pairs
@@ -167,6 +168,21 @@ class TestBijectivityReport:
         assert report.pair_uniqueness is not None
         assert all(v == 1 for v in report.pair_uniqueness.values())
         assert report.ok
+
+    def test_unique_pair_scan_propagates_a_bug_in_iota(self, monkeypatch):
+        def broken(q, r):
+            raise InternalInvariantError("demo")
+
+        monkeypatch.setattr(verification, "iota", broken)
+        with pytest.raises(InternalInvariantError):
+            rd.bijectivity_report(3, 5, unique_pair_scan=True)
+
+    def test_short_enumeration_is_a_bug(self, monkeypatch):
+        monkeypatch.setattr(
+            verification, "enumerate_paths", lambda a, b: rd.enumerate_paths(a, b)[1:]
+        )
+        with pytest.raises(InternalInvariantError):
+            rd.bijectivity_report(3, 5)
 
     def test_json_round_trip(self):
         report = rd.bijectivity_report(2, 5)

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
+import random
+
 import pytest
 
 import rational_dyck as rd
+from rational_dyck.errors import BelowDiagonal, InternalInvariantError
 from rational_dyck.zeta import (
     eta_via_cores,
     eta_via_intervals,
@@ -16,7 +20,7 @@ from rational_dyck.zeta import (
     zeta_via_sweep,
 )
 
-from conftest import coprime_pairs, laser_value_by_intersection
+from conftest import coprime_pairs, cycle_lemma_path, laser_value_by_intersection
 
 ZETA_METHODS = (zeta_via_cores, zeta_via_sweep, zeta_via_lasers, zeta_via_intervals)
 ETA_METHODS = (eta_via_cores, eta_via_sweep, eta_via_lasers, eta_via_intervals)
@@ -75,6 +79,53 @@ class TestFourWayAgreement:
             for p in rd.enumerate_paths(a, b):
                 rd.zeta(p, check=True)
                 rd.eta(p, check=True)
+
+
+class TestCanonicalSweep:
+    def test_lambda_mu_read_off_the_images(self):
+        for a, b in coprime_pairs(11):
+            for p in rd.enumerate_paths(a, b):
+                lam = rd.zeta(p).bounded_partition().padded(a)
+                mu = rd.eta(p).bounded_partition().conjugate().padded(b)
+                assert lam == rd.lambda_partition(p)
+                assert mu == rd.mu_partition(p)
+
+    @pytest.mark.parametrize("method", (zeta_via_sweep, eta_via_sweep))
+    def test_malformed_sweep_image_is_a_bug(self, running, method, monkeypatch):
+        zeta_module = importlib.import_module("rational_dyck.zeta")
+
+        def below(a, b, steps):
+            raise BelowDiagonal((1, 0))
+
+        monkeypatch.setattr(zeta_module, "DyckPath", below)
+        with pytest.raises(InternalInvariantError):
+            method(running)
+
+
+# Seeded uniform paths far beyond exhaustive enumeration: only the sweep, at
+# O((a+b) log(a+b)), makes the canonical maps cheap at these sizes.
+LARGE_PATHS = [
+    cycle_lemma_path(random.Random(f"{a},{b}/{i}"), a, b)
+    for a, b in ((61, 89), (121, 173))
+    for i in range(3)
+]
+
+
+class TestLargePaths:
+    def test_sweep_matches_intervals(self):
+        for p in LARGE_PATHS:
+            assert rd.zeta(p) == zeta_via_intervals(p)
+            assert rd.eta(p) == eta_via_intervals(p)
+
+    def test_pair_inverse_round_trip(self):
+        for p in LARGE_PATHS:
+            assert rd.iota(rd.zeta(p), rd.eta(p)) == p
+
+    def test_statistics_transport(self):
+        for p in LARGE_PATHS:
+            q = rd.zeta(p)
+            assert rd.skew_length(p) == rd.coarea(q)
+            assert rd.dinv(p) == rd.area(q)
 
 
 class TestLaserFilling:

@@ -2,7 +2,7 @@
 
 Shows the pair inverse (which needs both images), then the four
 single-image strategies: square case, level-1 star recursion, the
-bounce-pinned chain for b = a*k + 1, and bounded delta search.
+bounce-pinned chain for b = a*k + 1, and the memoized delta recursion.
 Run:  python demos/03_inverting_zeta.py
 """
 
@@ -41,7 +41,7 @@ print("  chain inverse:", rd.zeta_inverse_fuss(qf), "== original:",
       rd.zeta_inverse_fuss(qf) == fuss)
 print()
 
-print("general case: bounded search over the delta window")
+print("general case: memoized recursion over the delta window")
 for p in rd.enumerate_paths(5, 8)[:5]:
     detail = rd.zeta_inverse_detailed(rd.zeta(p), "search")
     print(f"  {rd.zeta(p)} -> {detail.path}  deltas={list(detail.deltas)}")

@@ -3,8 +3,10 @@
 Walking the image path down its predecessor chain only needs the delta
 statistic of each preimage.  An initial bounce path inside the image pins
 delta exactly when b = a*k + 1 and brackets it in a window of width r
-otherwise, which yields a direct inverse in the first case and a bounded
-backtracking search in the second.
+otherwise.  The first case yields a direct inverse.  In the second, the
+image of each predecessor is itself an image to invert, with a unique
+answer since zeta is a bijection, so the inverse is a recursion over the
+images of the chain, memoized by image and verified at every step.
 """
 
 from __future__ import annotations
@@ -21,10 +23,9 @@ from .errors import (
     NoEastInPrefix,
     NoNorthInPrefix,
     NoPreimage,
-    NotADyckPath,
     NotFussCase,
     RoundTripFailure,
-    WrongDescentCount,
+    WrongStepCounts,
 )
 from .paths import (
     DyckPath,
@@ -52,6 +53,11 @@ __all__ = [
     "search_delta_traces",
 ]
 
+# Bound of the path-keyed caches: the images of one (a, b) pair share the
+# top of their predecessor chains, but a long-lived process must not keep
+# every path it has seen.
+_PATH_CACHE_SIZE = 4096
+
 
 def conj_predecessor(path: DyckPath) -> DyckPath:
     """Conjugate of the predecessor of the conjugate.
@@ -77,7 +83,7 @@ def conj_predecessor(path: DyckPath) -> DyckPath:
     return geometric
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PATH_CACHE_SIZE)
 def zeta_predecessor(path: DyckPath, delta_value: int) -> DyckPath:
     """Image-side predecessor step, driven entirely by delta.
 
@@ -131,7 +137,7 @@ class BouncePath:
         return tuple(pts)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PATH_CACHE_SIZE)
 def initial_bounce(path: DyckPath) -> BouncePath:
     """Bounce inside `path`: climb to an east step, run east, repeat.
 
@@ -164,8 +170,8 @@ def initial_bounce(path: DyckPath) -> BouncePath:
 
 
 @lru_cache(maxsize=None)
-def _gamma_zero(a: int, b: int) -> Permutation:
-    return gamma(lowest_path(a, b))
+def _gamma_zero(a: int, b: int) -> tuple[int, ...]:
+    return gamma(lowest_path(a, b)).one_line
 
 
 @lru_cache(maxsize=None)
@@ -173,52 +179,33 @@ def _head_rotation(n: int, d: int) -> tuple[int, ...]:
     return rotation_cycle(n, 1, d).one_line
 
 
-def _decode_word(a: int, b: int, rho: tuple[int, ...]) -> str | None:
-    """Step word of the path whose cycle is rho * gamma_0 * rho^{-1}.
+def _conjugate_by_head(g: tuple[int, ...], d: int) -> tuple[int, ...]:
+    """r_d * g * r_d^{-1} on one-line tuples, for the rotation r_d = (1 .. d)."""
+    rot = _head_rotation(len(g), d)
+    return tuple(rot[v - 1] for v in (g[d - 1],) + g[: d - 1] + g[d:])
 
-    Works on raw one-line tuples; returns None when the decoded descent
-    pattern is not a Dyck path.  Semantically identical to conjugating the
-    bottom cycle and reading east steps off the cyclic descents.
+
+def _decode(a: int, b: int, g: tuple[int, ...]) -> DyckPath | None:
+    """The path whose cycle, in one-line notation, is g.
+
+    Reads the cycle of g from 1 and puts east steps at its cyclic
+    descents, on raw tuples; returns None when g is not a single cycle or
+    the word is not an (a,b)-Dyck path.  Semantically identical to
+    `path_from_permutation` on the cycle read from 1.
     """
     n = a + b
-    g0 = _gamma_zero(a, b).one_line
-    inv = [0] * n
-    for i, v in enumerate(rho):
-        inv[v - 1] = i + 1
-    g = [rho[g0[inv[x] - 1] - 1] for x in range(n)]
-    cycle = [1]
+    cycle = [1] * n
     j = g[0]
-    while j != 1 and len(cycle) < n:
-        cycle.append(j)
+    for i in range(1, n):
+        if j == 1:
+            return None
+        cycle[i] = j
         j = g[j - 1]
-    if j != 1 or len(cycle) != n:
-        return None
-    word = []
-    x = y = 0
-    for i in range(n):
-        if cycle[i] > cycle[(i + 1) % n]:
-            x += 1
-            if a * x > b * y:
-                return None
-            word.append(EAST)
-        else:
-            y += 1
-            word.append(NORTH)
-    if x != b:
-        return None
-    return "".join(word)
-
-
-def _decode_from_deltas(a: int, b: int, deltas) -> DyckPath:
-    """Rebuild the preimage from the delta trace of its predecessor chain."""
-    rho = Permutation.identity(a + b)
-    for d in deltas:
-        rho = rho.compose(Permutation(_head_rotation(a + b, d)))
-    g = _gamma_zero(a, b).conjugated_by(rho)
+    word = "".join(EAST if u > v else NORTH for u, v in zip(cycle, cycle[1:] + [1]))
     try:
-        return path_from_permutation(Permutation(g.cycle_from(1)), a, b)
-    except (WrongDescentCount, BelowDiagonal) as exc:
-        raise NotADyckPath(str(exc)) from exc
+        return DyckPath(a, b, word)
+    except (WrongStepCounts, BelowDiagonal):
+        return None
 
 
 def fuss_delta_trace(path: DyckPath) -> tuple[int, ...]:
@@ -247,10 +234,12 @@ def zeta_inverse_fuss(path: DyckPath) -> DyckPath:
     if a == 1 or b == 1:
         return path  # single-path family, fixed by zeta
     deltas = fuss_delta_trace(path)
-    try:
-        preimage = _decode_from_deltas(a, b, deltas)
-    except NotADyckPath as exc:
-        raise RoundTripFailure(f"decode failed for {path}: {exc}", deltas) from exc
+    g = _gamma_zero(a, b)
+    for d in reversed(deltas):
+        g = _conjugate_by_head(g, d)
+    preimage = _decode(a, b, g)
+    if preimage is None:
+        raise RoundTripFailure(f"decode failed for {path}", deltas)
     if zeta(preimage) != path:
         raise RoundTripFailure(
             f"round trip failed for {path} via deltas {deltas}", deltas
@@ -259,64 +248,101 @@ def zeta_inverse_fuss(path: DyckPath) -> DyckPath:
 
 
 def search_delta_traces(path: DyckPath, *, find_all: bool = False):
-    """Backtracking over the delta window; yields verified (preimage, trace).
+    """Invert zeta by a memoized recursion over the predecessor images.
 
-    Each chain step tries every delta in the bounce window, descending
-    depth-first; a completed trace is kept only if the decoded path maps
-    back to `path` under zeta.  True chains strictly increase the area of
-    the image, so non-increasing candidates are pruned.
+    Returns ``(found, attempts)``: ``found`` lists the verified
+    ``(preimage, delta trace)`` pairs, and ``attempts`` counts the
+    candidate decodes done.  The preimage of an image Q is the lowest
+    path when Q has the maximal area.  Otherwise, for each d in the bounce
+    window, Q' = zeta_predecessor(Q, d) must have a larger area; its
+    preimage P' is found the same way, and the candidate P decoded from
+    r_d * gamma(P') * r_d^{-1} is kept only if delta(P) = d and
+    zeta(P) = Q.  Every image is inverted once per call, through a memo
+    keyed by image, and the chain is walked with an explicit stack, so
+    depth is bounded by the area and not by the interpreter.
+
+    Zeta is a bijection, so at most one d of a window is accepted.  By
+    default the scan of a window stops there; with ``find_all`` every d is
+    tried, and a second accepted d raises InternalInvariantError.
     """
     a, b = path.a, path.b
     n = a + b
     max_area = (a - 1) * (b - 1) // 2
     r = b % a
-    found: list[tuple[DyckPath, tuple[int, ...]]] = []
+    # image -> (gamma of its preimage, preimage, d, predecessor image), or
+    # None when the image has no preimage; d is None at the lowest path
+    memo: dict[DyckPath, tuple | None] = {}
     attempts = 0
 
-    def descend(current: DyckPath, deltas: list[int], rho: tuple[int, ...]) -> bool:
+    def invert(q: DyckPath, q_area: int):
+        """Entry of q; yields each predecessor image not yet in the memo
+        and is sent that image's entry."""
         nonlocal attempts
-        if area(current) == max_area:
-            attempts += 1
-            word = _decode_word(a, b, rho)
-            if word is None:
-                return False
-            candidate = DyckPath(a, b, word)
-            if zeta(candidate) == path:
-                found.append((candidate, tuple(deltas)))
-                return not find_all
-            return False
+        if q_area == max_area:
+            bottom = lowest_path(a, b)
+            return (_gamma_zero(a, b), bottom, None, None) if zeta(bottom) == q else None
         try:
-            bounce = initial_bounce(current)
+            bounce = initial_bounce(q)
         except MalformedPath:
-            return False
+            return None
         low = bounce.v_total + bounce.h_total + 1
-        high = min(low + r - 1, n)
-        for d in range(low, high + 1):
+        entry = None
+        for d in range(low, min(low + r - 1, n) + 1):
             try:
-                nxt = zeta_predecessor(current, d)
+                nxt = zeta_predecessor(q, d)
             except (NoEastInPrefix, NoNorthInPrefix, BelowDiagonal):
                 continue
-            if area(nxt) <= area(current):
+            nxt_area = area(nxt)
+            if nxt_area <= q_area:
                 continue
-            rot = _head_rotation(n, d)
-            deltas.append(d)
-            if descend(nxt, deltas, tuple(rho[v - 1] for v in rot)):
-                return True
-            deltas.pop()
-        return False
+            below = memo[nxt] if nxt in memo else (yield nxt, nxt_area)
+            if below is None:
+                continue
+            attempts += 1
+            g = _conjugate_by_head(below[0], d)
+            candidate = _decode(a, b, g)
+            if candidate is None or delta(candidate) != d or zeta(candidate) != q:
+                continue
+            if entry is not None:
+                raise InternalInvariantError(
+                    f"deltas {entry[2]} and {d} both invert {q}"
+                )
+            entry = (g, candidate, d, nxt)
+            if not find_all:
+                break
+        return entry
 
-    descend(path, [], tuple(range(1, n + 1)))
-    return found, attempts
+    stack = [(path, invert(path, area(path)))]
+    sent = None
+    while stack:
+        q, node = stack[-1]
+        try:
+            nxt, nxt_area = node.send(sent)
+        except StopIteration as done:
+            memo[q] = sent = done.value
+            stack.pop()
+            continue
+        stack.append((nxt, invert(nxt, nxt_area)))
+        sent = None
+
+    entry = memo[path]
+    if entry is None:
+        return [], attempts
+    preimage, deltas = entry[1], []
+    while entry[2] is not None:
+        deltas.append(entry[2])
+        entry = memo[entry[3]]
+    return [(preimage, tuple(deltas))], attempts
 
 
 def zeta_inverse_search(path: DyckPath) -> DyckPath:
-    """Inverse of zeta by bounded delta search with a zeta round-trip check."""
+    """Inverse of zeta by the memoized delta recursion, checked by zeta."""
     a, b = path.a, path.b
     if a == 1 or b == 1:
         return path
     found, attempts = search_delta_traces(path)
     if not found:
         raise NoPreimage(
-            f"delta search exhausted for {path} after {attempts} complete traces"
+            f"delta recursion found no preimage of {path} after {attempts} decodes"
         )
     return found[0][0]

@@ -173,7 +173,7 @@ def _invert_search(q: DyckPath) -> InversionResult:
         return InversionResult(q, "search", ())
     found, attempts = _bounce.search_delta_traces(q)
     if not found:
-        raise NoPreimage(f"search exhausted for {q} ({attempts} traces tried)")
+        raise NoPreimage(f"search found no preimage of {q} ({attempts} decodes)")
     path, deltas = found[0]
     return InversionResult(path, "search", deltas)
 
@@ -199,15 +199,14 @@ def zeta_inverse_detailed(q: DyckPath, strategy: str = "auto") -> InversionResul
 
     Every branch's output is verified by applying zeta before it is
     returned, so a buggy precondition test can only cost time, not
-    correctness.  `strategy` forces a single branch.
+    correctness.  `strategy` forces a single branch.  `auto` tries the
+    closed forms whose preconditions hold, then the delta search, whose
+    NoPreimage is raised as is; `table` runs only when forced.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy != "auto":
-        result = _STRATEGY_FUNCS[strategy](q)
-        if zeta(result.path) != q:
-            raise NoPreimage(f"strategy {strategy} produced a non-preimage for {q}")
-        return result
+        return _verified(strategy, q)
     if q.a == 1 or q.b == 1:
         return InversionResult(q, "table")
     order = []
@@ -217,7 +216,6 @@ def zeta_inverse_detailed(q: DyckPath, strategy: str = "auto") -> InversionResul
         order.append("level1")
     if q.b % q.a == 1:
         order.append("fuss")
-    order += ["search", "table"]
     for name in order:
         try:
             result = _STRATEGY_FUNCS[name](q)
@@ -227,7 +225,14 @@ def zeta_inverse_detailed(q: DyckPath, strategy: str = "auto") -> InversionResul
             continue
         if zeta(result.path) == q:
             return result
-    raise NoPreimage(f"all strategies failed for {q}")
+    return _verified("search", q)
+
+
+def _verified(strategy: str, q: DyckPath) -> InversionResult:
+    result = _STRATEGY_FUNCS[strategy](q)
+    if zeta(result.path) != q:
+        raise NoPreimage(f"strategy {strategy} produced a non-preimage for {q}")
+    return result
 
 
 def zeta_inverse(q: DyckPath, strategy: str = "auto") -> DyckPath:

@@ -28,8 +28,16 @@ __all__ = [
 
 
 def area(path: DyckPath) -> int:
-    """Number of boxes below the path and above the diagonal."""
-    return len(path.positive_hooks())
+    """Number of boxes below the path and above the diagonal.
+
+    In row y, whose north step is in column c, these are the boxes of
+    columns c <= x < floor(y*b/a), counted without visiting them; a*x
+    never equals y*b inside the grid since gcd(a, b) = 1.
+    """
+    a, b = path.a, path.b
+    return sum(
+        max(0, (y * b - 1) // a - c) for y, c in enumerate(path.north_columns())
+    )
 
 
 def coarea(path: DyckPath) -> int:

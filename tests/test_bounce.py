@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import inspect
+import random
+
 import pytest
 
 import rational_dyck as rd
+from rational_dyck import bounce
 from rational_dyck.bounce import fuss_delta_trace, search_delta_traces
 from rational_dyck.errors import (
     DimensionTooSmall,
@@ -13,7 +17,7 @@ from rational_dyck.errors import (
     NotFussCase,
 )
 
-from conftest import coprime_pairs
+from conftest import coprime_pairs, cycle_lemma_path
 
 
 def delta_tilde(path):
@@ -163,3 +167,33 @@ class TestSearchInverse:
 
     def test_running_example(self, running):
         assert rd.zeta_inverse_search(rd.zeta(running)) == running
+
+    def test_long_chain_needs_no_interpreter_recursion(self):
+        # the predecessor chain of a (120,241) image has over a thousand
+        # steps, more than the interpreter's default recursion limit
+        p = cycle_lemma_path(random.Random("search/120/241"), 120, 241)
+        q = rd.zeta(p)
+        found, _ = search_delta_traces(q)
+        assert [path for path, _ in found] == [p]
+        assert found[0][1] == fuss_delta_trace(q)
+
+    def test_decodes_one_candidate_per_chain_step_when_fuss(self):
+        for p in rd.enumerate_paths(4, 9):
+            q = rd.zeta(p)
+            found, attempts = search_delta_traces(q)
+            assert attempts == len(found[0][1]) == len(fuss_delta_trace(q))
+
+
+class TestCaches:
+    def test_path_keyed_caches_are_bounded(self):
+        path_keyed = {
+            name: fn
+            for name, fn in vars(bounce).items()
+            if callable(getattr(fn, "cache_info", None))
+            and next(iter(inspect.signature(fn).parameters.values())).annotation
+            in (rd.DyckPath, "DyckPath")
+        }
+        assert set(path_keyed) == {"zeta_predecessor", "initial_bounce"}
+        for name, fn in path_keyed.items():
+            maxsize = fn.cache_parameters()["maxsize"]
+            assert maxsize is not None and maxsize > 0, name

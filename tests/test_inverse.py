@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import rational_dyck as rd
@@ -22,7 +24,7 @@ from rational_dyck.errors import (
 )
 from rational_dyck.inverse import level_point
 
-from conftest import coprime_pairs
+from conftest import coprime_pairs, cycle_lemma_path
 
 
 class TestPairGamma:
@@ -140,6 +142,24 @@ class TestZetaInverseDispatcher:
         with pytest.raises(type(error)):
             rd.zeta_inverse_detailed(rd.full_path(4, 5))
 
+    def test_auto_raises_the_search_failure_without_a_table(self, monkeypatch):
+        # the running example's image has no closed form, so auto searches
+        def no_preimage(q):
+            raise NoPreimage("demo")
+
+        def table(q):
+            raise AssertionError("auto built the table")
+
+        monkeypatch.setitem(inverse._STRATEGY_FUNCS, "search", no_preimage)
+        monkeypatch.setitem(inverse._STRATEGY_FUNCS, "table", table)
+        q = rd.zeta(rd.make_path(5, 8, "NNNENEEENEEEE"))
+        with pytest.raises(NoPreimage, match="demo"):
+            rd.zeta_inverse_detailed(q)
+
+    def test_single_path_families_keep_the_table_label(self):
+        for q in (rd.lowest_path(1, 4), rd.lowest_path(5, 1)):
+            assert rd.zeta_inverse_detailed(q) == inverse.InversionResult(q, "table")
+
     def test_auto_moves_on_after_a_failed_precondition(self, monkeypatch):
         def not_square(q):
             raise NotSquareCase("demo")
@@ -147,6 +167,21 @@ class TestZetaInverseDispatcher:
         monkeypatch.setitem(inverse._STRATEGY_FUNCS, "square", not_square)
         result = rd.zeta_inverse_detailed(rd.full_path(4, 5))
         assert result.path == rd.lowest_path(4, 5) and result.strategy != "square"
+
+
+# Seeded uniform paths beyond exhaustive enumeration; (17,13) has b < a and
+# a bounce window of width 13.
+SEARCH_PATHS = [
+    cycle_lemma_path(random.Random(f"search/{a}/{b}/{i}"), a, b)
+    for (a, b), draws in (((11, 13), 4), ((8, 19), 4), ((17, 13), 1))
+    for i in range(draws)
+]
+
+
+class TestSearchAtScale:
+    @pytest.mark.parametrize("p", SEARCH_PATHS, ids=str)
+    def test_round_trip(self, p):
+        assert rd.zeta_inverse(rd.zeta(p), "search") == p
 
 
 class TestChi:

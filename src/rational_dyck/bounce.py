@@ -6,7 +6,8 @@ delta exactly when b = a*k + 1 and brackets it in a window of width r
 otherwise.  The first case yields a direct inverse.  In the second, the
 image of each predecessor is itself an image to invert, with a unique
 answer since zeta is a bijection, so the inverse is a recursion over the
-images of the chain, memoized by image and verified at every step.
+images of the chain, memoized by image and verified at every step.  Both
+inverses end by decoding a one-line tuple with the cycle decoder of iota.
 """
 
 from __future__ import annotations
@@ -28,14 +29,14 @@ from .errors import (
     WrongStepCounts,
 )
 from .paths import (
+    _PATH_CACHE_SIZE,
     DyckPath,
     EAST,
     NORTH,
-    Permutation,
+    _path_from_cycle,
     conjugate,
     gamma,
     lowest_path,
-    path_from_permutation,
     predecessor,
     rotation_cycle,
 )
@@ -53,11 +54,6 @@ __all__ = [
     "search_delta_traces",
 ]
 
-# Bound of the path-keyed caches: the images of one (a, b) pair share the
-# top of their predecessor chains, but a long-lived process must not keep
-# every path it has seen.
-_PATH_CACHE_SIZE = 4096
-
 
 def conj_predecessor(path: DyckPath) -> DyckPath:
     """Conjugate of the predecessor of the conjugate.
@@ -73,9 +69,7 @@ def conj_predecessor(path: DyckPath) -> DyckPath:
 
     rho = rotation_cycle(path.length, 1, delta(path))
     twisted = gamma(path).conjugated_by(rho.inverse())
-    algebraic = path_from_permutation(
-        Permutation(twisted.cycle_from(1)), path.a, path.b
-    )
+    algebraic = _path_from_cycle(path.a, path.b, twisted.one_line)
     if algebraic != geometric:
         raise InternalInvariantError(
             f"conj_predecessor mismatch for {path}: {geometric} vs {algebraic}"
@@ -185,29 +179,6 @@ def _conjugate_by_head(g: tuple[int, ...], d: int) -> tuple[int, ...]:
     return tuple(rot[v - 1] for v in (g[d - 1],) + g[: d - 1] + g[d:])
 
 
-def _decode(a: int, b: int, g: tuple[int, ...]) -> DyckPath | None:
-    """The path whose cycle, in one-line notation, is g.
-
-    Reads the cycle of g from 1 and puts east steps at its cyclic
-    descents, on raw tuples; returns None when g is not a single cycle or
-    the word is not an (a,b)-Dyck path.  Semantically identical to
-    `path_from_permutation` on the cycle read from 1.
-    """
-    n = a + b
-    cycle = [1] * n
-    j = g[0]
-    for i in range(1, n):
-        if j == 1:
-            return None
-        cycle[i] = j
-        j = g[j - 1]
-    word = "".join(EAST if u > v else NORTH for u, v in zip(cycle, cycle[1:] + [1]))
-    try:
-        return DyckPath(a, b, word)
-    except (WrongStepCounts, BelowDiagonal):
-        return None
-
-
 def fuss_delta_trace(path: DyckPath) -> tuple[int, ...]:
     """Delta trace of the predecessor chain when b = a*k + 1."""
     a, b = path.a, path.b
@@ -237,10 +208,11 @@ def zeta_inverse_fuss(path: DyckPath) -> DyckPath:
     g = _gamma_zero(a, b)
     for d in reversed(deltas):
         g = _conjugate_by_head(g, d)
-    preimage = _decode(a, b, g)
-    if preimage is None:
-        raise RoundTripFailure(f"decode failed for {path}", deltas)
-    if zeta(preimage) != path:
+    try:
+        preimage = _path_from_cycle(a, b, g)
+    except (WrongStepCounts, BelowDiagonal):
+        preimage = None
+    if preimage is None or zeta(preimage) != path:
         raise RoundTripFailure(
             f"round trip failed for {path} via deltas {deltas}", deltas
         )
@@ -300,7 +272,10 @@ def search_delta_traces(path: DyckPath, *, find_all: bool = False):
                 continue
             attempts += 1
             g = _conjugate_by_head(below[0], d)
-            candidate = _decode(a, b, g)
+            try:
+                candidate = _path_from_cycle(a, b, g)
+            except (WrongStepCounts, BelowDiagonal):
+                continue
             if candidate is None or delta(candidate) != d or zeta(candidate) != q:
                 continue
             if entry is not None:

@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import DyckError, InternalInvariantError, MethodDisagreement, PathParseError
 from .inverse import STRATEGIES, chi, zeta_inverse_detailed
@@ -199,14 +198,7 @@ def _cmd_verify(args) -> int:
         else {args.check}
     )
     pairs = list(_coprime_pairs(args.max_sum))
-    results = []
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(
-                pool.map(lambda p: _verify_pair(p, checks, args.rank_variant), pairs)
-            )
-    else:
-        results = [_verify_pair(p, checks, args.rank_variant) for p in pairs]
+    results = [_verify_pair(p, checks, args.rank_variant) for p in pairs]
     violations = []
     for a, b, failures in results:
         violations.extend(failures)
@@ -267,7 +259,6 @@ def build_parser() -> _Parser:
         choices=("counts", "zeta-bijective", "qcatalan", "qt-symmetry", "unique-pair", "all"),
     )
     p_ver.add_argument("--max-sum", type=int, default=10, help="check all coprime a+b <= N")
-    p_ver.add_argument("--jobs", type=int, default=1)
     p_ver.add_argument("--rank-variant", default="core", choices=("core", "path"))
     p_ver.add_argument("--json", action="store_true")
     p_ver.set_defaults(fn=_cmd_verify)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import NotACore, NotCoprime
-from .paths import DyckPath, Partition, box_value, path_from_hooks
+from .paths import _PATH_CACHE_SIZE, DyckPath, Partition, box_value, path_from_hooks
 
 __all__ = [
     "HookFilling",
@@ -125,7 +125,7 @@ class CorePartition:
         return cls(tuple(int(p) for p in data["parts"]), int(data["a"]), int(data["b"]))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PATH_CACHE_SIZE)
 def anderson(path: DyckPath) -> CorePartition:
     """The (a,b)-core whose leading hooks are the path's positive hooks.
 

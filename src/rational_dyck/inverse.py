@@ -3,9 +3,11 @@ and closed-form inverses for special path families.
 
 Knowing both images (Q, R) = (zeta(P), eta(P)) recovers P: pair the steps
 of Q with the steps of R rotated half a turn, read the resulting cycle as
-one-line notation, and place east steps at its cyclic descents.  On top of
-that sit a dispatcher for zeta inverse, the square-case formulas, the
-level-1 star recursion, and the justified/valley families.
+one-line notation, and place east steps at its cyclic descents.  The
+pairing is a raw tuple, and the decode is the one the delta recursion and
+the Fuss inverse end with.  On top of that sit a dispatcher for zeta
+inverse, the square-case formulas, the level-1 star recursion, and the
+justified/valley families.
 """
 
 from __future__ import annotations
@@ -25,11 +27,12 @@ from .errors import (
     Level1NotVisited,
     MethodDisagreement,
     NoPreimage,
+    NotACycle,
     NotADyckPath,
     NotSquareCase,
     RoundTripFailure,
     TooManyBoxes,
-    WrongDescentCount,
+    WrongStepCounts,
 )
 from .paths import (
     DyckPath,
@@ -37,11 +40,11 @@ from .paths import (
     NORTH,
     Partition,
     Permutation,
+    _path_from_cycle,
     box_value,
     enumerate_paths,
     path_from_bounded_partition,
     path_from_hooks,
-    path_from_permutation,
     reverse,
     star_product,
 )
@@ -72,20 +75,24 @@ STRATEGIES = ("auto", "square", "level1", "fuss", "search", "table")
 # The pair inverse
 
 
-def _step_positions(word: str) -> tuple[dict[int, int], dict[int, int]]:
-    """Labels (1-based step numbers) of the east step per column and the
-    north step per row."""
-    east: dict[int, int] = {}
-    north: dict[int, int] = {}
-    x = y = 0
-    for label, s in enumerate(word, start=1):
-        if s == EAST:
-            east[x] = label
-            x += 1
-        else:
-            north[y] = label
-            y += 1
+def _step_positions(word: str) -> tuple[list[int], list[int]]:
+    """Labels (1-based step numbers) of the east steps, column by column,
+    and of the north steps, row by row."""
+    east = [label for label, s in enumerate(word, start=1) if s == EAST]
+    north = [label for label, s in enumerate(word, start=1) if s == NORTH]
     return east, north
+
+
+def _pairing(q: DyckPath, r: DyckPath) -> list[int]:
+    """One-line images of the pairing of Q with rotated R (see pair_gamma)."""
+    if (q.a, q.b) != (r.a, r.b):
+        raise ValueError(f"dimension mismatch: ({q.a},{q.b}) vs ({r.a},{r.b})")
+    q_east, q_north = _step_positions(q.steps)
+    r_east, r_north = _step_positions(r.steps[::-1])
+    images = [0] * q.length
+    for label, image in zip(q_east + q_north, r_east + r_north):
+        images[label - 1] = image
+    return images
 
 
 def pair_gamma(q: DyckPath, r: DyckPath) -> Permutation:
@@ -96,30 +103,23 @@ def pair_gamma(q: DyckPath, r: DyckPath) -> Permutation:
     maps to the horizontal label of rotated R in the same column, a
     vertical label to the vertical label in the same row.
     """
-    if (q.a, q.b) != (r.a, r.b):
-        raise ValueError(f"dimension mismatch: ({q.a},{q.b}) vs ({r.a},{r.b})")
-    q_east, q_north = _step_positions(q.steps)
-    r_east, r_north = _step_positions(r.steps[::-1])
-    images = [0] * q.length
-    for col, label in q_east.items():
-        images[label - 1] = r_east[col]
-    for row, label in q_north.items():
-        images[label - 1] = r_north[row]
-    return Permutation(tuple(images))
+    return Permutation(tuple(_pairing(q, r)))
 
 
 def iota(q: DyckPath, r: DyckPath, *, trusted: bool = False) -> DyckPath:
     """Recover P from the pair (zeta(P), eta(P)).
 
-    Unless `trusted`, the result is round-tripped through both maps; a pair
-    that decodes cleanly but fails the round trip raises InconsistentPair.
+    A pairing of more than one cycle raises NotACycle, and a descent word
+    that is not a Dyck path raises NotADyckPath.  Unless `trusted`, the
+    result is round-tripped through both maps; a pair that decodes cleanly
+    but fails the round trip raises InconsistentPair.
     """
-    g = pair_gamma(q, r)
-    sigma = Permutation(g.cycle_from(1))
     try:
-        path = path_from_permutation(sigma, q.a, q.b)
-    except (WrongDescentCount, BelowDiagonal) as exc:
+        path = _path_from_cycle(q.a, q.b, _pairing(q, r))
+    except (WrongStepCounts, BelowDiagonal) as exc:
         raise NotADyckPath(str(exc)) from exc
+    if path is None:
+        raise NotACycle(f"the pairing of {q} and {r} has more than one cycle")
     if not trusted and (zeta(path) != q or eta(path) != r):
         raise InconsistentPair(f"iota({q}, {r}) decoded {path} but images differ")
     return path
@@ -265,8 +265,8 @@ def square_gamma_shaded(q: DyckPath) -> Permutation:
         return n * col < (row + 1) * width and row * width < n * (col + 1)
 
     east_label, north_label = _step_positions(q.steps)
-    east_col = {label: col for col, label in east_label.items()}
-    north_row = {label: row for row, label in north_label.items()}
+    east_col = {label: col for col, label in enumerate(east_label)}
+    north_row = {label: row for row, label in enumerate(north_label)}
     north_col = {row: col for row, col in enumerate(q.north_columns())}
     first_east = east_label[0]
 

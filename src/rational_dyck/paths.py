@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterator
 
 from .errors import (
@@ -30,6 +31,11 @@ from .errors import (
 
 NORTH = "N"
 EAST = "E"
+
+# Bound of every path-keyed cache: the images of one (a, b) pair share the
+# top of their predecessor chains, but a long-lived process must not keep
+# every path it has seen.
+_PATH_CACHE_SIZE = 4096
 
 
 def box_value(a: int, b: int, col: int, row: int) -> int:
@@ -272,7 +278,15 @@ class DyckPath:
 
     def points(self) -> tuple[tuple[int, int], ...]:
         """The a+b+1 lattice points visited, in path order."""
-        return _points(self)
+        pts = [(0, 0)]
+        x = y = 0
+        for s in self.steps:
+            if s == NORTH:
+                y += 1
+            else:
+                x += 1
+            pts.append((x, y))
+        return tuple(pts)
 
     def visits(self, x: int, y: int) -> bool:
         return (x, y) in self.points()
@@ -345,25 +359,13 @@ class DyckPath:
         return cls(int(data["a"]), int(data["b"]), str(data["steps"]))
 
 
-@lru_cache(maxsize=None)
-def _points(path: DyckPath) -> tuple[tuple[int, int], ...]:
-    pts = [(0, 0)]
-    x = y = 0
-    for s in path.steps:
-        if s == NORTH:
-            y += 1
-        else:
-            x += 1
-        pts.append((x, y))
-    return tuple(pts)
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PATH_CACHE_SIZE)
 def _levels(path: DyckPath) -> tuple[int, ...]:
-    return tuple(y * path.b - x * path.a for x, y in _points(path))
+    a, b = path.a, path.b
+    return tuple(accumulate((b if s == NORTH else -a for s in path.steps), initial=0))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PATH_CACHE_SIZE)
 def _positive_hooks(path: DyckPath) -> tuple[int, ...]:
     out = []
     for row, col0 in enumerate(path.north_columns()):
@@ -454,15 +456,40 @@ def gamma(path: DyckPath) -> Permutation:
     return Permutation.from_cycle(sigma(path).one_line)
 
 
+def _descent_word(values) -> str:
+    """E at each right cyclic descent of the sequence, N elsewhere."""
+    return "".join(
+        EAST if u > v else NORTH for u, v in zip(values, values[1:] + values[:1])
+    )
+
+
 def path_from_permutation(perm: Permutation, a: int, b: int) -> DyckPath:
     """Rebuild the path whose east steps sit at perm's right cyclic descents."""
     if perm.n != a + b:
         raise WrongDescentCount(f"permutation size {perm.n} != {a + b}")
-    descents = set(perm.right_cyclic_descents())
-    if len(descents) != b:
-        raise WrongDescentCount(f"{len(descents)} cyclic descents, expected {b}")
-    word = "".join(EAST if i in descents else NORTH for i in range(1, a + b + 1))
+    word = _descent_word(perm.one_line)
+    descents = word.count(EAST)
+    if descents != b:
+        raise WrongDescentCount(f"{descents} cyclic descents, expected {b}")
     return DyckPath(a, b, word)
+
+
+def _path_from_cycle(a: int, b: int, g) -> DyckPath | None:
+    """The path whose cycle, in one-line notation, is the raw tuple g.
+
+    Reads the cycle of g from 1 and puts east steps at its cyclic descents.
+    Returns None when g has more than one cycle; a word that is not an
+    (a,b)-Dyck path raises WrongStepCounts or BelowDiagonal.
+    """
+    n = a + b
+    cycle = [1] * n
+    j = g[0]
+    for i in range(1, n):
+        if j == 1:
+            return None
+        cycle[i] = j
+        j = g[j - 1]
+    return DyckPath(a, b, _descent_word(cycle))
 
 
 @lru_cache(maxsize=None)

@@ -9,10 +9,12 @@ exact rational intersection tests.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import strategies as st
 
 from rational_dyck import DyckPath, make_path
 from rational_dyck.paths import EAST, NORTH
@@ -68,6 +70,16 @@ def cycle_lemma_path(rng, a: int, b: int) -> DyckPath:
         if level < lowest:
             lowest, start = level, i + 1
     return make_path(a, b, "".join(word[start:] + word[:start]))
+
+
+@st.composite
+def cycle_lemma_paths(draw, max_sum: int = 300) -> DyckPath:
+    """Hypothesis strategy: a coprime (a, b) with a + b <= max_sum, then a
+    uniform (a,b)-path from cycle_lemma_path on a drawn seed."""
+    total = draw(st.integers(2, max_sum))
+    a = draw(st.integers(1, total - 1).filter(lambda a: math.gcd(a, total) == 1))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return cycle_lemma_path(random.Random(seed), a, total - a)
 
 
 def geometric_conjugate(path: DyckPath) -> DyckPath:

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import importlib
 import inspect
+import pkgutil
 import random
 
 import pytest
 
 import rational_dyck as rd
-from rational_dyck import bounce
 from rational_dyck.bounce import fuss_delta_trace, search_delta_traces
 from rational_dyck.errors import (
     DimensionTooSmall,
@@ -186,14 +187,26 @@ class TestSearchInverse:
 
 class TestCaches:
     def test_path_keyed_caches_are_bounded(self):
-        path_keyed = {
-            name: fn
-            for name, fn in vars(bounce).items()
-            if callable(getattr(fn, "cache_info", None))
-            and next(iter(inspect.signature(fn).parameters.values())).annotation
-            in (rd.DyckPath, "DyckPath")
+        # every path-keyed cache of every module of the package, found where
+        # it is defined and not where it is imported
+        path_keyed = {}
+        for info in pkgutil.iter_modules(rd.__path__):
+            module = importlib.import_module(f"rational_dyck.{info.name}")
+            path_keyed.update(
+                (f"{info.name}.{name}", fn)
+                for name, fn in vars(module).items()
+                if callable(getattr(fn, "cache_info", None))
+                and fn.__module__ == module.__name__
+                and next(iter(inspect.signature(fn).parameters.values())).annotation
+                in (rd.DyckPath, "DyckPath")
+            )
+        assert set(path_keyed) == {
+            "bounce.zeta_predecessor",
+            "bounce.initial_bounce",
+            "cores.anderson",
+            "paths._levels",
+            "paths._positive_hooks",
         }
-        assert set(path_keyed) == {"zeta_predecessor", "initial_bounce"}
         for name, fn in path_keyed.items():
             maxsize = fn.cache_parameters()["maxsize"]
             assert maxsize is not None and maxsize > 0, name

@@ -146,12 +146,6 @@ class TestVerify:
         record = json.loads(out)
         assert code == 0 and record["violations"] == []
 
-    def test_jobs_flag(self, capsys):
-        code, out, _ = run(
-            capsys, "verify", "--check", "zeta-bijective", "--max-sum", "8", "--jobs", "4"
-        )
-        assert code == 0
-
     def test_rank_variant_path_yields_violation_witness(self, capsys):
         # with the bounded-partition rank the polynomial identity fails, so
         # this doubles as a live test of the exit-2 witness contract

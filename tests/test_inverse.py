@@ -71,6 +71,20 @@ class TestIota:
                     pass
         assert successes == len(paths)  # exactly the admissible pairs
 
+    def test_error_classes_on_every_4_7_pair(self):
+        paths = rd.enumerate_paths(4, 7)
+        counts = {"ok": 0, NotACycle: 0, InconsistentPair: 0, NotADyckPath: 0}
+        for q in paths:
+            for r in paths:
+                try:
+                    rd.iota(q, r)
+                    counts["ok"] += 1
+                except (NotACycle, NotADyckPath, InconsistentPair) as exc:
+                    counts[type(exc)] += 1
+        assert counts == {
+            "ok": 30, NotACycle: 697, InconsistentPair: 167, NotADyckPath: 6
+        }
+
     def test_admissible_pair_area_matches(self):
         for a, b in coprime_pairs(9):
             for p in rd.enumerate_paths(a, b):

@@ -16,7 +16,7 @@ from rational_dyck.errors import (
     WrongDescentCount,
     WrongStepCounts,
 )
-from rational_dyck.paths import Partition, Permutation, standardize
+from rational_dyck.paths import Partition, Permutation, _path_from_cycle, standardize
 
 from conftest import brute_force_paths, coprime_pairs, geometric_conjugate
 
@@ -136,6 +136,15 @@ class TestPermutations:
             rd.path_from_permutation(ident, 2, 3)
         # identity has a single cyclic descent, so b = 1 works
         assert rd.path_from_permutation(Permutation.identity(4), 3, 1).steps == "NNNE"
+
+    def test_cycle_decoder_inverts_gamma(self):
+        for a, b in coprime_pairs(12):
+            for p in rd.enumerate_paths(a, b):
+                assert _path_from_cycle(a, b, rd.gamma(p).one_line) == p
+
+    def test_cycle_decoder_rejects_two_cycles(self):
+        # (1 2)(3 4 5)
+        assert _path_from_cycle(2, 3, (2, 1, 4, 5, 3)) is None
 
     def test_compose_and_inverse(self):
         p = Permutation((2, 3, 1))

@@ -6,6 +6,7 @@ import importlib
 import random
 
 import pytest
+from hypothesis import given, settings
 
 import rational_dyck as rd
 from rational_dyck.errors import BelowDiagonal, InternalInvariantError
@@ -20,7 +21,13 @@ from rational_dyck.zeta import (
     zeta_via_sweep,
 )
 
-from conftest import coprime_pairs, cycle_lemma_path, laser_value_by_intersection
+from conftest import (
+    coprime_pairs,
+    cycle_lemma_path,
+    cycle_lemma_paths,
+    geometric_conjugate,
+    laser_value_by_intersection,
+)
 
 ZETA_METHODS = (zeta_via_cores, zeta_via_sweep, zeta_via_lasers, zeta_via_intervals)
 ETA_METHODS = (eta_via_cores, eta_via_sweep, eta_via_lasers, eta_via_intervals)
@@ -126,6 +133,25 @@ class TestLargePaths:
             q = rd.zeta(p)
             assert rd.skew_length(p) == rd.coarea(q)
             assert rd.dinv(p) == rd.area(q)
+
+
+class TestPropertiesAtScale:
+    @settings(deadline=None)
+    @given(cycle_lemma_paths())
+    def test_pair_inverse_round_trip(self, p):
+        assert rd.iota(rd.zeta(p), rd.eta(p)) == p
+
+    @settings(deadline=None)
+    @given(cycle_lemma_paths())
+    def test_conjugate_is_the_geometric_involution(self, p):
+        assert rd.conjugate(p) == geometric_conjugate(p)
+        assert rd.conjugate(rd.conjugate(p)) == p
+
+    @settings(deadline=None)
+    @given(cycle_lemma_paths(max_sum=120))
+    def test_sweep_matches_lasers(self, p):
+        assert rd.zeta(p) == zeta_via_lasers(p)
+        assert rd.eta(p) == eta_via_lasers(p)
 
 
 class TestLaserFilling:

@@ -6,8 +6,7 @@ Run:  python demos/02_zeta_four_ways.py
 """
 
 import rational_dyck as rd
-from rational_dyck.render import RenderSpec, render_ascii
-from rational_dyck.zeta import (
+from rational_dyck.maps import (
     eta_via_cores,
     eta_via_intervals,
     eta_via_lasers,
@@ -17,6 +16,7 @@ from rational_dyck.zeta import (
     zeta_via_lasers,
     zeta_via_sweep,
 )
+from rational_dyck.render import RenderSpec, render_ascii
 
 P = rd.make_path(5, 8, "NNNENEEENEEEE")
 

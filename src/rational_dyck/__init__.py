@@ -11,7 +11,6 @@ from .bounce import (
     conj_predecessor,
     initial_bounce,
     zeta_inverse_fuss,
-    zeta_inverse_search,
     zeta_predecessor,
 )
 from .cores import (
@@ -25,7 +24,6 @@ from .cores import (
     boundary_boxes,
     core_conjugate,
     hook_filling,
-    positive_hooks,
     row_length_filling,
     skew_length_core,
 )
@@ -46,6 +44,24 @@ from .inverse import (
     zeta_inverse,
     zeta_inverse_detailed,
     zeta_inverse_level1,
+)
+from .maps import (
+    IntervalGrid,
+    LaserFilling,
+    eta,
+    eta_via_cores,
+    eta_via_intervals,
+    eta_via_lasers,
+    eta_via_sweep,
+    interval_grid,
+    lambda_partition,
+    laser_filling,
+    mu_partition,
+    zeta,
+    zeta_via_cores,
+    zeta_via_intervals,
+    zeta_via_lasers,
+    zeta_via_sweep,
 )
 from .paths import (
     DyckPath,
@@ -98,24 +114,6 @@ from .verification import (
     qt_symmetry_check,
     rational_q_catalan,
     sl_rank_generating,
-)
-from .zeta import (
-    IntervalGrid,
-    LaserFilling,
-    eta,
-    eta_via_cores,
-    eta_via_intervals,
-    eta_via_lasers,
-    eta_via_sweep,
-    interval_grid,
-    lambda_partition,
-    laser_filling,
-    mu_partition,
-    zeta,
-    zeta_via_cores,
-    zeta_via_intervals,
-    zeta_via_lasers,
-    zeta_via_sweep,
 )
 
 __version__ = "0.1.0"

@@ -7,7 +7,9 @@ otherwise.  The first case yields a direct inverse.  In the second, the
 image of each predecessor is itself an image to invert, with a unique
 answer since zeta is a bijection, so the inverse is a recursion over the
 images of the chain, memoized by image and verified at every step.  Both
-inverses end by decoding a one-line tuple with the cycle decoder of iota.
+inverses end by decoding a one-line tuple with the cycle decoder of iota,
+whose DyckPath check rejects a candidate that is not a path.  The
+recursion is reached as ``zeta_inverse(Q, "search")``.
 """
 
 from __future__ import annotations
@@ -23,11 +25,11 @@ from .errors import (
     NoBoxToAdd,
     NoEastInPrefix,
     NoNorthInPrefix,
-    NoPreimage,
     NotFussCase,
     RoundTripFailure,
     WrongStepCounts,
 )
+from .maps import zeta
 from .paths import (
     _PATH_CACHE_SIZE,
     DyckPath,
@@ -41,7 +43,6 @@ from .paths import (
     rotation_cycle,
 )
 from .stats import area, delta
-from .zeta import zeta
 
 __all__ = [
     "BouncePath",
@@ -49,7 +50,6 @@ __all__ = [
     "zeta_predecessor",
     "initial_bounce",
     "zeta_inverse_fuss",
-    "zeta_inverse_search",
     "fuss_delta_trace",
     "search_delta_traces",
 ]
@@ -163,12 +163,12 @@ def initial_bounce(path: DyckPath) -> BouncePath:
     return BouncePath(tuple(v), tuple(h))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PATH_CACHE_SIZE)
 def _gamma_zero(a: int, b: int) -> tuple[int, ...]:
     return gamma(lowest_path(a, b)).one_line
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PATH_CACHE_SIZE)
 def _head_rotation(n: int, d: int) -> tuple[int, ...]:
     return rotation_cycle(n, 1, d).one_line
 
@@ -201,9 +201,14 @@ def fuss_delta_trace(path: DyckPath) -> tuple[int, ...]:
 
 def zeta_inverse_fuss(path: DyckPath) -> DyckPath:
     """Exact inverse of zeta when b = a*k + 1, via the bounce-pinned chain."""
+    return _fuss_inverse(path)[0]
+
+
+def _fuss_inverse(path: DyckPath) -> tuple[DyckPath, tuple[int, ...]]:
+    """The preimage of a Fuss image and the delta trace that decodes it."""
     a, b = path.a, path.b
     if a == 1 or b == 1:
-        return path  # single-path family, fixed by zeta
+        return path, ()  # single-path family, fixed by zeta
     deltas = fuss_delta_trace(path)
     g = _gamma_zero(a, b)
     for d in reversed(deltas):
@@ -216,7 +221,7 @@ def zeta_inverse_fuss(path: DyckPath) -> DyckPath:
         raise RoundTripFailure(
             f"round trip failed for {path} via deltas {deltas}", deltas
         )
-    return preimage
+    return preimage, deltas
 
 
 def search_delta_traces(path: DyckPath, *, find_all: bool = False):
@@ -309,15 +314,3 @@ def search_delta_traces(path: DyckPath, *, find_all: bool = False):
         entry = memo[entry[3]]
     return [(preimage, tuple(deltas))], attempts
 
-
-def zeta_inverse_search(path: DyckPath) -> DyckPath:
-    """Inverse of zeta by the memoized delta recursion, checked by zeta."""
-    a, b = path.a, path.b
-    if a == 1 or b == 1:
-        return path
-    found, attempts = search_delta_traces(path)
-    if not found:
-        raise NoPreimage(
-            f"delta recursion found no preimage of {path} after {attempts} decodes"
-        )
-    return found[0][0]

@@ -14,6 +14,7 @@ import sys
 
 from .errors import DyckError, InternalInvariantError, MethodDisagreement, PathParseError
 from .inverse import STRATEGIES, chi, zeta_inverse_detailed
+from .maps import _ETA_METHODS, _ZETA_METHODS, eta, zeta
 from .paths import (
     DyckPath,
     conjugate,
@@ -31,7 +32,6 @@ from .verification import (
     rational_q_catalan,
     sl_rank_generating,
 )
-from .zeta import _ETA_METHODS, _ZETA_METHODS, eta, zeta
 
 EXIT_OK = 0
 EXIT_USAGE = 1

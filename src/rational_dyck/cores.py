@@ -20,7 +20,6 @@ __all__ = [
     "CorePartition",
     "RowLengthFilling",
     "hook_filling",
-    "positive_hooks",
     "anderson",
     "anderson_inverse",
     "a_rows",
@@ -31,11 +30,6 @@ __all__ = [
     "row_length_filling",
     "a_columns_skew",
 ]
-
-
-def positive_hooks(path: DyckPath) -> tuple[int, ...]:
-    """Positive grid values under the path, largest first."""
-    return path.positive_hooks()
 
 
 @dataclass(frozen=True)

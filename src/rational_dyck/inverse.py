@@ -5,9 +5,11 @@ Knowing both images (Q, R) = (zeta(P), eta(P)) recovers P: pair the steps
 of Q with the steps of R rotated half a turn, read the resulting cycle as
 one-line notation, and place east steps at its cyclic descents.  The
 pairing is a raw tuple, and the decode is the one the delta recursion and
-the Fuss inverse end with.  On top of that sit a dispatcher for zeta
-inverse, the square-case formulas, the level-1 star recursion, and the
-justified/valley families.
+the Fuss inverse end with, and DyckPath's own check rejects a descent
+word that is not a path.  iota always round-trips its result through
+zeta and eta.  On top of that sit a dispatcher for zeta inverse (the
+delta recursion is its ``search`` strategy), the square-case formulas,
+the level-1 star recursion, and the justified/valley families.
 """
 
 from __future__ import annotations
@@ -34,7 +36,9 @@ from .errors import (
     TooManyBoxes,
     WrongStepCounts,
 )
+from .maps import eta, zeta
 from .paths import (
+    _TABLE_CACHE_SIZE,
     DyckPath,
     EAST,
     NORTH,
@@ -48,7 +52,6 @@ from .paths import (
     reverse,
     star_product,
 )
-from .zeta import eta, zeta
 
 __all__ = [
     "InversionResult",
@@ -106,13 +109,13 @@ def pair_gamma(q: DyckPath, r: DyckPath) -> Permutation:
     return Permutation(tuple(_pairing(q, r)))
 
 
-def iota(q: DyckPath, r: DyckPath, *, trusted: bool = False) -> DyckPath:
+def iota(q: DyckPath, r: DyckPath) -> DyckPath:
     """Recover P from the pair (zeta(P), eta(P)).
 
     A pairing of more than one cycle raises NotACycle, and a descent word
-    that is not a Dyck path raises NotADyckPath.  Unless `trusted`, the
-    result is round-tripped through both maps; a pair that decodes cleanly
-    but fails the round trip raises InconsistentPair.
+    that is not a Dyck path raises NotADyckPath.  The result is
+    round-tripped through both maps; a pair that decodes cleanly but fails
+    the round trip raises InconsistentPair.
     """
     try:
         path = _path_from_cycle(q.a, q.b, _pairing(q, r))
@@ -120,7 +123,7 @@ def iota(q: DyckPath, r: DyckPath, *, trusted: bool = False) -> DyckPath:
         raise NotADyckPath(str(exc)) from exc
     if path is None:
         raise NotACycle(f"the pairing of {q} and {r} has more than one cycle")
-    if not trusted and (zeta(path) != q or eta(path) != r):
+    if zeta(path) != q or eta(path) != r:
         raise InconsistentPair(f"iota({q}, {r}) decoded {path} but images differ")
     return path
 
@@ -148,7 +151,7 @@ class InversionResult:
     deltas: tuple[int, ...] | None = None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _zeta_table(a: int, b: int) -> dict[DyckPath, DyckPath]:
     return {zeta(p): p for p in enumerate_paths(a, b)}
 
@@ -164,8 +167,8 @@ def _invert_level1(q: DyckPath) -> InversionResult:
 
 
 def _invert_fuss(q: DyckPath) -> InversionResult:
-    deltas = () if q.a == 1 or q.b == 1 else _bounce.fuss_delta_trace(q)
-    return InversionResult(_bounce.zeta_inverse_fuss(q), "fuss", deltas)
+    path, deltas = _bounce._fuss_inverse(q)
+    return InversionResult(path, "fuss", deltas)
 
 
 def _invert_search(q: DyckPath) -> InversionResult:

@@ -7,7 +7,10 @@ which sorts the steps by level, is the canonical construction: `zeta` and
 three others, computed from the core (boundary-box counts), from a laser
 filling and from an interval-intersection grid.  Those are kept as
 genuinely separate code paths, so that `check=True` can cross-check all
-four.
+four.  The module is `rational_dyck.maps`, so that `rational_dyck.zeta`
+names the function.  Each image is built by the validating DyckPath
+constructor; an image it rejects is a bug, raised as
+InternalInvariantError.
 """
 
 from __future__ import annotations

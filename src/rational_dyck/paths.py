@@ -5,6 +5,14 @@ An (a,b)-Dyck path is a word of a north and b east steps from (0,0) to
 This module owns the path type, its level/word data, enumeration, and the
 structural operations (conjugate, flip, reverse, star product, predecessor)
 that everything else builds on.
+
+`DyckPath(a, b, steps)` is the one constructor, and it checks every path,
+whether a caller or the library built it: dimensions, alphabet,
+coprimality, step counts, then the diagonal, each by builtins over the
+whole word.  A rejected word raises the error that names its fault;
+PathParseError carries the offset of the first bad character and
+BelowDiagonal the first lattice point below the diagonal.  The inverses
+rely on this to reject candidate words.
 """
 
 from __future__ import annotations
@@ -34,8 +42,11 @@ EAST = "E"
 
 # Bound of every path-keyed cache: the images of one (a, b) pair share the
 # top of their predecessor chains, but a long-lived process must not keep
-# every path it has seen.
+# every path it has seen.  Small per-pair tuples share the bound.
 _PATH_CACHE_SIZE = 4096
+# Bound of the caches that hold a whole table per (a, b) pair, such as all
+# of its paths.  Sweeps visit the pairs in order, so a few suffice.
+_TABLE_CACHE_SIZE = 32
 
 
 def box_value(a: int, b: int, col: int, row: int) -> int:
@@ -243,31 +254,25 @@ class DyckPath:
     steps: str
 
     def __post_init__(self):
-        if not isinstance(self.a, int) or not isinstance(self.b, int):
+        a, b, steps = self.a, self.b, self.steps
+        if not isinstance(a, int) or not isinstance(b, int):
             raise ValueError("dimensions must be integers")
-        if self.a < 1 or self.b < 1:
+        if a < 1 or b < 1:
             raise ValueError("dimensions must be positive")
-        for i, s in enumerate(self.steps):
-            if s not in (NORTH, EAST):
-                raise PathParseError(self.steps, i)
-        if math.gcd(self.a, self.b) != 1:
-            raise NotCoprime(f"gcd({self.a}, {self.b}) != 1")
-        if (
-            len(self.steps) != self.a + self.b
-            or self.steps.count(NORTH) != self.a
-            or self.steps.count(EAST) != self.b
-        ):
-            raise WrongStepCounts(
-                f"need {self.a} N and {self.b} E steps, got {self.steps!r}"
-            )
-        x = y = 0
-        for s in self.steps:
-            if s == NORTH:
-                y += 1
-            else:
-                x += 1
-            if self.a * x > self.b * y:
-                raise BelowDiagonal((x, y))
+        if not isinstance(steps, str):
+            raise ValueError("steps must be a string")
+        if steps.strip(NORTH + EAST):
+            raise PathParseError(steps, len(steps) - len(steps.lstrip(NORTH + EAST)))
+        if math.gcd(a, b) != 1:
+            raise NotCoprime(f"gcd({a}, {b}) != 1")
+        if len(steps) != a + b or steps.count(NORTH) != a:
+            raise WrongStepCounts(f"need {a} N and {b} E steps, got {steps!r}")
+        # the level y*b - x*a of every point must stay non-negative
+        rise = {NORTH: b, EAST: -a}.__getitem__
+        if min(accumulate(map(rise, steps))) < 0:
+            levels = accumulate(map(rise, steps))
+            walked = steps[: next(i for i, v in enumerate(levels, 1) if v < 0)]
+            raise BelowDiagonal((walked.count(EAST), walked.count(NORTH)))
 
     def __str__(self) -> str:
         return self.steps
@@ -492,7 +497,7 @@ def _path_from_cycle(a: int, b: int, g) -> DyckPath | None:
     return DyckPath(a, b, _descent_word(cycle))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def enumerate_paths(a: int, b: int) -> tuple[DyckPath, ...]:
     """All (a,b)-Dyck paths in lexicographic step order with N < E."""
     if math.gcd(a, b) != 1:

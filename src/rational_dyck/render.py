@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from .bounce import initial_bounce
 from .cores import hook_filling, row_length_filling
 from .errors import UnsupportedOverlay
+from .maps import interval_grid, laser_filling
 from .paths import DyckPath
-from .zeta import interval_grid, laser_filling
 
 OVERLAYS = ("hooks", "row-lengths", "lasers", "levels", "bounce", "intervals")
 

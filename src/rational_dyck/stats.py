@@ -123,12 +123,13 @@ def delta(path: DyckPath) -> int:
 
 def statistics_summary(path: DyckPath) -> dict[str, int]:
     """All statistics in the documented JSON key order."""
+    sl = skew_length(path)
     return {
         "area": area(path),
         "coarea": coarea(path),
         "rank": rank(path),
-        "sl": skew_length(path),
-        "slp": co_skew_length(path),
+        "sl": sl,
+        "slp": (path.a - 1) * (path.b - 1) // 2 - sl,
         "dinv": dinv(path),
         "delta": delta(path),
     }

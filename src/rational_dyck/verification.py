@@ -20,9 +20,9 @@ from .errors import (
     NotCoprime,
 )
 from .inverse import iota
+from .maps import zeta
 from .paths import DyckPath, enumerate_paths, rational_catalan_number
 from .stats import area, co_skew_length, coarea, core_rank, dinv, path_rank, skew_length
-from .zeta import zeta
 
 __all__ = [
     "QPolynomial",

@@ -37,6 +37,16 @@ def coprime_pairs(max_sum: int, min_dim: int = 1):
     return out
 
 
+def first_point_below(a: int, b: int, word) -> tuple[int, int] | None:
+    """The first lattice point of the walk strictly below the diagonal."""
+    x = y = 0
+    for s in word:
+        x, y = (x, y + 1) if s == NORTH else (x + 1, y)
+        if a * x > b * y:
+            return x, y
+    return None
+
+
 def brute_force_paths(a: int, b: int) -> set[str]:
     """Every valid step word, by filtering all C(a+b, a) candidates."""
     words = set()
@@ -44,14 +54,7 @@ def brute_force_paths(a: int, b: int) -> set[str]:
         word = [EAST] * (a + b)
         for i in north_positions:
             word[i] = NORTH
-        x = y = 0
-        ok = True
-        for s in word:
-            x, y = (x, y + 1) if s == NORTH else (x + 1, y)
-            if a * x > b * y:
-                ok = False
-                break
-        if ok:
+        if first_point_below(a, b, word) is None:
             words.add("".join(word))
     return words
 

@@ -17,7 +17,7 @@ import pytest
 import rational_dyck as rd
 from rational_dyck.errors import InexactDivision
 from rational_dyck.inverse import level_point
-from rational_dyck.zeta import (
+from rational_dyck.maps import (
     eta_via_cores,
     eta_via_intervals,
     eta_via_lasers,

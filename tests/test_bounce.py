@@ -10,6 +10,7 @@ import random
 import pytest
 
 import rational_dyck as rd
+from rational_dyck import bounce
 from rational_dyck.bounce import fuss_delta_trace, search_delta_traces
 from rational_dyck.errors import (
     DimensionTooSmall,
@@ -135,6 +136,21 @@ class TestFussInverse:
             for p in rd.enumerate_paths(a, b):
                 assert rd.zeta_inverse_fuss(rd.zeta(p)) == p
 
+    def test_dispatcher_traces_each_image_once(self, monkeypatch):
+        # the preimage and the reported deltas come from one trace
+        calls = []
+
+        def counted(path):
+            calls.append(path)
+            return fuss_delta_trace(path)
+
+        monkeypatch.setattr(bounce, "fuss_delta_trace", counted)
+        images = [rd.zeta(p) for ab in [(3, 7), (4, 9)] for p in rd.enumerate_paths(*ab)]
+        for q in images:
+            result = rd.zeta_inverse_detailed(q, "fuss")
+            assert result.deltas == fuss_delta_trace(q)
+        assert len(calls) == len(images)
+
     def test_trace_of_lowest_image(self):
         # zeta(lowest) is the full path: the chain is already at its end
         assert fuss_delta_trace(rd.full_path(3, 4)) == ()
@@ -146,7 +162,7 @@ class TestSearchInverse:
         # includes the wide-window b < a pairs; this is the slow test
         for a, b in coprime_pairs(13):
             for p in rd.enumerate_paths(a, b):
-                assert rd.zeta_inverse_search(rd.zeta(p)) == p
+                assert rd.zeta_inverse(rd.zeta(p), "search") == p
 
     def test_fuss_inputs_have_width_one_window(self):
         for p in rd.enumerate_paths(3, 7):
@@ -167,7 +183,7 @@ class TestSearchInverse:
         assert min(trace_counts) >= 1
 
     def test_running_example(self, running):
-        assert rd.zeta_inverse_search(rd.zeta(running)) == running
+        assert rd.zeta_inverse(rd.zeta(running), "search") == running
 
     def test_long_chain_needs_no_interpreter_recursion(self):
         # the predecessor chain of a (120,241) image has over a thousand
@@ -187,26 +203,32 @@ class TestSearchInverse:
 
 class TestCaches:
     def test_path_keyed_caches_are_bounded(self):
-        # every path-keyed cache of every module of the package, found where
-        # it is defined and not where it is imported
-        path_keyed = {}
+        # every cache of every module of the package, found where it is
+        # defined and not where it is imported: a long-lived process must
+        # keep neither every path nor every (a, b) table it was asked for
+        caches = {}
         for info in pkgutil.iter_modules(rd.__path__):
             module = importlib.import_module(f"rational_dyck.{info.name}")
-            path_keyed.update(
+            caches.update(
                 (f"{info.name}.{name}", fn)
                 for name, fn in vars(module).items()
                 if callable(getattr(fn, "cache_info", None))
                 and fn.__module__ == module.__name__
-                and next(iter(inspect.signature(fn).parameters.values())).annotation
-                in (rd.DyckPath, "DyckPath")
             )
-        assert set(path_keyed) == {
+        path_keyed = {
+            name
+            for name, fn in caches.items()
+            if next(iter(inspect.signature(fn).parameters.values())).annotation
+            in (rd.DyckPath, "DyckPath")
+        }
+        assert path_keyed == {
             "bounce.zeta_predecessor",
             "bounce.initial_bounce",
             "cores.anderson",
             "paths._levels",
             "paths._positive_hooks",
         }
-        for name, fn in path_keyed.items():
+        assert {"paths.enumerate_paths", "inverse._zeta_table"} <= set(caches)
+        for name, fn in caches.items():
             maxsize = fn.cache_parameters()["maxsize"]
             assert maxsize is not None and maxsize > 0, name

@@ -43,14 +43,14 @@ class TestHookFilling:
 
 class TestPositiveHooks:
     def test_running(self, running):
-        assert set(rd.positive_hooks(running)) == {1, 2, 3, 4, 6, 7, 9, 11, 14}
+        assert set(running.positive_hooks()) == {1, 2, 3, 4, 6, 7, 9, 11, 14}
 
     def test_lowest_empty(self):
-        assert rd.positive_hooks(rd.lowest_path(5, 8)) == ()
+        assert rd.lowest_path(5, 8).positive_hooks() == ()
 
     def test_full_path_all(self):
         full = rd.full_path(5, 8)
-        assert rd.positive_hooks(full) == rd.hook_filling(5, 8).positive_values()
+        assert full.positive_hooks() == rd.hook_filling(5, 8).positive_values()
 
 
 class TestAnderson:

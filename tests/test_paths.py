@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,7 +21,12 @@ from rational_dyck.errors import (
 )
 from rational_dyck.paths import Partition, Permutation, _path_from_cycle, standardize
 
-from conftest import brute_force_paths, coprime_pairs, geometric_conjugate
+from conftest import (
+    brute_force_paths,
+    coprime_pairs,
+    first_point_below,
+    geometric_conjugate,
+)
 
 
 class TestConstruction:
@@ -55,6 +63,46 @@ class TestConstruction:
     def test_json_round_trip(self, running):
         assert rd.DyckPath.from_json(running.to_json()) == running
         assert running.to_json() == {"a": 5, "b": 8, "steps": "NNNENEEENEEEE"}
+
+    def test_non_string_steps(self):
+        with pytest.raises(ValueError):
+            rd.DyckPath(2, 3, ["N", "E", "N", "E", "E"])
+
+
+class TestValidation:
+    def test_every_word_up_to_12(self):
+        # accepts exactly the brute-force paths, and names every rejection
+        for a, b in coprime_pairs(12):
+            valid = brute_force_paths(a, b)
+            accepted = set()
+            for letters in product("NE", repeat=a + b):
+                word = "".join(letters)
+                try:
+                    accepted.add(rd.DyckPath(a, b, word).steps)
+                except WrongStepCounts:
+                    assert word.count("N") != a, word
+                except BelowDiagonal as err:
+                    assert word.count("N") == a, word
+                    assert err.point == first_point_below(a, b, word), word
+            assert accepted == valid, (a, b)
+
+    def test_first_bad_character_is_reported(self):
+        rng = random.Random(6)
+        for a, b in coprime_pairs(12):
+            for _ in range(20):
+                word = [rng.choice("NE") for _ in range(a + b)]
+                spots = rng.sample(range(a + b), rng.randint(2, min(4, a + b)))
+                for i in spots:
+                    word[i] = rng.choice("Xn e\n.?")
+                with pytest.raises(PathParseError) as err:
+                    rd.DyckPath(a, b, "".join(word))
+                assert err.value.offset == min(spots)
+        with pytest.raises(PathParseError) as err:
+            rd.DyckPath(2, 3, "XNEEY")
+        assert err.value.offset == 0
+        with pytest.raises(PathParseError) as err:
+            rd.DyckPath(2, 3, "NENE?")
+        assert err.value.offset == 4
 
 
 class TestLevels:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 
 import rational_dyck as rd
 from rational_dyck.errors import BelowDiagonal, InternalInvariantError
-from rational_dyck.zeta import (
+from rational_dyck.maps import (
     eta_via_cores,
     eta_via_intervals,
     eta_via_lasers,
@@ -99,12 +99,12 @@ class TestCanonicalSweep:
 
     @pytest.mark.parametrize("method", (zeta_via_sweep, eta_via_sweep))
     def test_malformed_sweep_image_is_a_bug(self, running, method, monkeypatch):
-        zeta_module = importlib.import_module("rational_dyck.zeta")
+        maps_module = importlib.import_module("rational_dyck.maps")
 
         def below(a, b, steps):
             raise BelowDiagonal((1, 0))
 
-        monkeypatch.setattr(zeta_module, "DyckPath", below)
+        monkeypatch.setattr(maps_module, "DyckPath", below)
         with pytest.raises(InternalInvariantError):
             method(running)
 

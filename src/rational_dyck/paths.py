@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Iterator
 
@@ -104,12 +104,22 @@ class Partition:
             raise ValueError(f"{self.parts} longer than {length}")
         return Partition(self.parts + (0,) * (length - len(self.parts)))
 
+    @cached_property
+    def _column_heights(self) -> tuple[int, ...]:
+        """Number of parts exceeding j, for each column j of the diagram.
+
+        Built once, bottom row first: each row extends the columns it
+        adds with its own height.  Not a field, so equality and hashing
+        stay on `parts`.
+        """
+        heights: list[int] = []
+        for i in range(len(self.parts) - 1, -1, -1):
+            heights.extend([i + 1] * (self.parts[i] - len(heights)))
+        return tuple(heights)
+
     def conjugate(self) -> "Partition":
         """Transpose of the Young diagram (no trailing zeros)."""
-        nz = [p for p in self.parts if p > 0]
-        if not nz:
-            return Partition(())
-        return Partition(tuple(sum(1 for p in nz if p > j) for j in range(nz[0])))
+        return Partition(self._column_heights)
 
     def boxes(self) -> Iterator[tuple[int, int]]:
         """(row, col) pairs of the Young diagram, English notation."""
@@ -121,7 +131,8 @@ class Partition:
         return self.parts[i] - j - 1
 
     def leg(self, i: int, j: int) -> int:
-        return sum(1 for p in self.parts if p > j) - i - 1
+        """Boxes below box (row i, col j) in its column; O(1) per call."""
+        return self._column_heights[j] - i - 1
 
     def hook(self, i: int, j: int) -> int:
         """Hook length of box (row i, col j), both 0-indexed."""

@@ -3,9 +3,19 @@
 Skew length is exposed through all of its equivalent computations (core
 side, peak/valley row lengths, skew inversions, flip skew inversions); the
 laser route lives with the laser filling.  All arithmetic is exact.
+
+The statistics of `statistics_summary` are read off the path's levels and
+north columns, with no box loop and no Partition.  dinv is defined on the
+boxes above the path, but each such box pairs an east step e with a later
+north step n, its arm and leg being the E and N steps strictly between
+them.  Then L(n) - L(e) = leg*b - arm*a - a on start levels, so the box
+counts exactly when L(e) - (a+b) < L(n) < L(e): a window on levels,
+counted in one left-to-right pass.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, bisect_right, insort
 
 from .cores import row_length_filling
 from .paths import DyckPath, EAST, NORTH
@@ -41,13 +51,14 @@ def area(path: DyckPath) -> int:
 
 
 def coarea(path: DyckPath) -> int:
-    """Number of boxes above the path."""
-    return path.bounded_partition().size
+    """Number of boxes above the path: the sum of its north columns."""
+    return sum(path.north_columns())
 
 
 def path_rank(path: DyckPath) -> int:
-    """Number of nonzero rows of the bounded partition."""
-    return path.bounded_partition().nonzero_rows
+    """Number of nonzero rows of the bounded partition, which are the
+    nonzero north columns."""
+    return sum(1 for c in path.north_columns() if c)
 
 
 rank = path_rank
@@ -59,10 +70,12 @@ def core_rank(path: DyckPath) -> int:
 
 
 def skew_inversions(path: DyckPath) -> int:
-    """Pairs (i, j) of north and east levels with n_i > e_j."""
-    norths = path.north_levels()
-    easts = path.east_levels()
-    return sum(1 for n in norths for e in easts if n > e)
+    """Pairs (i, j) of north and east levels with n_i > e_j.
+
+    Each north level is bisected into the east levels, sorted rising.
+    """
+    easts = path.east_levels()[::-1]
+    return sum(bisect_left(easts, n) for n in path.north_levels())
 
 
 def flip_skew_inversions(path: DyckPath) -> int:
@@ -101,17 +114,22 @@ def co_skew_length(path: DyckPath) -> int:
 def dinv(path: DyckPath) -> int:
     """Boxes B above the path with arm/(leg+1) <= b/a < (arm+1)/leg.
 
-    Ratios are compared by integer cross-multiplication; when leg = 0 the
-    right inequality is vacuously true.
+    B pairs an east step e with a later north step n; its arm and leg are
+    the E and N steps strictly between them, so on start levels
+    L(n) - L(e) = leg*b - arm*a - a.  The two inequalities become
+    L(e) - (a+b) <= L(n) < L(e), and the left end never holds with
+    equality, since start levels are distinct mod a+b.  One pass keeps
+    the levels of the east steps seen so far sorted, and counts, at each
+    north step, those in the window (L(n), L(n) + a+b].
     """
-    bounded = path.bounded_partition()
-    a, b = path.a, path.b
+    window = path.a + path.b
+    seen: list[int] = []
     count = 0
-    for i, j in bounded.boxes():
-        arm = bounded.arm(i, j)
-        leg = bounded.leg(i, j)
-        if arm * a <= b * (leg + 1) and (leg == 0 or b * leg < a * (arm + 1)):
-            count += 1
+    for level, step in zip(path.levels(), path.steps):
+        if step == EAST:
+            insort(seen, level)
+        else:
+            count += bisect_right(seen, level + window) - bisect_right(seen, level)
     return count
 
 

@@ -2,8 +2,9 @@
 
 Oracles here deliberately avoid the library's own algorithms: enumeration
 is brute force over all step words, the conjugate oracle is the geometric
-cyclic-shift-and-rotate procedure, and laser crossings are re-derived with
-exact rational intersection tests.
+cyclic-shift-and-rotate procedure, laser crossings are re-derived with
+exact rational intersection tests, dinv walks the boxes with their arms
+and legs, and skew inversions compare every pair of levels.
 """
 
 from __future__ import annotations
@@ -101,6 +102,33 @@ def geometric_conjugate(path: DyckPath) -> DyckPath:
         x, y = (x, y + 1) if s == NORTH else (x + 1, y)
         assert y * path.b - x * path.a < 0
     return DyckPath(path.a, path.b, shifted[::-1])
+
+
+def dinv_by_boxes(path: DyckPath) -> int:
+    """Boxes above the path with arm/(leg+1) <= b/a < (arm+1)/leg.
+
+    Walks every box of the bounded partition; arms and legs are counted
+    from the parts, and ratios compared by integer cross-multiplication
+    (when leg = 0 the right inequality holds for any arm).
+    """
+    a, b = path.a, path.b
+    parts = tuple(sorted(path.north_columns(), reverse=True))
+    heights = [sum(1 for p in parts if p > j) for j in range(parts[0] if parts else 0)]
+    count = 0
+    for i, p in enumerate(parts):
+        for j in range(p):
+            arm, leg = p - j - 1, heights[j] - i - 1
+            if arm * a <= b * (leg + 1) and b * leg < a * (arm + 1):
+                count += 1
+    return count
+
+
+def skew_inversion_pairs(path: DyckPath) -> int:
+    """#{(n, e): n > e} over north and east start levels, pair by pair."""
+    levels = path.levels()
+    norths = [v for v, s in zip(levels, path.steps) if s == NORTH]
+    easts = [v for v, s in zip(levels, path.steps) if s == EAST]
+    return sum(1 for n in norths for e in easts if n > e)
 
 
 def laser_value_by_intersection(path: DyckPath, col: int, row: int) -> int:

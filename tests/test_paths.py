@@ -425,6 +425,15 @@ class TestPartitionType:
         # first-row hooks are the leading hooks of the conjugate
         assert p.first_row_hooks() == (14, 9, 6, 4, 2, 1)
 
+    def test_legs_and_hooks_count_the_rows(self):
+        for a, b in coprime_pairs(12):
+            for path in rd.enumerate_paths(a, b):
+                p = path.bounded_partition()
+                for i, j in p.boxes():
+                    leg = sum(1 for q in p.parts if q > j) - i - 1
+                    assert p.leg(i, j) == leg
+                    assert p.hook(i, j) == p.parts[i] - j + leg
+
     @given(st.lists(st.integers(0, 9), min_size=0, max_size=8))
     def test_conjugate_involution(self, parts):
         p = Partition(tuple(sorted(parts, reverse=True)))

@@ -2,9 +2,19 @@
 
 from __future__ import annotations
 
+import random
+
+from hypothesis import given, settings
+
 import rational_dyck as rd
 
-from conftest import coprime_pairs
+from conftest import (
+    coprime_pairs,
+    cycle_lemma_path,
+    cycle_lemma_paths,
+    dinv_by_boxes,
+    skew_inversion_pairs,
+)
 
 
 def all_paths(max_sum):
@@ -92,6 +102,28 @@ class TestCoSkewAndDinv:
         full = rd.full_path(5, 8)
         assert rd.dinv(full) == rd.area(rd.zeta(full))
 
+    def test_dinv_matches_boxes_exhaustive(self):
+        for p in all_paths(16):
+            assert rd.dinv(p) == dinv_by_boxes(p)
+
+
+class TestLevelFormsAtScale:
+    """The level counts against the box and pair oracles, at sizes in the
+    hundreds, and against the zeta transport of the paper."""
+
+    @settings(deadline=None)
+    @given(cycle_lemma_paths(max_sum=120))
+    def test_against_oracles(self, p):
+        assert rd.dinv(p) == dinv_by_boxes(p)
+        assert rd.skew_inversions(p) == skew_inversion_pairs(p)
+
+    @settings(deadline=None)
+    @given(cycle_lemma_paths())
+    def test_zeta_transport(self, p):
+        q = rd.zeta(p)
+        assert rd.dinv(p) == rd.area(q)
+        assert rd.skew_length(p) == rd.coarea(q)
+
 
 class TestDelta:
     def test_running(self, running):
@@ -120,3 +152,20 @@ class TestSummary:
             "dinv": 4,
             "delta": 5,
         }
+
+    def test_large_path_matches_oracles(self):
+        p = cycle_lemma_path(random.Random(7), 121, 173)
+        bounded = p.bounded_partition()
+        sl = skew_inversion_pairs(p)
+        expected = {
+            "area": (p.a - 1) * (p.b - 1) // 2 - bounded.size,
+            "coarea": bounded.size,
+            "rank": bounded.nonzero_rows,
+            "sl": sl,
+            "slp": (p.a - 1) * (p.b - 1) // 2 - sl,
+            "dinv": dinv_by_boxes(p),
+            "delta": sum(1 for v in p.reading_word() if v < p.a + p.b),
+        }
+        summary = rd.statistics_summary(p)
+        assert summary == expected
+        assert list(summary) == list(expected)

@@ -175,15 +175,11 @@ def _verify_pair(pair, checks, rank_variant):
         ):
             failures.append({"check": "unique-pair", **report.to_json()})
     if "qcatalan" in checks:
-        if rational_q_catalan(a, b) != sl_rank_generating(a, b, rank_variant=rank_variant):
+        f = rational_q_catalan(a, b)
+        g = sl_rank_generating(a, b, rank_variant=rank_variant)
+        if f != g:
             failures.append(
-                {
-                    "check": "qcatalan",
-                    "a": a,
-                    "b": b,
-                    "f": list(rational_q_catalan(a, b).coeffs),
-                    "g": list(sl_rank_generating(a, b, rank_variant=rank_variant).coeffs),
-                }
+                {"check": "qcatalan", "a": a, "b": b, "f": list(f.coeffs), "g": list(g.coeffs)}
             )
     if "qt-symmetry" in checks:
         if not qt_symmetry_check(a, b, rank_variant=rank_variant):

@@ -335,25 +335,11 @@ class DyckPath:
 
     def north_columns(self) -> tuple[int, ...]:
         """Column of the north step in each row, bottom row first."""
-        out = []
-        x = 0
-        for s in self.steps:
-            if s == NORTH:
-                out.append(x)
-            else:
-                x += 1
-        return tuple(out)
+        return tuple(accumulate(map(len, self.steps.split(NORTH)[:-1])))
 
     def east_rows(self) -> tuple[int, ...]:
         """Height of the east step in each column, leftmost column first."""
-        out = []
-        y = 0
-        for s in self.steps:
-            if s == NORTH:
-                y += 1
-            else:
-                out.append(y)
-        return tuple(out)
+        return tuple(accumulate(map(len, self.steps.split(EAST)[:-1])))
 
     def bounded_partition(self) -> Partition:
         """Partition formed by the boxes above the path (trailing zeros dropped)."""

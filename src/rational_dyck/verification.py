@@ -9,6 +9,7 @@ and report findings as data rather than raising.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (
@@ -20,7 +21,7 @@ from .errors import (
     NotCoprime,
 )
 from .inverse import iota
-from .maps import zeta
+from .maps import eta, zeta
 from .paths import DyckPath, enumerate_paths, rational_catalan_number
 from .stats import area, co_skew_length, coarea, core_rank, dinv, path_rank, skew_length
 
@@ -159,10 +160,8 @@ def sl_rank_generating(a: int, b: int, *, rank_variant: str = "core") -> QPolyno
     """Sum of q^(sl + rank) over all paths; rank is the core rank (= area)
     by default, the bounded-partition row count with rank_variant='path'."""
     rank_fn = core_rank if rank_variant == "core" else path_rank
-    out = QPolynomial.zero()
-    for p in enumerate_paths(a, b):
-        out = out + QPolynomial.monomial(skew_length(p) + rank_fn(p))
-    return out
+    counts = Counter(skew_length(p) + rank_fn(p) for p in enumerate_paths(a, b))
+    return QPolynomial(tuple(counts[e] for e in range(max(counts) + 1)))
 
 
 @dataclass(frozen=True)
@@ -254,9 +253,17 @@ class BijectivityReport:
 
 def bijectivity_report(a: int, b: int, *, unique_pair_scan: bool = False) -> BijectivityReport:
     """Scan zeta over every path: injectivity, statistic transport, and
-    optionally the per-image count of partners R accepted by iota."""
+    optionally the per-image count of partners R accepted by iota.
+
+    The partners of an image Q are sought only among eta(P) over its fibre
+    {P : zeta(P) = Q}: iota round-trips its result P'' through zeta and
+    eta, and the enumeration (checked complete against the Catalan count)
+    contains P'', so every R that iota accepts is eta of a path in Q's
+    fibre, and the counts equal those of a scan over all pairs (Q, R).
+    """
     paths = enumerate_paths(a, b)
     images: dict[DyckPath, DyckPath] = {}
+    fibres: dict[DyckPath, set[DyckPath]] = {}
     collisions = []
     sl_ok = True
     dinv_ok = True
@@ -266,6 +273,8 @@ def bijectivity_report(a: int, b: int, *, unique_pair_scan: bool = False) -> Bij
             collisions.append((str(images[q]), str(p)))
         else:
             images[q] = p
+        if unique_pair_scan:
+            fibres.setdefault(q, set()).add(eta(p))
         if skew_length(p) != coarea(q):
             sl_ok = False
         if dinv(p) != area(q):
@@ -276,7 +285,7 @@ def bijectivity_report(a: int, b: int, *, unique_pair_scan: bool = False) -> Bij
         uniqueness = {}
         for q in images:
             count = 0
-            for r in paths:
+            for r in fibres[q]:
                 try:
                     iota(q, r)
                 except (NotACycle, NotADyckPath, InconsistentPair):

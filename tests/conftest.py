@@ -4,7 +4,8 @@ Oracles here deliberately avoid the library's own algorithms: enumeration
 is brute force over all step words, the conjugate oracle is the geometric
 cyclic-shift-and-rotate procedure, laser crossings are re-derived with
 exact rational intersection tests, dinv walks the boxes with their arms
-and legs, and skew inversions compare every pair of levels.
+and legs, skew inversions compare every pair of levels, and the partners
+of each zeta image are sought by calling iota on every pair (Q, R).
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import pytest
 from hypothesis import strategies as st
 
 from rational_dyck import DyckPath, make_path
+from rational_dyck.errors import InconsistentPair, NotACycle, NotADyckPath
+from rational_dyck.inverse import iota
 from rational_dyck.paths import EAST, NORTH
 
 
@@ -147,3 +150,19 @@ def laser_value_by_intersection(path: DyckPath, col: int, row: int) -> int:
         if y < line_y < y + 1:
             count += 1
     return count
+
+
+def pair_uniqueness_by_scan(images, paths) -> dict[str, int]:
+    """For each image Q in order, the number of paths R that iota(Q, R)
+    accepts, trying every R of the enumeration."""
+    out = {}
+    for q in images:
+        count = 0
+        for r in paths:
+            try:
+                iota(q, r)
+            except (NotACycle, NotADyckPath, InconsistentPair):
+                continue  # r is not a partner of q
+            count += 1
+        out[str(q)] = count
+    return out

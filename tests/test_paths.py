@@ -6,7 +6,7 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rational_dyck as rd
@@ -24,6 +24,7 @@ from rational_dyck.paths import Partition, Permutation, _path_from_cycle, standa
 from conftest import (
     brute_force_paths,
     coprime_pairs,
+    cycle_lemma_paths,
     first_point_below,
     geometric_conjugate,
 )
@@ -397,11 +398,27 @@ class TestRandomPathProperties:
     def test_json_round_trip(self, p):
         assert rd.DyckPath.from_json(p.to_json()) == p
 
-    @given(random_paths())
+    @settings(deadline=None)
+    @given(st.one_of(random_paths(), cycle_lemma_paths()))
+    @example(rd.make_path(1, 7, "NEEEEEEE"))
+    @example(rd.make_path(7, 1, "NNNNNNNE"))
     def test_level_bookkeeping(self, p):
         levels = p.levels()
         assert levels[0] == levels[-1] == 0
         assert set(p.north_levels()) | set(p.east_levels()) == set(levels[:-1])
+        # the column of each north step and the row of each east step,
+        # walked step by step
+        x = y = 0
+        columns, rows = [], []
+        for s in p.steps:
+            if s == "N":
+                columns.append(x)
+                y += 1
+            else:
+                rows.append(y)
+                x += 1
+        assert p.north_columns() == tuple(columns)
+        assert p.east_rows() == tuple(rows)
 
     @given(random_paths())
     def test_zeta_round_trip(self, p):

@@ -9,11 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rational_dyck as rd
-from rational_dyck import verification
+from rational_dyck import inverse, verification
 from rational_dyck.errors import InexactDivision, InternalInvariantError, NotCoprime
 from rational_dyck.verification import QPolynomial, QTPolynomial
 
-from conftest import coprime_pairs
+from conftest import coprime_pairs, pair_uniqueness_by_scan
 
 
 def qbinom_by_box_partitions(n: int, k: int) -> tuple[int, ...]:
@@ -168,6 +168,28 @@ class TestBijectivityReport:
         assert report.pair_uniqueness is not None
         assert all(v == 1 for v in report.pair_uniqueness.values())
         assert report.ok
+
+    def test_unique_pair_scan_matches_all_pairs(self):
+        for a, b in coprime_pairs(12):
+            paths = rd.enumerate_paths(a, b)
+            report = rd.bijectivity_report(a, b, unique_pair_scan=True)
+            oracle = pair_uniqueness_by_scan(dict.fromkeys(map(rd.zeta, paths)), paths)
+            assert list(report.pair_uniqueness.items()) == list(oracle.items())
+
+    @pytest.mark.parametrize("a,b", [(3, 4), (4, 5), (3, 8), (4, 7), (5, 7)])
+    def test_unique_pair_scan_matches_all_pairs_when_zeta_collides(self, monkeypatch, a, b):
+        # conjugating the odd-area paths first merges fibres and can
+        # leave an image without its true preimage
+        def colliding(p):
+            return rd.zeta(rd.conjugate(p)) if rd.area(p) % 2 else rd.zeta(p)
+
+        monkeypatch.setattr(verification, "zeta", colliding)
+        monkeypatch.setattr(inverse, "zeta", colliding)
+        paths = rd.enumerate_paths(a, b)
+        report = rd.bijectivity_report(a, b, unique_pair_scan=True)
+        oracle = pair_uniqueness_by_scan(dict.fromkeys(map(colliding, paths)), paths)
+        assert report.collisions and not report.ok
+        assert list(report.pair_uniqueness.items()) == list(oracle.items())
 
     def test_unique_pair_scan_propagates_a_bug_in_iota(self, monkeypatch):
         def broken(q, r):

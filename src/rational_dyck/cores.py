@@ -3,17 +3,19 @@
 A simultaneous (a,b)-core is a partition none of whose boxes has hook
 length a or b.  For coprime a, b these are in bijection with (a,b)-Dyck
 paths: the first-column hooks of the core are exactly the positive hook
-values under the path.
+values under the path.  The row with first-column hook h has the hooks h - g
+for the g in [0, h) that are not first-column hooks (James-Kerber 2.7), so
+no function here walks the boxes.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import NotACore, NotCoprime
-from .paths import _PATH_CACHE_SIZE, DyckPath, Partition, box_value, path_from_hooks
+from .paths import DyckPath, Partition, box_value, path_from_hooks
 
 __all__ = [
     "HookFilling",
@@ -84,17 +86,12 @@ class CorePartition:
     b: int
 
     def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts if p != 0)
-        object.__setattr__(self, "parts", parts)
         if math.gcd(self.a, self.b) != 1:
             raise NotCoprime(f"gcd({self.a}, {self.b}) != 1")
-        p = Partition(parts)  # validates monotonicity
-        for i, j in p.boxes():
-            h = p.hook(i, j)
-            if h == self.a or h == self.b:
-                raise NotACore(
-                    f"box ({i}, {j}) of {parts} has forbidden hook {h}"
-                )
+        # validates monotonicity, then drops the trailing zeros
+        object.__setattr__(self, "parts", Partition(self.parts).trimmed().parts)
+        _require_no_hook(self, self.a)
+        _require_no_hook(self, self.b)
 
     @property
     def partition(self) -> Partition:
@@ -109,7 +106,9 @@ class CorePartition:
         return len(self.parts)
 
     def leading_hooks(self) -> tuple[int, ...]:
-        return self.partition.leading_hooks()
+        """First-column hook lengths, largest first."""
+        last = len(self.parts) - 1
+        return tuple(p + last - i for i, p in enumerate(self.parts))
 
     def to_json(self) -> dict:
         return {"a": self.a, "b": self.b, "parts": list(self.parts)}
@@ -119,7 +118,29 @@ class CorePartition:
         return cls(tuple(int(p) for p in data["parts"]), int(data["a"]), int(data["b"]))
 
 
-@lru_cache(maxsize=_PATH_CACHE_SIZE)
+def _require_no_hook(kappa: CorePartition, m: int) -> None:
+    """Raise NotACore if some box of the core has hook length m: that is,
+    if some leading hook h >= m has h - m outside the leading hooks."""
+    hooks = kappa.leading_hooks()
+    members = set(hooks)
+    for row, h in enumerate(hooks):
+        if h >= m and h - m not in members:
+            raise NotACore(f"row {row} of {kappa.parts} has a hook of length {m}")
+
+
+def _hooks_below(kappa: CorePartition, rows, m: int) -> list[int]:
+    """The number of hooks less than m in each of the given rows: row i
+    has parts[i] hooks h - g, one per g in [0, h) outside the leading hooks,
+    and loses those with g < h - m + 1."""
+    hooks = kappa.leading_hooks()
+    rising = hooks[::-1]
+    out = []
+    for i in rows:
+        lo = max(hooks[i] - m + 1, 0)
+        out.append(kappa.parts[i] - lo + bisect_left(rising, lo))
+    return out
+
+
 def anderson(path: DyckPath) -> CorePartition:
     """The (a,b)-core whose leading hooks are the path's positive hooks.
 
@@ -138,56 +159,35 @@ def anderson_inverse(kappa: CorePartition) -> DyckPath:
         raise NotACore(str(exc)) from exc
 
 
-def _check_core_modulus(kappa: CorePartition, m: int) -> Partition:
-    p = kappa.partition
-    if any(p.hook(i, j) == m for i, j in p.boxes()):
-        raise NotACore(f"{kappa.parts} has a hook of length {m}")
-    return p
-
-
 def a_rows(kappa: CorePartition, m: int) -> tuple[int, ...]:
     """Rows carrying the largest leading hook in each residue class mod m."""
-    _check_core_modulus(kappa, m)
+    _require_no_hook(kappa, m)
     best: dict[int, int] = {}
     for row, h in enumerate(kappa.leading_hooks()):
-        res = h % m
-        if res not in best:  # hooks are listed largest first
-            best[res] = row
+        best.setdefault(h % m, row)  # hooks are listed largest first
     return tuple(sorted(best.values()))
 
 
 def a_columns(kappa: CorePartition, m: int) -> tuple[int, ...]:
-    """Columns carrying the largest first-row hook per residue class mod m."""
-    _check_core_modulus(kappa, m)
-    best: dict[int, int] = {}
-    hooks = kappa.partition.first_row_hooks()
-    for col, h in enumerate(hooks):
-        res = h % m
-        if res not in best:  # first-row hooks decrease left to right
-            best[res] = col
-    return tuple(sorted(best.values()))
+    """Columns carrying the largest first-row hook per residue class mod m:
+    column j of the core is row j of its conjugate, with the same hooks."""
+    return a_rows(core_conjugate(kappa), m)
 
 
 def boundary_boxes(kappa: CorePartition, m: int) -> int:
     """Number of boxes with hook length less than m."""
-    p = _check_core_modulus(kappa, m)
-    return sum(1 for i, j in p.boxes() if p.hook(i, j) < m)
+    _require_no_hook(kappa, m)
+    return sum(_hooks_below(kappa, range(kappa.rows), m))
 
 
 def skew_length_core(kappa: CorePartition) -> int:
     """Boxes lying in the a-rows and the b-boundary of the core."""
-    p = kappa.partition
-    rows = a_rows(kappa, kappa.a)
-    return sum(
-        1 for i in rows for j in range(kappa.parts[i]) if p.hook(i, j) < kappa.b
-    )
+    return sum(_hooks_below(kappa, a_rows(kappa, kappa.a), kappa.b))
 
 
 def a_columns_skew(kappa: CorePartition) -> int:
     """Boxes lying in the a-columns and the b-boundary of the core."""
-    p = kappa.partition
-    cols = set(a_columns(kappa, kappa.a))
-    return sum(1 for i, j in p.boxes() if j in cols and p.hook(i, j) < kappa.b)
+    return skew_length_core(core_conjugate(kappa))
 
 
 def core_conjugate(kappa: CorePartition) -> CorePartition:

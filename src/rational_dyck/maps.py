@@ -7,17 +7,18 @@ which sorts the steps by level, is the canonical construction: `zeta` and
 three others, computed from the core (boundary-box counts), from a laser
 filling and from an interval-intersection grid.  Those are kept as
 genuinely separate code paths, so that `check=True` can cross-check all
-four.  The module is `rational_dyck.maps`, so that `rational_dyck.zeta`
-names the function.  Each image is built by the validating DyckPath
-constructor; an image it rejects is a bug, raised as
-InternalInvariantError.
+four.  The core route visits no box: a core row with first-column hook h
+has one hook below m per non-first-column-hook g in [0, h) above h - m.
+The module is `rational_dyck.maps`, so that `rational_dyck.zeta` names the
+function.  Each image is built by the validating DyckPath constructor; an
+image it rejects is a bug, raised as InternalInvariantError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cores import a_rows, anderson
+from .cores import _hooks_below, a_rows, anderson
 from .errors import DyckError, InternalInvariantError, MethodDisagreement
 from .paths import (
     DyckPath,
@@ -66,26 +67,21 @@ def _swept(a: int, b: int, steps: str) -> DyckPath:
 # Via cores
 
 
+def _boundary_partition(path: DyckPath, m: int, bound: int) -> Partition:
+    """Per-row counts of hooks below `bound` in the core's m-rows, length m."""
+    kappa = anderson(path)
+    counts = _hooks_below(kappa, a_rows(kappa, m), bound)
+    return Partition(tuple(sorted(counts, reverse=True))).padded(m)
+
+
 def lambda_partition(path: DyckPath) -> Partition:
     """Per-row counts of b-boundary boxes in the a-rows of the core, length a."""
-    kappa = anderson(path)
-    p = kappa.partition
-    counts = [
-        sum(1 for j in range(kappa.parts[i]) if p.hook(i, j) < path.b)
-        for i in a_rows(kappa, path.a)
-    ]
-    return Partition(tuple(sorted(counts, reverse=True))).padded(path.a)
+    return _boundary_partition(path, path.a, path.b)
 
 
 def mu_partition(path: DyckPath) -> Partition:
     """Per-row counts of a-boundary boxes in the b-rows of the core, length b."""
-    kappa = anderson(path)
-    p = kappa.partition
-    counts = [
-        sum(1 for j in range(kappa.parts[i]) if p.hook(i, j) < path.a)
-        for i in a_rows(kappa, path.b)
-    ]
-    return Partition(tuple(sorted(counts, reverse=True))).padded(path.b)
+    return _boundary_partition(path, path.b, path.a)
 
 
 def zeta_via_cores(path: DyckPath) -> DyckPath:

@@ -138,13 +138,6 @@ class Partition:
         """Hook length of box (row i, col j), both 0-indexed."""
         return self.arm(i, j) + self.leg(i, j) + 1
 
-    def leading_hooks(self) -> tuple[int, ...]:
-        """First-column hook lengths, largest first."""
-        return tuple(self.hook(i, 0) for i, p in enumerate(self.parts) if p > 0)
-
-    def first_row_hooks(self) -> tuple[int, ...]:
-        return tuple(self.hook(0, j) for j in range(self.parts[0])) if self.parts else ()
-
 
 # ---------------------------------------------------------------------------
 # Permutations

@@ -156,10 +156,19 @@ def rational_q_catalan(a: int, b: int) -> QPolynomial:
     return gaussian_binomial(a + b, a).divide_exact(q_bracket(a + b))
 
 
+_RANKS = {"core": core_rank, "path": path_rank}
+
+
+def _rank(rank_variant: str):
+    if rank_variant not in _RANKS:
+        raise ValueError(f"rank_variant must be one of {sorted(_RANKS)}: {rank_variant!r}")
+    return _RANKS[rank_variant]
+
+
 def sl_rank_generating(a: int, b: int, *, rank_variant: str = "core") -> QPolynomial:
     """Sum of q^(sl + rank) over all paths; rank is the core rank (= area)
     by default, the bounded-partition row count with rank_variant='path'."""
-    rank_fn = core_rank if rank_variant == "core" else path_rank
+    rank_fn = _rank(rank_variant)
     counts = Counter(skew_length(p) + rank_fn(p) for p in enumerate_paths(a, b))
     return QPolynomial(tuple(counts[e] for e in range(max(counts) + 1)))
 
@@ -198,7 +207,7 @@ class QTPolynomial:
 
 def qt_catalan(a: int, b: int, *, rank_variant: str = "core") -> QTPolynomial:
     """Sum of q^rank t^(co-skew-length) over all paths."""
-    rank_fn = core_rank if rank_variant == "core" else path_rank
+    rank_fn = _rank(rank_variant)
     return QTPolynomial.from_exponent_pairs(
         (rank_fn(p), co_skew_length(p)) for p in enumerate_paths(a, b)
     )

@@ -4,8 +4,9 @@ Oracles here deliberately avoid the library's own algorithms: enumeration
 is brute force over all step words, the conjugate oracle is the geometric
 cyclic-shift-and-rotate procedure, laser crossings are re-derived with
 exact rational intersection tests, dinv walks the boxes with their arms
-and legs, skew inversions compare every pair of levels, and the partners
-of each zeta image are sought by calling iota on every pair (Q, R).
+and legs, a partition's hooks are found box by box, skew inversions
+compare every pair of levels, and the partners of each zeta image are
+sought by calling iota on every pair (Q, R).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from rational_dyck import DyckPath, make_path
 from rational_dyck.errors import InconsistentPair, NotACycle, NotADyckPath
 from rational_dyck.inverse import iota
-from rational_dyck.paths import EAST, NORTH
+from rational_dyck.paths import EAST, NORTH, Partition
 
 
 @pytest.fixture
@@ -124,6 +125,12 @@ def dinv_by_boxes(path: DyckPath) -> int:
             if arm * a <= b * (leg + 1) and b * leg < a * (arm + 1):
                 count += 1
     return count
+
+
+def hooks_by_boxes(parts) -> list[int]:
+    """Every hook length of the partition, one box at a time."""
+    p = Partition(tuple(parts))
+    return [p.hook(i, j) for i, j in p.boxes()]
 
 
 def skew_inversion_pairs(path: DyckPath) -> int:

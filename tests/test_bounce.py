@@ -224,7 +224,6 @@ class TestCaches:
         assert path_keyed == {
             "bounce.zeta_predecessor",
             "bounce.initial_bounce",
-            "cores.anderson",
             "paths._levels",
             "paths._positive_hooks",
         }

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import random
+from itertools import combinations_with_replacement
+
 import pytest
 
 import rational_dyck as rd
-from rational_dyck.cores import CorePartition
+from rational_dyck.cores import CorePartition, a_columns, a_rows
 from rational_dyck.errors import NotACore, NotCoprime
+from rational_dyck.paths import Partition
 
-from conftest import coprime_pairs
+from conftest import coprime_pairs, cycle_lemma_path, hooks_by_boxes
 
 
 @pytest.fixture
@@ -76,6 +80,49 @@ class TestAnderson:
     def test_core_json(self, core58):
         assert core58.to_json() == {"a": 5, "b": 8, "parts": [6, 4, 3, 2, 2, 1, 1, 1, 1]}
         assert CorePartition.from_json(core58.to_json()) == core58
+
+    def test_only_trailing_zeros_are_dropped(self):
+        assert CorePartition((1, 1, 0, 0), 3, 5).parts == (1, 1)
+        with pytest.raises(ValueError):
+            CorePartition((1, 0, 1), 3, 5)
+        with pytest.raises(ValueError):
+            CorePartition.from_json({"a": 3, "b": 5, "parts": [1, 0, 1]})
+
+
+class TestHooksFromLeadingHooks:
+    def test_against_the_box_scan(self):
+        # every partition inside a 7x7 box: its hooks are at most 13, so it
+        # is a (97,101)-core whatever m is asked about
+        for parts in combinations_with_replacement(range(7, -1, -1), 7):
+            hooks = hooks_by_boxes(parts)
+            kappa = CorePartition(parts, 97, 101)
+            for m in range(2, 10):
+                if m in hooks:
+                    with pytest.raises(NotACore):
+                        CorePartition(parts, m, 97)
+                    with pytest.raises(NotACore):
+                        rd.boundary_boxes(kappa, m)
+                else:
+                    assert CorePartition(parts, m, 97).parts == kappa.parts
+                    assert rd.boundary_boxes(kappa, m) == sum(h < m for h in hooks)
+
+    @pytest.mark.parametrize("draw", ("running", "29,41"))
+    def test_core_route_walks_no_box(self, draw, running, monkeypatch):
+        def walk(*args):
+            raise RuntimeError("a core's hooks were found box by box")
+
+        p = running if draw == "running" else cycle_lemma_path(random.Random(draw), 29, 41)
+        monkeypatch.setattr(Partition, "hook", walk)
+        monkeypatch.setattr(Partition, "boxes", walk)
+        rd.zeta(p, check=True)
+        rd.eta(p, check=True)
+        kappa = rd.anderson(p)
+        for m in (p.a, p.b):
+            a_rows(kappa, m)
+            a_columns(kappa, m)
+            rd.boundary_boxes(kappa, m)
+        rd.skew_length_core(kappa)
+        rd.a_columns_skew(kappa)
 
 
 class TestRowsAndBoundaries:

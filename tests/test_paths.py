@@ -438,9 +438,8 @@ class TestPartitionType:
 
     def test_hooks(self):
         p = Partition((6, 4, 3, 2, 2, 1, 1, 1, 1))
-        assert p.leading_hooks() == (14, 11, 9, 7, 6, 4, 3, 2, 1)
-        # first-row hooks are the leading hooks of the conjugate
-        assert p.first_row_hooks() == (14, 9, 6, 4, 2, 1)
+        assert tuple(p.hook(i, 0) for i in range(9)) == (14, 11, 9, 7, 6, 4, 3, 2, 1)
+        assert tuple(p.hook(0, j) for j in range(6)) == (14, 9, 6, 4, 2, 1)
 
     def test_legs_and_hooks_count_the_rows(self):
         for a, b in coprime_pairs(12):

@@ -152,6 +152,13 @@ class TestQTSymmetry:
             assert all(pairs.get((j, i), 0) == c for (i, j), c in pairs.items())
 
 
+class TestRankVariant:
+    @pytest.mark.parametrize("fn", (rd.sl_rank_generating, rd.qt_catalan, rd.qt_symmetry_check))
+    def test_unknown_variant_is_rejected(self, fn):
+        with pytest.raises(ValueError, match="'core', 'path'"):
+            fn(3, 5, rank_variant="Core")
+
+
 class TestBijectivityReport:
     def test_58(self):
         report = rd.bijectivity_report(5, 8)

@@ -79,6 +79,12 @@ class TestLowestAndFull:
         for a, b in coprime_pairs(10):
             assert rd.zeta(rd.full_path(a, b)) == rd.lowest_path(a, b)
 
+    def test_four_constructions_agree_on_the_largest_core(self):
+        # the full path's (61,89)-core has 1,227,600 boxes
+        full = rd.full_path(61, 89)
+        assert rd.zeta(full, check=True) == rd.lowest_path(61, 89)
+        assert rd.eta(full, check=True) == rd.lowest_path(61, 89)
+
 
 class TestFourWayAgreement:
     def test_exhaustive(self):
@@ -152,6 +158,14 @@ class TestPropertiesAtScale:
     def test_sweep_matches_lasers(self, p):
         assert rd.zeta(p) == zeta_via_lasers(p)
         assert rd.eta(p) == eta_via_lasers(p)
+
+    @settings(deadline=None)
+    @given(cycle_lemma_paths(max_sum=120))
+    def test_sweep_matches_cores(self, p):
+        assert zeta_via_cores(p) == zeta_via_sweep(p)
+        assert eta_via_cores(p) == eta_via_sweep(p)
+        kappa = rd.anderson(p)
+        assert rd.skew_length_core(kappa) == rd.a_columns_skew(kappa) == rd.skew_length(p)
 
 
 class TestLaserFilling:

@@ -135,6 +135,24 @@ class TestInvert:
         )
         assert code == 0 and "deltas=" in out
 
+    def test_file_batch_matches_one_call_per_path(self, capsys, tmp_path):
+        # a batch shares the search's memo between images; one --path call
+        # per image must print the same records
+        images = [rd.zeta(p) for p in rd.enumerate_paths(5, 8)]
+        spec_file = tmp_path / "images.txt"
+        spec_file.write_text("".join(f"5 8 {q.steps}\n" for q in images))
+        code, out, _ = run(capsys, "invert", "--file", str(spec_file), "--trace", "--json")
+        assert code == 0
+        singles = []
+        for q in images:
+            code, one, _ = run(
+                capsys, "invert", "--a", "5", "--b", "8", "--path", q.steps,
+                "--trace", "--json",
+            )
+            assert code == 0
+            singles.append(json.loads(one))
+        assert json.loads(out) == singles
+
 
 class TestVerify:
     def test_counts_small(self, capsys):

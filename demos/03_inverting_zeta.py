@@ -1,8 +1,9 @@
 """Recovering a path from its zeta image.
 
-Shows the pair inverse (which needs both images), then the four
-single-image strategies: square case, level-1 star recursion, the
-bounce-pinned chain for b = a*k + 1, and the memoized delta recursion.
+Shows the pair inverse (which needs both images), then the level scan
+that zeta_inverse runs by default, and the strategies kept as forced
+cross-checks: square case, the bounce-pinned chain for b = a*k + 1, and
+the memoized delta recursion.
 Run:  python demos/03_inverting_zeta.py
 """
 
@@ -23,7 +24,7 @@ print()
 print("single-image inversion strategies:")
 result = rd.zeta_inverse_detailed(Q)
 print(f"  auto chose {result.strategy!r}: {result.path}")
-print("  delta trace of the predecessor chain:", result.deltas)
+print("  delta trace of the predecessor chain:", rd.zeta_inverse_detailed(Q, "search").deltas)
 print()
 
 square = rd.lowest_path(4, 5)

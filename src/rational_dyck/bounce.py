@@ -6,18 +6,17 @@ delta exactly when b = a*k + 1 and brackets it in a window of width r
 otherwise.  The first case yields a direct inverse.  In the second, the
 image of each predecessor is itself an image to invert, with a unique
 answer since zeta is a bijection, so the inverse is a recursion over the
-images of the chain, verified at every step.  Its memo of solved images
-is shared by the calls of the process and bounded at _PATH_CACHE_SIZE
-images, so inverting many images of one (a, b) solves each predecessor
-image once; a call with ``find_all`` keeps a memo of its own.  Both
-inverses end by decoding a one-line tuple with the cycle decoder of iota,
-whose DyckPath check rejects a candidate that is not a path.  The
-recursion is reached as ``zeta_inverse(Q, "search")``.
+images of the chain, verified at every step, with a memo of the images
+solved that lasts one call.  Both inverses end by decoding a one-line
+tuple with the cycle decoder of iota, whose DyckPath check rejects a
+candidate that is not a path.  Neither is a hot path: the dispatcher's
+``auto`` inverts by the level scan of ``inverse``, and the recursion is
+kept as a cross-check, reached as ``zeta_inverse(Q, "search")``, which
+also reports its delta trace.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -228,44 +227,31 @@ def _fuss_inverse(path: DyckPath) -> tuple[DyckPath, tuple[int, ...]]:
     return preimage, deltas
 
 
-# image -> (gamma of its preimage, preimage, delta trace), or None when the
-# image has no preimage; shared by every call that does not ask for all
-# traces, bounded like the lru caches, least recently used evicted first
-_SEARCH_MEMO: OrderedDict[DyckPath, tuple | None] = OrderedDict()
-
-
 def search_delta_traces(path: DyckPath, *, find_all: bool = False):
     """Invert zeta by a memoized recursion over the predecessor images.
 
     Returns ``(found, attempts)``: ``found`` lists the verified
     ``(preimage, delta trace)`` pairs, and ``attempts`` counts the
-    candidate decodes this call made, 0 when the image was already
-    memoized.  The preimage of an image Q is the lowest path when Q has
-    the maximal area.  Otherwise, for each d in the bounce window,
-    Q' = zeta_predecessor(Q, d) must have a larger area; its preimage P'
-    is found the same way, and the candidate P decoded from
+    candidate decodes done.  The preimage of an image Q is the lowest
+    path when Q has the maximal area.  Otherwise, for each d in the bounce
+    window, Q' = zeta_predecessor(Q, d) must have a larger area; its
+    preimage P' is found the same way, and the candidate P decoded from
     r_d * gamma(P') * r_d^{-1} is kept only if delta(P) = d and
-    zeta(P) = Q.  The chain is walked with an explicit stack, so depth is
-    bounded by the area and not by the interpreter.
-
-    Every image on a chain, and every image tried off it, is itself an
-    image of the same (a, b), so the images solved are memoized across
-    calls: one memo, shared by the calls of the process, holds at most
-    ``_PATH_CACHE_SIZE`` images and evicts the least recently used first.
-    Each entry carries its whole delta trace, so an eviction never cuts a
-    trace short.
+    zeta(P) = Q.  Every image is inverted once per call, through a memo
+    keyed by image, and the chain is walked with an explicit stack, so
+    depth is bounded by the area and not by the interpreter.
 
     Zeta is a bijection, so at most one d of a window is accepted.  By
     default the scan of a window stops there; with ``find_all`` every d is
-    tried, and a second accepted d raises InternalInvariantError.  Such a
-    call keeps a memo of its own, so that the check covers every image it
-    meets, and neither reads nor writes the shared one.
+    tried, and a second accepted d raises InternalInvariantError.
     """
     a, b = path.a, path.b
     n = a + b
     max_area = (a - 1) * (b - 1) // 2
     r = b % a
-    memo = OrderedDict() if find_all else _SEARCH_MEMO
+    # image -> (gamma of its preimage, preimage, d, predecessor image), or
+    # None when the image has no preimage; d is None at the lowest path
+    memo: dict[DyckPath, tuple | None] = {}
     attempts = 0
 
     def invert(q: DyckPath, q_area: int):
@@ -274,7 +260,7 @@ def search_delta_traces(path: DyckPath, *, find_all: bool = False):
         nonlocal attempts
         if q_area == max_area:
             bottom = lowest_path(a, b)
-            return (_gamma_zero(a, b), bottom, ()) if zeta(bottom) == q else None
+            return (_gamma_zero(a, b), bottom, None, None) if zeta(bottom) == q else None
         try:
             bounce = initial_bounce(q)
         except MalformedPath:
@@ -289,11 +275,7 @@ def search_delta_traces(path: DyckPath, *, find_all: bool = False):
             nxt_area = area(nxt)
             if nxt_area <= q_area:
                 continue
-            if nxt in memo:
-                memo.move_to_end(nxt)
-                below = memo[nxt]
-            else:
-                below = yield nxt, nxt_area
+            below = memo[nxt] if nxt in memo else (yield nxt, nxt_area)
             if below is None:
                 continue
             attempts += 1
@@ -306,31 +288,32 @@ def search_delta_traces(path: DyckPath, *, find_all: bool = False):
                 continue
             if entry is not None:
                 raise InternalInvariantError(
-                    f"deltas {entry[2][0]} and {d} both invert {q}"
+                    f"deltas {entry[2]} and {d} both invert {q}"
                 )
-            entry = (g, candidate, (d,) + below[2])
+            entry = (g, candidate, d, nxt)
             if not find_all:
                 break
         return entry
 
-    if path in memo:
-        memo.move_to_end(path)
-        entry = memo[path]
-    else:
-        stack = [(path, invert(path, area(path)))]
-        entry = None
-        while stack:
-            q, node = stack[-1]
-            try:
-                nxt, nxt_area = node.send(entry)
-            except StopIteration as done:
-                if not find_all and len(memo) >= _PATH_CACHE_SIZE:
-                    memo.popitem(last=False)
-                memo[q] = entry = done.value
-                stack.pop()
-                continue
-            stack.append((nxt, invert(nxt, nxt_area)))
-            entry = None
+    stack = [(path, invert(path, area(path)))]
+    sent = None
+    while stack:
+        q, node = stack[-1]
+        try:
+            nxt, nxt_area = node.send(sent)
+        except StopIteration as done:
+            memo[q] = sent = done.value
+            stack.pop()
+            continue
+        stack.append((nxt, invert(nxt, nxt_area)))
+        sent = None
+
+    entry = memo[path]
     if entry is None:
         return [], attempts
-    return [(entry[1], entry[2])], attempts
+    preimage, deltas = entry[1], []
+    while entry[2] is not None:
+        deltas.append(entry[2])
+        entry = memo[entry[3]]
+    return [(preimage, tuple(deltas))], attempts
+

@@ -12,7 +12,14 @@ import json
 import math
 import sys
 
-from .errors import DyckError, InternalInvariantError, MethodDisagreement, PathParseError
+from .bounce import conj_predecessor
+from .errors import (
+    DyckError,
+    InternalInvariantError,
+    MethodDisagreement,
+    NoBoxToAdd,
+    PathParseError,
+)
 from .inverse import STRATEGIES, chi, zeta_inverse_detailed
 from .maps import _ETA_METHODS, _ZETA_METHODS, eta, zeta
 from .paths import (
@@ -25,7 +32,7 @@ from .paths import (
     reverse,
 )
 from .render import OVERLAYS, RenderSpec, render
-from .stats import statistics_summary
+from .stats import delta, statistics_summary
 from .verification import (
     bijectivity_report,
     qt_symmetry_check,
@@ -132,6 +139,19 @@ def _cmd_map(args) -> int:
     return EXIT_OK
 
 
+def _delta_trace(path: DyckPath) -> list[int]:
+    """delta of each path down the conjugate-predecessor chain from P, the
+    trace the delta recursion decodes P from."""
+    deltas = []
+    while True:
+        try:
+            below = conj_predecessor(path)
+        except NoBoxToAdd:
+            return deltas
+        deltas.append(delta(path))
+        path = below
+
+
 def _cmd_invert(args) -> int:
     records = []
     lines = []
@@ -140,7 +160,8 @@ def _cmd_invert(args) -> int:
         record = result.path.to_json()
         record["strategy"] = result.strategy
         if args.trace:
-            record["deltas"] = list(result.deltas) if result.deltas is not None else None
+            deltas = result.deltas
+            record["deltas"] = list(deltas if deltas is not None else _delta_trace(result.path))
         records.append(record)
         line = f"{result.path.steps} (strategy={result.strategy})"
         if args.trace:
@@ -242,9 +263,17 @@ def build_parser() -> _Parser:
 
     p_inv = sub.add_parser("invert", help="find the zeta preimage of a path")
     _add_path_arguments(p_inv)
-    p_inv.add_argument("--strategy", default="auto", choices=STRATEGIES)
     p_inv.add_argument(
-        "--trace", action="store_true", help="include the delta sequence"
+        "--strategy",
+        default="auto",
+        choices=STRATEGIES,
+        help="auto runs the level scan (levels); the others are forced"
+        " cross-checks (default: auto)",
+    )
+    p_inv.add_argument(
+        "--trace",
+        action="store_true",
+        help="include the delta sequence of the preimage's predecessor chain",
     )
     p_inv.set_defaults(fn=_cmd_invert)
 

@@ -7,14 +7,21 @@ one-line notation, and place east steps at its cyclic descents.  The
 pairing is a raw tuple, and the decode is the one the delta recursion and
 the Fuss inverse end with, and DyckPath's own check rejects a descent
 word that is not a path.  iota always round-trips its result through
-zeta and eta.  On top of that sit a dispatcher for zeta inverse (the
-delta recursion is its ``search`` strategy), the square-case formulas,
-the level-1 star recursion, and the justified/valley families.
+zeta and eta.
+
+Knowing Q alone, P is found by the level scan (the ``levels`` strategy,
+and the whole of ``auto``): it searches the letters of eta(P) one by one
+against Q's level order, in the manner of Xin's search algorithm for the
+sweep map and the Thomas-Williams inverse.  The delta recursion
+(``search``), the square-case formulas, the level-1 star recursion, the
+Fuss chain and the zeta table stay as strategies that can be forced, as
+cross-checks.  The justified and valley families close the module.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,17 +29,14 @@ from . import bounce as _bounce
 from .errors import (
     BelowDiagonal,
     DimensionTooSmall,
-    DyckError,
     InconsistentPair,
     InternalInvariantError,
     InvalidValleyIndex,
     Level1NotVisited,
-    MethodDisagreement,
     NoPreimage,
     NotACycle,
     NotADyckPath,
     NotSquareCase,
-    RoundTripFailure,
     TooManyBoxes,
     WrongStepCounts,
 )
@@ -71,7 +75,7 @@ __all__ = [
     "justified",
 ]
 
-STRATEGIES = ("auto", "square", "level1", "fuss", "search", "table")
+STRATEGIES = ("auto", "levels", "square", "level1", "fuss", "search", "table")
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +160,125 @@ def _zeta_table(a: int, b: int) -> dict[DyckPath, DyckPath]:
     return {zeta(p): p for p in enumerate_paths(a, b)}
 
 
+def _preimage_by_levels(q: DyckPath) -> tuple[DyckPath | None, int]:
+    """The zeta preimage of Q by a scan of its level order, and the nodes
+    the scan visited; None when Q has no preimage.
+
+    Position i of Q is the step of P with the i-th lowest start level
+    lambda_i, and lambda_0 = 0.  Sorting keeps the order among the
+    successors of north steps (lambda + b) and among those of east steps
+    (lambda - a), so the successor map of P is fixed by one bit per
+    position: whether the step before it is a north or an east step.  Read
+    from the top, these bits are the letters of eta(P).  Scanning i upward,
+    a north bit links i after the next unused north of Q, which must lie
+    before i, and an east bit after the next unused east of Q, which must
+    lie after i.
+
+    Each link joins two segments of P whose levels are known relative to
+    one member.  It is refused when it would put two positions p < q of
+    the joined segment less than q - p levels apart (the levels in between
+    are distinct integers), which is checked for each member of the smaller
+    segment against its neighbours in the larger, or when it closes a cycle
+    shorter than a + b.  Links are undone on backtracking, and the scan
+    backtracks as soon as the next unused east of Q lies at or before i,
+    since no later position can take it.
+    """
+    a, b, word = q.a, q.b, q.steps
+    n = a + b
+    norths = [i for i, s in enumerate(word) if s == NORTH]
+    easts = [i for i, s in enumerate(word) if s == EAST]
+    after = [-1] * n  # successor in P of each position of Q
+    root = list(range(n))  # a member of the position's segment
+    rel = [0] * n  # level of the position minus the level of its root
+    members = [[p] for p in range(n)]  # a root's segment, by position
+
+    def link(src: int, dst: int, rise: int):
+        """Put dst right after src in P; the undo record, or None if refused."""
+        s, d = root[src], root[dst]
+        if s == d:  # closes the cycle
+            if len(members[s]) < n or rel[dst] != rel[src] + rise:
+                return None
+            after[src] = dst
+            return src, None, None, 0, None
+        shift = rel[src] + rise - rel[dst]  # moves d's levels into s's frame
+        if len(members[s]) < len(members[d]):
+            small, big, shift = s, d, -shift
+        else:
+            small, big = d, s
+        big_members = members[big]
+        size = len(big_members)
+        for p in members[small]:
+            level = rel[p] + shift
+            k = bisect_left(big_members, p)
+            if k and level - rel[big_members[k - 1]] < p - big_members[k - 1]:
+                return None
+            if k < size and rel[big_members[k]] - level < big_members[k] - p:
+                return None
+        for p in members[small]:
+            rel[p] += shift
+            root[p] = big
+        members[big] = sorted(big_members + members[small])
+        after[src] = dst
+        return src, small, big, shift, big_members
+
+    def unlink(record) -> None:
+        src, small, big, shift, big_members = record
+        after[src] = -1
+        if small is None:
+            return
+        for p in members[small]:
+            rel[p] -= shift
+            root[p] = small
+        members[big] = big_members
+
+    tried = [0] * (n + 1)  # bits tried at each position: 0 none, 1 north, 2 both
+    undo: list = [None] * n
+    used_n = used_e = 0
+    i = 0
+    nodes = 1
+    while i < n:
+        record = None
+        if used_e == b or easts[used_e] > i:
+            while record is None and tried[i] < 2:
+                tried[i] += 1
+                if tried[i] == 1:
+                    if used_n < a and norths[used_n] < i:
+                        record = link(norths[used_n], i, b)
+                elif used_e < b:
+                    record = link(easts[used_e], i, -a)
+        if record is not None:
+            if tried[i] == 1:
+                used_n += 1
+            else:
+                used_e += 1
+            undo[i] = record
+            i += 1
+            tried[i] = 0
+            nodes += 1
+            continue
+        i -= 1
+        if i < 0:
+            return None, nodes
+        unlink(undo[i])
+        if tried[i] == 1:
+            used_n -= 1
+        else:
+            used_e -= 1
+    steps = []
+    p = 0
+    for _ in range(n):
+        steps.append(word[p])
+        p = after[p]
+    return DyckPath(a, b, "".join(steps)), nodes
+
+
+def _invert_levels(q: DyckPath) -> InversionResult:
+    path, nodes = _preimage_by_levels(q)
+    if path is None:
+        raise NoPreimage(f"level scan found no preimage of {q} ({nodes} nodes)")
+    return InversionResult(path, "levels")
+
+
 def _invert_square(q: DyckPath) -> InversionResult:
     if q.b != q.a + 1:
         raise NotSquareCase(f"({q.a}, {q.b}) is not (n, n+1)")
@@ -189,6 +312,7 @@ def _invert_table(q: DyckPath) -> InversionResult:
 
 
 _STRATEGY_FUNCS = {
+    "levels": _invert_levels,
     "square": _invert_square,
     "level1": _invert_level1,
     "fuss": _invert_fuss,
@@ -198,13 +322,14 @@ _STRATEGY_FUNCS = {
 
 
 def zeta_inverse_detailed(q: DyckPath, strategy: str = "auto") -> InversionResult:
-    """Find P with zeta(P) = Q, most specific strategy first.
+    """Find P with zeta(P) = Q.
 
-    Every branch's output is verified by applying zeta before it is
-    returned, so a buggy precondition test can only cost time, not
-    correctness.  `strategy` forces a single branch.  `auto` tries the
-    closed forms whose preconditions hold, then the delta search, whose
-    NoPreimage is raised as is; `table` runs only when forced.
+    `auto` runs the level scan alone (reported as ``table`` when a = 1 or
+    b = 1, where Q is its own preimage) and raises its NoPreimage as is;
+    `strategy` forces any single branch, the closed forms and the delta
+    search included, as a cross-check.  Every branch's output is verified
+    by applying zeta before it is returned, so a wrong branch can only
+    cost time, not correctness.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -212,23 +337,7 @@ def zeta_inverse_detailed(q: DyckPath, strategy: str = "auto") -> InversionResul
         return _verified(strategy, q)
     if q.a == 1 or q.b == 1:
         return InversionResult(q, "table")
-    order = []
-    if q.b == q.a + 1:
-        order.append("square")
-    if q.visits(*level_point(q.a, q.b, 1)):
-        order.append("level1")
-    if q.b % q.a == 1:
-        order.append("fuss")
-    for name in order:
-        try:
-            result = _STRATEGY_FUNCS[name](q)
-        except (InternalInvariantError, MethodDisagreement, RoundTripFailure):
-            raise  # a bug in the strategy, not a failed precondition
-        except DyckError:
-            continue
-        if zeta(result.path) == q:
-            return result
-    return _verified("search", q)
+    return _verified("levels", q)
 
 
 def _verified(strategy: str, q: DyckPath) -> InversionResult:

@@ -139,14 +139,23 @@ def q_bracket(n: int) -> QPolynomial:
 
 
 def gaussian_binomial(n: int, k: int) -> QPolynomial:
-    """q-binomial coefficient via the Pascal recurrence."""
+    """q-binomial coefficient via the Pascal recurrence, on coefficient lists.
+
+    Each pass sets row[j] to row[j-1] + q^j * row[j], from the right, so
+    that row[j-1] is still the previous pass's.
+    """
     if not 0 <= k <= n:
         return QPolynomial.zero()
-    row = [QPolynomial.one()] + [QPolynomial.zero()] * k
+    row: list[list[int]] = [[1]] + [[] for _ in range(k)]
     for _ in range(n):
-        for j in range(min(k, n), 0, -1):
-            row[j] = row[j - 1] + QPolynomial.monomial(j) * row[j]
-    return row[k]
+        for j in range(k, 0, -1):
+            low, high = row[j - 1], row[j]
+            if high:
+                low = low + [0] * (j + len(high) - len(low))
+                for i, c in enumerate(high, start=j):
+                    low[i] += c
+            row[j] = low
+    return QPolynomial(tuple(row[k]))
 
 
 def rational_q_catalan(a: int, b: int) -> QPolynomial:

@@ -5,8 +5,9 @@ is brute force over all step words, the conjugate oracle is the geometric
 cyclic-shift-and-rotate procedure, laser crossings are re-derived with
 exact rational intersection tests, dinv walks the boxes with their arms
 and legs, a partition's hooks are found box by box, skew inversions
-compare every pair of levels, and the partners of each zeta image are
-sought by calling iota on every pair (Q, R).
+compare every pair of levels, the partners of each zeta image are
+sought by calling iota on every pair (Q, R), and Gaussian binomials come
+from the Pascal recurrence on QPolynomial values.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from rational_dyck import DyckPath, make_path
 from rational_dyck.errors import InconsistentPair, NotACycle, NotADyckPath
 from rational_dyck.inverse import iota
 from rational_dyck.paths import EAST, NORTH, Partition
+from rational_dyck.verification import QPolynomial
 
 
 @pytest.fixture
@@ -173,3 +175,14 @@ def pair_uniqueness_by_scan(images, paths) -> dict[str, int]:
             count += 1
         out[str(q)] = count
     return out
+
+
+def gaussian_binomial_by_polynomials(n: int, k: int) -> QPolynomial:
+    """qbinom(n, k) by the Pascal recurrence, one QPolynomial per cell."""
+    if not 0 <= k <= n:
+        return QPolynomial.zero()
+    row = [QPolynomial.one()] + [QPolynomial.zero()] * k
+    for _ in range(n):
+        for j in range(min(k, n), 0, -1):
+            row[j] = row[j - 1] + QPolynomial.monomial(j) * row[j]
+    return row[k]

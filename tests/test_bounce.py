@@ -6,12 +6,11 @@ import importlib
 import inspect
 import pkgutil
 import random
-from collections import OrderedDict
 
 import pytest
 
 import rational_dyck as rd
-from rational_dyck import bounce, paths
+from rational_dyck import bounce
 from rational_dyck.bounce import fuss_delta_trace, search_delta_traces
 from rational_dyck.errors import (
     DimensionTooSmall,
@@ -198,51 +197,21 @@ class TestSearchInverse:
     def test_decodes_one_candidate_per_chain_step_when_fuss(self):
         for p in rd.enumerate_paths(4, 9):
             q = rd.zeta(p)
-            bounce._SEARCH_MEMO.clear()
             found, attempts = search_delta_traces(q)
             assert attempts == len(found[0][1]) == len(fuss_delta_trace(q))
 
 
-class TestSharedSearchMemo:
-    def test_warm_image_needs_no_decode(self, running):
-        q = rd.zeta(running)
-        bounce._SEARCH_MEMO.clear()
-        cold, cold_attempts = search_delta_traces(q)
-        warm, warm_attempts = search_delta_traces(q)
-        assert cold == warm == [(running, cold[0][1])]
-        assert cold_attempts > 0 and warm_attempts == 0
-
-    def test_results_do_not_depend_on_the_order_of_calls(self):
-        pairs = [(5, 8), (8, 5), (7, 9), (9, 7)]
-        images = [rd.zeta(p) for ab in pairs for p in rd.enumerate_paths(*ab)]
-
-        def detailed(q):
-            return [
-                (r.path, r.strategy, r.deltas)
-                for r in (rd.zeta_inverse_detailed(q), rd.zeta_inverse_detailed(q, "search"))
-            ]
-
-        cold = {}
-        for q in images:
-            bounce._SEARCH_MEMO.clear()
-            cold[q] = detailed(q)
-        for seed in (1, 2):
-            order = images[:]
-            random.Random(seed).shuffle(order)
-            bounce._SEARCH_MEMO.clear()
-            assert {q: detailed(q) for q in order} == cold
-
-    def test_find_all_neither_reads_nor_writes_the_shared_memo(self):
-        images = [rd.zeta(p) for p in rd.enumerate_paths(5, 8)]
-        bounce._SEARCH_MEMO.clear()
-        before = [search_delta_traces(q, find_all=True) for q in images]
-        assert not bounce._SEARCH_MEMO
-        for q in images:
-            search_delta_traces(q)
-        warmed = list(bounce._SEARCH_MEMO.items())
-        after = [search_delta_traces(q, find_all=True) for q in images]
-        assert after == before
-        assert list(bounce._SEARCH_MEMO.items()) == warmed
+class TestPerCallSearchMemo:
+    def test_every_call_starts_cold(self):
+        # the memo lasts one call: a wide-window image (the first (17,13)
+        # draw of Random(3), bounce window of width 13) costs the same
+        # decodes every time it is inverted
+        p = cycle_lemma_path(random.Random(3), 17, 13)
+        q = rd.zeta(p)
+        for _ in range(2):
+            found, attempts = search_delta_traces(q)
+            assert [path for path, _ in found] == [p]
+            assert attempts == 4754
 
 
 class TestCaches:
@@ -275,24 +244,3 @@ class TestCaches:
         for name, fn in caches.items():
             maxsize = fn.cache_parameters()["maxsize"]
             assert maxsize is not None and maxsize > 0, name
-
-    def test_search_memo_is_bounded(self, monkeypatch):
-        # the search's memo is a mapping shared across calls, not an lru
-        # cache, so the test above misses it; with room for 8 images it
-        # evicts down a chain of over a thousand, and the trace survives
-        class Watched(OrderedDict):
-            peak = 0
-
-            def __setitem__(self, key, value):
-                super().__setitem__(key, value)
-                Watched.peak = max(Watched.peak, len(self))
-
-        assert bounce._PATH_CACHE_SIZE == paths._PATH_CACHE_SIZE
-        monkeypatch.setattr(bounce, "_SEARCH_MEMO", Watched())
-        monkeypatch.setattr(bounce, "_PATH_CACHE_SIZE", 8)
-        p = cycle_lemma_path(random.Random("search/120/241"), 120, 241)
-        q = rd.zeta(p)
-        found, _ = search_delta_traces(q)
-        assert found == [(p, fuss_delta_trace(q))]
-        assert Watched.peak == 8
-        assert len(bounce._SEARCH_MEMO) == 8

@@ -117,11 +117,26 @@ class TestInvert:
         record = json.loads(out)
         assert code == 0
         assert record["steps"] == "NNNENEEENEEEE"
-        assert record["strategy"] in ("search", "table")
+        assert record["strategy"] == "levels"
         assert isinstance(record["deltas"], list)
 
+    def test_trace_is_the_search_trace(self, capsys, tmp_path):
+        # auto's level scan reports no deltas, so --trace walks the chain
+        # down from the preimage; the delta search decodes from that trace
+        images = [rd.zeta(p) for ab in ((5, 8), (8, 5)) for p in rd.enumerate_paths(*ab)]
+        spec_file = tmp_path / "images.txt"
+        spec_file.write_text("".join(f"{q.a} {q.b} {q.steps}\n" for q in images))
+        code, out, _ = run(capsys, "invert", "--file", str(spec_file), "--trace", "--json")
+        assert code == 0
+        records = json.loads(out)
+        assert {r["strategy"] for r in records} == {"levels"}
+        for q, record in zip(images, records):
+            searched = rd.zeta_inverse_detailed(q, "search")
+            assert record["steps"] == searched.path.steps
+            assert record["deltas"] == list(searched.deltas)
+
     def test_strategies(self, capsys):
-        for strategy in ("square", "fuss", "search", "table", "auto"):
+        for strategy in ("levels", "square", "fuss", "search", "table", "auto"):
             code, out, _ = run(
                 capsys, "invert", "--a", "2", "--b", "3", "--path", "NENEE",
                 "--strategy", strategy,
@@ -136,8 +151,7 @@ class TestInvert:
         assert code == 0 and "deltas=" in out
 
     def test_file_batch_matches_one_call_per_path(self, capsys, tmp_path):
-        # a batch shares the search's memo between images; one --path call
-        # per image must print the same records
+        # one --path call per image prints the records of one batch
         images = [rd.zeta(p) for p in rd.enumerate_paths(5, 8)]
         spec_file = tmp_path / "images.txt"
         spec_file.write_text("".join(f"5 8 {q.steps}\n" for q in images))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
 
 import rational_dyck as rd
 from rational_dyck import inverse
@@ -24,7 +25,7 @@ from rational_dyck.errors import (
 )
 from rational_dyck.inverse import level_point
 
-from conftest import coprime_pairs, cycle_lemma_path
+from conftest import coprime_pairs, cycle_lemma_path, cycle_lemma_paths
 
 
 class TestPairGamma:
@@ -114,7 +115,7 @@ class TestZetaInverseDispatcher:
 
     def test_every_strategy_on_covered_inputs(self):
         q = rd.zeta(rd.make_path(4, 5, "NNENEENEE"))
-        for strategy in ("square", "fuss", "search", "table"):
+        for strategy in ("levels", "square", "fuss", "search", "table"):
             assert rd.zeta(rd.zeta_inverse(q, strategy)) == q
 
     def test_strategies_agree(self):
@@ -131,7 +132,7 @@ class TestZetaInverseDispatcher:
 
     def test_detailed_reports_strategy(self):
         result = rd.zeta_inverse_detailed(rd.zeta(rd.lowest_path(4, 5)))
-        assert result.strategy == "square"
+        assert result.strategy == "levels"
 
     def test_forced_strategy_failure(self):
         # a (5,8) image missing the level-1 point: the forced level1 branch fails
@@ -152,19 +153,19 @@ class TestZetaInverseDispatcher:
         def broken(q):
             raise error
 
-        monkeypatch.setitem(inverse._STRATEGY_FUNCS, "square", broken)
+        monkeypatch.setitem(inverse._STRATEGY_FUNCS, "levels", broken)
         with pytest.raises(type(error)):
             rd.zeta_inverse_detailed(rd.full_path(4, 5))
 
     def test_auto_raises_the_search_failure_without_a_table(self, monkeypatch):
-        # the running example's image has no closed form, so auto searches
+        # auto runs the level scan alone and never falls back to the table
         def no_preimage(q):
             raise NoPreimage("demo")
 
         def table(q):
             raise AssertionError("auto built the table")
 
-        monkeypatch.setitem(inverse._STRATEGY_FUNCS, "search", no_preimage)
+        monkeypatch.setitem(inverse._STRATEGY_FUNCS, "levels", no_preimage)
         monkeypatch.setitem(inverse._STRATEGY_FUNCS, "table", table)
         q = rd.zeta(rd.make_path(5, 8, "NNNENEEENEEEE"))
         with pytest.raises(NoPreimage, match="demo"):
@@ -175,12 +176,38 @@ class TestZetaInverseDispatcher:
             assert rd.zeta_inverse_detailed(q) == inverse.InversionResult(q, "table")
 
     def test_auto_moves_on_after_a_failed_precondition(self, monkeypatch):
+        # auto consults no closed form, so a failing one cannot stop it
         def not_square(q):
             raise NotSquareCase("demo")
 
         monkeypatch.setitem(inverse._STRATEGY_FUNCS, "square", not_square)
         result = rd.zeta_inverse_detailed(rd.full_path(4, 5))
-        assert result.path == rd.lowest_path(4, 5) and result.strategy != "square"
+        assert result == inverse.InversionResult(rd.lowest_path(4, 5), "levels")
+
+
+class TestLevelScan:
+    def test_equals_the_table(self):
+        for a, b in coprime_pairs(13):
+            for p in rd.enumerate_paths(a, b):
+                q = rd.zeta(p)
+                assert rd.zeta_inverse(q, "levels") == rd.zeta_inverse(q, "table") == p
+
+    @settings(deadline=None)
+    @given(cycle_lemma_paths(max_sum=40))
+    def test_round_trip_and_chi_at_random(self, p):
+        q = rd.zeta(p)
+        assert rd.zeta_inverse(q) == p
+        image = rd.chi(q)
+        assert rd.area(image) == rd.area(q)
+        assert rd.chi(image) == q
+
+    @pytest.mark.parametrize("a, b", ((120, 241), (60, 61)))
+    def test_auto_inverts_fuss_and_square_images_at_scale(self, a, b):
+        # these never backtrack: the scan visits a + b + 1 nodes
+        p = cycle_lemma_path(random.Random(f"levels/{a}/{b}"), a, b)
+        q = rd.zeta(p)
+        assert rd.zeta_inverse_detailed(q) == inverse.InversionResult(p, "levels")
+        assert inverse._preimage_by_levels(q) == (p, a + b + 1)
 
 
 # Seeded uniform paths beyond exhaustive enumeration; (17,13) has b < a and

@@ -13,7 +13,7 @@ from rational_dyck import inverse, verification
 from rational_dyck.errors import InexactDivision, InternalInvariantError, NotCoprime
 from rational_dyck.verification import QPolynomial, QTPolynomial
 
-from conftest import coprime_pairs, pair_uniqueness_by_scan
+from conftest import coprime_pairs, gaussian_binomial_by_polynomials, pair_uniqueness_by_scan
 
 
 def qbinom_by_box_partitions(n: int, k: int) -> tuple[int, ...]:
@@ -82,6 +82,11 @@ class TestGaussianBinomial:
         for n in range(1, 9):
             for k in range(n + 1):
                 assert rd.gaussian_binomial(n, k).coeffs == qbinom_by_box_partitions(n, k)
+
+    def test_against_the_polynomial_recurrence(self):
+        for n in range(21):
+            for k in range(-1, n + 2):
+                assert rd.gaussian_binomial(n, k) == gaussian_binomial_by_polynomials(n, k)
 
     def test_specializes_to_binomial(self):
         for n in range(1, 10):

@@ -523,18 +523,17 @@ def rational_catalan_number(a: int, b: int) -> int:
 
 
 def conjugate(path: DyckPath) -> DyckPath:
-    """Conjugate path, via the complement rule on positive hooks.
+    """Conjugate path: the word cut at its highest point, turned half a turn.
 
-    With H the positive hooks and m = max(H), the conjugate's hooks are
-    {m - n : n in {0..m} \\ H}.  The area-0 path is its own conjugate.
+    Read from the point of maximal level, which is unique, the word stays
+    strictly below the diagonal inside; reversing it turns it half a turn
+    back above.  The result's positive hooks are {m - n : n in {0..m} \\ H}
+    for the path's hooks H with maximum m, the complement rule the tests
+    check it against.  The area-0 path is its own conjugate.
     """
-    hooks = path.positive_hooks()
-    if not hooks:
-        return path
-    m = hooks[0]
-    present = frozenset(hooks)
-    complement = [m - n for n in range(m + 1) if n not in present]
-    return path_from_hooks(path.a, path.b, complement)
+    word = path.reading_word()
+    cut = word.index(max(word))
+    return DyckPath(path.a, path.b, (path.steps[cut:] + path.steps[:cut])[::-1])
 
 
 def flip(path: DyckPath) -> DyckPath:

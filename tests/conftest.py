@@ -2,7 +2,8 @@
 
 Oracles here deliberately avoid the library's own algorithms: enumeration
 is brute force over all step words, the conjugate oracle is the geometric
-cyclic-shift-and-rotate procedure, laser crossings are re-derived with
+cyclic-shift-and-rotate procedure checked against the complement rule on
+positive hooks, laser crossings are re-derived with
 exact rational intersection tests, dinv walks the boxes with their arms
 and legs, a partition's hooks are found box by box, skew inversions
 compare every pair of levels, the partners of each zeta image are
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from rational_dyck import DyckPath, make_path
 from rational_dyck.errors import InconsistentPair, NotACycle, NotADyckPath
 from rational_dyck.inverse import iota
-from rational_dyck.paths import EAST, NORTH, Partition
+from rational_dyck.paths import EAST, NORTH, Partition, path_from_hooks
 from rational_dyck.verification import QPolynomial
 
 
@@ -108,6 +109,17 @@ def geometric_conjugate(path: DyckPath) -> DyckPath:
         x, y = (x, y + 1) if s == NORTH else (x + 1, y)
         assert y * path.b - x * path.a < 0
     return DyckPath(path.a, path.b, shifted[::-1])
+
+
+def conjugate_by_hooks(path: DyckPath) -> DyckPath:
+    """The path whose positive hooks are {m - n : n in {0..m} \\ H}, for the
+    path's positive hooks H with maximum m (the area-0 path is fixed)."""
+    hooks = path.positive_hooks()
+    if not hooks:
+        return path
+    m = hooks[0]
+    present = frozenset(hooks)
+    return path_from_hooks(path.a, path.b, [m - n for n in range(m + 1) if n not in present])
 
 
 def dinv_by_boxes(path: DyckPath) -> int:

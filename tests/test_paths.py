@@ -23,6 +23,7 @@ from rational_dyck.paths import Partition, Permutation, _path_from_cycle, standa
 
 from conftest import (
     brute_force_paths,
+    conjugate_by_hooks,
     coprime_pairs,
     cycle_lemma_paths,
     first_point_below,
@@ -284,6 +285,16 @@ class TestConjugate:
         for a, b in coprime_pairs(10):
             for p in rd.enumerate_paths(a, b):
                 assert rd.conjugate(p) == geometric_conjugate(p)
+
+    def test_against_the_hook_complement_rule(self):
+        for a, b in coprime_pairs(12):
+            for p in rd.enumerate_paths(a, b):
+                assert rd.conjugate(p) == conjugate_by_hooks(p)
+
+    @settings(deadline=None)
+    @given(cycle_lemma_paths(max_sum=120))
+    def test_hook_complement_rule_at_scale(self, p):
+        assert rd.conjugate(p) == conjugate_by_hooks(p)
 
 
 class TestFlipReverse:

@@ -6,13 +6,13 @@ delta exactly when b = a*k + 1 and brackets it in a window of width r
 otherwise.  The first case yields a direct inverse.  In the second, the
 image of each predecessor is itself an image to invert, with a unique
 answer since zeta is a bijection, so the inverse is a recursion over the
-images of the chain, verified at every step, with a memo of the images
-solved that lasts one call.  Both inverses end by decoding a one-line
-tuple with the cycle decoder of iota, whose DyckPath check rejects a
-candidate that is not a path.  Neither is a hot path: the dispatcher's
-``auto`` inverts by the level scan of ``inverse``, and the recursion is
-kept as a cross-check, reached as ``zeta_inverse(Q, "search")``, which
-also reports its delta trace.
+images of the chain, verified at every step, whose only memo, of the
+images solved, lasts one call; no chain step is cached.  Both inverses end
+by decoding a one-line tuple with the cycle decoder of iota, whose DyckPath
+check rejects a candidate that is not a path.  Neither is a hot path: the
+dispatcher's ``auto`` inverts by the level scan of ``inverse``, and the
+recursion is kept as a cross-check, reached as ``zeta_inverse(Q,
+"search")``, which also reports its delta trace.
 """
 
 from __future__ import annotations
@@ -34,16 +34,15 @@ from .errors import (
 )
 from .maps import zeta
 from .paths import (
-    _PATH_CACHE_SIZE,
+    _TABLE_CACHE_SIZE,
     DyckPath,
     EAST,
     NORTH,
+    _gamma_one_line,
     _path_from_cycle,
     conjugate,
-    gamma,
     lowest_path,
     predecessor,
-    rotation_cycle,
 )
 from .stats import area, delta
 
@@ -70,9 +69,8 @@ def conj_predecessor(path: DyckPath) -> DyckPath:
         raise NoBoxToAdd(f"{path} is the bottom of the predecessor chain")
     geometric = conjugate(predecessor(conjugate(path)))
 
-    rho = rotation_cycle(path.length, 1, delta(path))
-    twisted = gamma(path).conjugated_by(rho.inverse())
-    algebraic = _path_from_cycle(path.a, path.b, twisted.one_line)
+    twisted = _conjugate_by_head_inverse(_gamma_one_line(path), delta(path))
+    algebraic = _path_from_cycle(path.a, path.b, twisted)
     if algebraic != geometric:
         raise InternalInvariantError(
             f"conj_predecessor mismatch for {path}: {geometric} vs {algebraic}"
@@ -80,7 +78,6 @@ def conj_predecessor(path: DyckPath) -> DyckPath:
     return geometric
 
 
-@lru_cache(maxsize=_PATH_CACHE_SIZE)
 def zeta_predecessor(path: DyckPath, delta_value: int) -> DyckPath:
     """Image-side predecessor step, driven entirely by delta.
 
@@ -134,7 +131,6 @@ class BouncePath:
         return tuple(pts)
 
 
-@lru_cache(maxsize=_PATH_CACHE_SIZE)
 def initial_bounce(path: DyckPath) -> BouncePath:
     """Bounce inside `path`: climb to an east step, run east, repeat.
 
@@ -166,20 +162,19 @@ def initial_bounce(path: DyckPath) -> BouncePath:
     return BouncePath(tuple(v), tuple(h))
 
 
-@lru_cache(maxsize=_PATH_CACHE_SIZE)
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _gamma_zero(a: int, b: int) -> tuple[int, ...]:
-    return gamma(lowest_path(a, b)).one_line
-
-
-@lru_cache(maxsize=_PATH_CACHE_SIZE)
-def _head_rotation(n: int, d: int) -> tuple[int, ...]:
-    return rotation_cycle(n, 1, d).one_line
+    return _gamma_one_line(lowest_path(a, b))
 
 
 def _conjugate_by_head(g: tuple[int, ...], d: int) -> tuple[int, ...]:
     """r_d * g * r_d^{-1} on one-line tuples, for the rotation r_d = (1 .. d)."""
-    rot = _head_rotation(len(g), d)
-    return tuple(rot[v - 1] for v in (g[d - 1],) + g[: d - 1] + g[d:])
+    return tuple(v % d + 1 if v <= d else v for v in (g[d - 1],) + g[: d - 1] + g[d:])
+
+
+def _conjugate_by_head_inverse(g: tuple[int, ...], d: int) -> tuple[int, ...]:
+    """r_d^{-1} * g * r_d on one-line tuples, undoing _conjugate_by_head."""
+    return tuple((v - 2) % d + 1 if v <= d else v for v in g[1:d] + g[:1] + g[d:])
 
 
 def fuss_delta_trace(path: DyckPath) -> tuple[int, ...]:

@@ -226,17 +226,12 @@ class RowLengthFilling:
 
     def westmost_values(self) -> tuple[int, ...]:
         """Value of the leftmost box under the path in each row."""
-        cols = self.path.north_columns()
-        return tuple(self.value(cols[row], row) for row in range(self.path.a))
+        return tuple(self.value(c, r) for r, c in enumerate(self.path.north_columns()))
 
     def northmost_values(self) -> tuple[int, ...]:
-        """Value of the topmost box under the path in each column."""
-        cols = self.path.north_columns()
-        out = []
-        for col in range(self.path.b):
-            row = max(r for r in range(self.path.a) if cols[r] <= col)
-            out.append(self.value(col, row))
-        return tuple(out)
+        """Value of the topmost box under the path in each column: the one
+        just below the column's east step."""
+        return tuple(self.value(c, r - 1) for c, r in enumerate(self.path.east_rows()))
 
 
 def row_length_filling(path: DyckPath) -> RowLengthFilling:

@@ -379,14 +379,13 @@ def square_gamma_shaded(q: DyckPath) -> Permutation:
     east_label, north_label = _step_positions(q.steps)
     east_col = {label: col for col, label in enumerate(east_label)}
     north_row = {label: row for row, label in enumerate(north_label)}
-    north_col = {row: col for row, col in enumerate(q.north_columns())}
     first_east = east_label[0]
 
     images = [0] * q.length
     for label in range(1, q.length + 1):
         if label in north_row:
             row = north_row[label]
-            col = north_col[row]
+            col = q.north_columns()[row]
             hit = next(c for c in range(col, width) if shaded(c, row))
             images[label - 1] = east_label[hit] + 1
         elif label == first_east:

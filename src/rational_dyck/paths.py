@@ -2,7 +2,7 @@
 
 An (a,b)-Dyck path is a word of a north and b east steps from (0,0) to
 (b,a) whose lattice points (x,y) all satisfy a*x <= b*y, for coprime a, b.
-This module owns the path type, its level/word data, enumeration, and the
+This module owns the path type, its level data, enumeration, and the
 structural operations (conjugate, flip, reverse, star product, predecessor)
 that everything else builds on.
 
@@ -13,6 +13,10 @@ whole word.  A rejected word raises the error that names its fault;
 PathParseError carries the offset of the first bad character and
 BelowDiagonal the first lattice point below the diagonal.  The inverses
 rely on this to reject candidate words.
+
+A path owns its level data: it keeps the levels y*b - x*a that the diagonal
+check walks, and builds each other view on first use and keeps it, so a
+view lives as long as the path does.  Equality and hashing stay on the word.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain, compress
 from typing import Iterator
 
 from .errors import (
@@ -40,12 +44,9 @@ from .errors import (
 NORTH = "N"
 EAST = "E"
 
-# Bound of every path-keyed cache: the images of one (a, b) pair share the
-# top of their predecessor chains, but a long-lived process must not keep
-# every path it has seen.  Small per-pair tuples share the bound.
-_PATH_CACHE_SIZE = 4096
-# Bound of the caches that hold a whole table per (a, b) pair, such as all
-# of its paths.  Sweeps visit the pairs in order, so a few suffice.
+# Bound of every module cache.  Each is keyed by an (a, b) pair and holds a
+# table or a small tuple; sweeps visit the pairs in order, so a few suffice.
+# None is keyed by a path: a path keeps its own views while it lives.
 _TABLE_CACHE_SIZE = 32
 
 
@@ -273,10 +274,11 @@ class DyckPath:
             raise WrongStepCounts(f"need {a} N and {b} E steps, got {steps!r}")
         # the level y*b - x*a of every point must stay non-negative
         rise = {NORTH: b, EAST: -a}.__getitem__
-        if min(accumulate(map(rise, steps))) < 0:
-            levels = accumulate(map(rise, steps))
-            walked = steps[: next(i for i, v in enumerate(levels, 1) if v < 0)]
+        levels = tuple(accumulate(map(rise, steps), initial=0))
+        if min(levels) < 0:
+            walked = steps[: next(i for i, v in enumerate(levels) if v < 0)]
             raise BelowDiagonal((walked.count(EAST), walked.count(NORTH)))
+        object.__setattr__(self, "_levels", levels)
 
     def __str__(self) -> str:
         return self.steps
@@ -287,64 +289,79 @@ class DyckPath:
 
     def points(self) -> tuple[tuple[int, int], ...]:
         """The a+b+1 lattice points visited, in path order."""
-        pts = [(0, 0)]
-        x = y = 0
-        for s in self.steps:
-            if s == NORTH:
-                y += 1
-            else:
-                x += 1
-            pts.append((x, y))
-        return tuple(pts)
+        heights = accumulate((s == NORTH for s in self.steps), initial=0)
+        return tuple((i - y, y) for i, y in enumerate(heights))
 
     def visits(self, x: int, y: int) -> bool:
-        return (x, y) in self.points()
+        """Whether (x, y) is the path's (x+y)-th point, told by its level."""
+        a, b = self.a, self.b
+        return 0 <= x <= b and 0 <= y <= a and self._levels[x + y] == y * b - x * a
 
     def levels(self) -> tuple[int, ...]:
         """Level y*b - x*a of every lattice point, in path order."""
-        return _levels(self)
+        return self._levels
 
     def reading_word(self) -> tuple[int, ...]:
         """Levels read southwest to northeast, final 0 excluded."""
-        return self.levels()[:-1]
+        return self._levels[:-1]
 
     def reverse_reading_word(self) -> tuple[int, ...]:
         """Levels read northeast to southwest, final 0 excluded."""
-        return tuple(reversed(self.levels()))[:-1]
+        return self._levels[:0:-1]
 
     def north_levels(self) -> tuple[int, ...]:
         """Levels of points starting north steps, in decreasing order."""
-        lv = self.levels()
-        return tuple(
-            sorted((lv[i] for i, s in enumerate(self.steps) if s == NORTH), reverse=True)
-        )
+        return self._north_levels
 
     def east_levels(self) -> tuple[int, ...]:
         """Levels of points starting east steps, in decreasing order."""
-        lv = self.levels()
-        return tuple(
-            sorted((lv[i] for i, s in enumerate(self.steps) if s == EAST), reverse=True)
-        )
+        return self._east_levels
 
     def north_columns(self) -> tuple[int, ...]:
         """Column of the north step in each row, bottom row first."""
-        return tuple(accumulate(map(len, self.steps.split(NORTH)[:-1])))
+        return self._north_columns
 
     def east_rows(self) -> tuple[int, ...]:
         """Height of the east step in each column, leftmost column first."""
-        return tuple(accumulate(map(len, self.steps.split(EAST)[:-1])))
+        return self._east_rows
 
     def bounded_partition(self) -> Partition:
         """Partition formed by the boxes above the path (trailing zeros dropped)."""
-        cols = self.north_columns()
-        return Partition(tuple(reversed(cols))).trimmed()
+        return Partition(self._north_columns[::-1]).trimmed()
 
     def positive_hooks(self) -> tuple[int, ...]:
         """Positive grid values of boxes below the path, largest first.
 
         These are the first-column hook lengths of the corresponding core.
         """
-        return _positive_hooks(self)
+        return self._positive_hooks
+
+    @cached_property
+    def _north_levels(self) -> tuple[int, ...]:
+        norths = compress(self._levels, map(NORTH.__eq__, self.steps))
+        return tuple(sorted(norths, reverse=True))
+
+    @cached_property
+    def _east_levels(self) -> tuple[int, ...]:
+        easts = compress(self._levels, map(EAST.__eq__, self.steps))
+        return tuple(sorted(easts, reverse=True))
+
+    @cached_property
+    def _north_columns(self) -> tuple[int, ...]:
+        return tuple(accumulate(map(len, self.steps.split(NORTH)[:-1])))
+
+    @cached_property
+    def _east_rows(self) -> tuple[int, ...]:
+        return tuple(accumulate(map(len, self.steps.split(EAST)[:-1])))
+
+    @cached_property
+    def _positive_hooks(self) -> tuple[int, ...]:
+        # in row y, the boxes right of the north step in column c have
+        # values y*b - (c+1)*a, falling by a per column while positive
+        a, b = self.a, self.b
+        cols = enumerate(self._north_columns)
+        rows = (range(y * b - (c + 1) * a, 0, -a) for y, c in cols)
+        return tuple(sorted(chain.from_iterable(rows), reverse=True))
 
     def to_json(self) -> dict:
         return {"a": self.a, "b": self.b, "steps": self.steps}
@@ -352,23 +369,6 @@ class DyckPath:
     @classmethod
     def from_json(cls, data: dict) -> "DyckPath":
         return cls(int(data["a"]), int(data["b"]), str(data["steps"]))
-
-
-@lru_cache(maxsize=_PATH_CACHE_SIZE)
-def _levels(path: DyckPath) -> tuple[int, ...]:
-    a, b = path.a, path.b
-    return tuple(accumulate((b if s == NORTH else -a for s in path.steps), initial=0))
-
-
-@lru_cache(maxsize=_PATH_CACHE_SIZE)
-def _positive_hooks(path: DyckPath) -> tuple[int, ...]:
-    out = []
-    for row, col0 in enumerate(path.north_columns()):
-        for col in range(col0, path.b):
-            v = box_value(path.a, path.b, col, row)
-            if v > 0:
-                out.append(v)
-    return tuple(sorted(out, reverse=True))
 
 
 def make_path(a: int, b: int, steps: str) -> DyckPath:
@@ -448,7 +448,15 @@ def tau(path: DyckPath) -> Permutation:
 
 def gamma(path: DyckPath) -> Permutation:
     """The cycle whose cycle notation, started at 1, lists sigma's one-line."""
-    return Permutation.from_cycle(sigma(path).one_line)
+    return Permutation(_gamma_one_line(path))
+
+
+def _gamma_one_line(path: DyckPath) -> tuple[int, ...]:
+    """gamma's one-line as a raw tuple: the rank of each reading-word entry
+    sent to the rank of the entry after it, cyclically."""
+    word = path.reading_word()
+    rank = {v: r for r, v in enumerate(sorted(word), start=1)}
+    return tuple(rank[v] for _, v in sorted(zip(word, word[1:] + word[:1])))
 
 
 def _descent_word(values) -> str:

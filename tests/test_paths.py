@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from itertools import product
 
@@ -19,7 +21,13 @@ from rational_dyck.errors import (
     WrongDescentCount,
     WrongStepCounts,
 )
-from rational_dyck.paths import Partition, Permutation, _path_from_cycle, standardize
+from rational_dyck.paths import (
+    Partition,
+    Permutation,
+    _path_from_cycle,
+    box_value,
+    standardize,
+)
 
 from conftest import (
     brute_force_paths,
@@ -154,6 +162,93 @@ class TestLevels:
             for p in rd.enumerate_paths(a, b):
                 assert len(p.north_levels()) == a
                 assert len(p.east_levels()) == b
+
+
+VIEWS = (
+    "points",
+    "levels",
+    "reading_word",
+    "reverse_reading_word",
+    "north_levels",
+    "east_levels",
+    "north_columns",
+    "east_rows",
+    "bounded_partition",
+    "positive_hooks",
+)
+
+
+def walked_points(p):
+    """The lattice points of p, walked step by step."""
+    x = y = 0
+    points = [(0, 0)]
+    for s in p.steps:
+        x, y = (x, y + 1) if s == "N" else (x + 1, y)
+        points.append((x, y))
+    return tuple(points)
+
+
+def views_by_definition(p):
+    """Every view of p, read off its walked points and its steps."""
+    a, b = p.a, p.b
+    points = walked_points(p)
+    levels = tuple(y * b - x * a for x, y in points)
+    starts = tuple(zip(points, p.steps))
+    columns = tuple(x for (x, _), s in starts if s == "N")
+    hooks = (
+        box_value(a, b, col, row)
+        for row in range(a)
+        for col in range(columns[row], b)
+    )
+    return {
+        "points": points,
+        "levels": levels,
+        "reading_word": levels[:-1],
+        "reverse_reading_word": tuple(reversed(levels))[:-1],
+        "north_levels": tuple(
+            sorted((y * b - x * a for (x, y), s in starts if s == "N"), reverse=True)
+        ),
+        "east_levels": tuple(
+            sorted((y * b - x * a for (x, y), s in starts if s == "E"), reverse=True)
+        ),
+        "north_columns": columns,
+        "east_rows": tuple(y for (_, y), s in starts if s == "E"),
+        "bounded_partition": Partition(tuple(reversed(columns))).trimmed(),
+        "positive_hooks": tuple(sorted((h for h in hooks if h > 0), reverse=True)),
+    }
+
+
+def read_views(p):
+    return {name: getattr(p, name)() for name in VIEWS}
+
+
+class TestViews:
+    def test_every_path_up_to_12(self):
+        for a, b in coprime_pairs(12):
+            for p in rd.enumerate_paths(a, b):
+                assert read_views(p) == views_by_definition(p), p
+
+    @settings(deadline=None)
+    @given(cycle_lemma_paths(max_sum=300))
+    def test_at_scale(self, p):
+        assert read_views(p) == views_by_definition(p)
+
+    def test_visits(self):
+        for a, b in coprime_pairs(10):
+            for p in rd.enumerate_paths(a, b):
+                points = set(p.points())
+                for x in range(-2, b + 3):
+                    for y in range(-2, a + 3):
+                        assert p.visits(x, y) == ((x, y) in points), (p, x, y)
+
+    @given(cycle_lemma_paths(max_sum=60))
+    def test_read_views_keep_equality_hash_copy_and_pickle(self, p):
+        views = read_views(p)
+        fresh = rd.DyckPath(p.a, p.b, p.steps)
+        assert p == fresh and hash(p) == hash(fresh)
+        for twin in (copy.copy(p), pickle.loads(pickle.dumps(p))):
+            assert twin == p and hash(twin) == hash(p)
+            assert read_views(twin) == views
 
 
 class TestPermutations:

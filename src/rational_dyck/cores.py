@@ -15,7 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import NotACore, NotCoprime
-from .paths import DyckPath, Partition, box_value, path_from_hooks
+from .paths import DyckPath, Partition, box_value, full_path, path_from_hooks
 
 __all__ = [
     "HookFilling",
@@ -56,14 +56,8 @@ class HookFilling:
         return box_value(self.a, self.b, col, row)
 
     def positive_values(self) -> tuple[int, ...]:
-        """All positive entries, largest first."""
-        vals = [
-            self.value(col, row)
-            for row in range(self.a)
-            for col in range(self.b)
-            if self.value(col, row) > 0
-        ]
-        return tuple(sorted(vals, reverse=True))
+        """All positive entries, largest first: the hooks of the full path."""
+        return full_path(self.a, self.b).positive_hooks()
 
     def grid(self) -> tuple[tuple[int, ...], ...]:
         """Rows of values, top row first."""

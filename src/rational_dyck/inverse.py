@@ -15,7 +15,9 @@ against Q's level order, in the manner of Xin's search algorithm for the
 sweep map and the Thomas-Williams inverse.  The delta recursion
 (``search``), the square-case formulas, the level-1 star recursion, the
 Fuss chain and the zeta table stay as strategies that can be forced, as
-cross-checks.  The justified and valley families close the module.
+cross-checks.  The justified and valley families close the module.  Each
+closed form builds its shape as one count per row or column, read off a
+path's north columns or the level points, and never a set of boxes.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from . import bounce as _bounce
 from .errors import (
@@ -49,8 +52,8 @@ from .paths import (
     Partition,
     Permutation,
     _path_from_cycle,
-    box_value,
     enumerate_paths,
+    full_path,
     path_from_bounded_partition,
     path_from_hooks,
     reverse,
@@ -368,32 +371,20 @@ def square_gamma_shaded(q: DyckPath) -> Permutation:
     plus one.  Horizontal step: run down to the lowest shaded box in its
     column, then left to the path's vertical step in that row; the image
     is that label plus one.  The first horizontal step maps to 1.
+
+    The shaded boxes are those the diagonal crosses: row r's first is in
+    column r(n+1)//n, which the path never passes, and column c's lowest
+    is in row nc//(n+1).
     """
     n, width = q.a, q.b
     if width != n + 1:
         raise NotSquareCase(f"({n}, {width}) is not (n, n+1)")
-
-    def shaded(col: int, row: int) -> bool:
-        return n * col < (row + 1) * width and row * width < n * (col + 1)
-
     east_label, north_label = _step_positions(q.steps)
-    east_col = {label: col for col, label in enumerate(east_label)}
-    north_row = {label: row for row, label in enumerate(north_label)}
-    first_east = east_label[0]
-
     images = [0] * q.length
-    for label in range(1, q.length + 1):
-        if label in north_row:
-            row = north_row[label]
-            col = q.north_columns()[row]
-            hit = next(c for c in range(col, width) if shaded(c, row))
-            images[label - 1] = east_label[hit] + 1
-        elif label == first_east:
-            images[label - 1] = 1
-        else:
-            col = east_col[label]
-            low = min(r for r in range(n) if shaded(col, r))
-            images[label - 1] = north_label[low] + 1
+    for row, label in enumerate(north_label):
+        images[label - 1] = east_label[row * width // n] + 1
+    for col, label in enumerate(east_label):
+        images[label - 1] = north_label[n * col // width] + 1 if col else 1
     return Permutation(tuple(images))
 
 
@@ -442,94 +433,88 @@ def zeta_inverse_level1(q: DyckPath) -> DyckPath:
     return star_product(zeta_inverse(left), zeta_inverse(right))
 
 
-def _chi_shape(q: DyckPath) -> frozenset[tuple[int, int]]:
-    """Box set whose half-turn rotation bounds chi(q).
+def _chi_parts(q: DyckPath) -> list[int]:
+    """The bounded partition of chi(q), top row first, length a.
 
-    For a path through the level-1 point, the bottom-left and top-right
-    rectangles carry the shapes of the two sub-paths and every box entirely
-    below the diagonal outside them (the southeast block minus its crossed
-    corner box) is added whole.  Sub-paths missing their own level-1 point
-    fall back to the general conjugate-area map.
+    Turned half a turn, the boxes above chi(q) form a region below q, flush
+    right, and part i is the width of its row i from the bottom.  For a
+    path through its level-1 point (b', a'), the region holds the two
+    sub-paths' regions in the bottom-left and top-right rectangles, and the
+    southeast block of the bottom a' rows less its crossed corner box
+    (b', a' - 1), which would split row a' - 1 unless the left region
+    leaves that row empty.  Sub-paths missing their own level-1 point fall
+    back to the general conjugate-area map.
     """
     if q.a == 1 or q.b == 1:
-        return frozenset()
+        return [0] * q.a
     a1, b1, _, _ = split_dims(q.a, q.b)
     if not q.visits(b1, a1):
-        bounded = chi(q).north_columns()
-        return frozenset(
-            (q.b - 1 - c, q.a - 1 - r)
-            for r, width in enumerate(bounded)
-            for c in range(width)
-        )
+        return list(chi(q).north_columns()[::-1])
     left, right = _split_at_level1(q)
-    boxes = set(_chi_shape(left))
-    boxes |= {(c + b1, r + a1) for c, r in _chi_shape(right)}
-    boxes |= {
-        (c, r) for c in range(b1, q.b) for r in range(a1) if (c, r) != (b1, a1 - 1)
-    }
-    return frozenset(boxes)
-
-
-def _partition_from_boxes(a: int, b: int, boxes) -> Partition:
-    counts = [0] * a
-    for c, r in boxes:
-        counts[r] += 1
-    for c, r in boxes:
-        if not all((cc, r) in boxes for cc in range(c)):
-            raise InternalInvariantError("box set is not left-justified")
-    return Partition(tuple(reversed(counts)))
+    parts = _chi_parts(left)
+    if parts[-1]:
+        raise InternalInvariantError(f"the corner box splits row {a1 - 1} of chi({q})")
+    parts = [p + q.b - b1 for p in parts]
+    parts[-1] -= 1
+    return parts + _chi_parts(right)
 
 
 def chi_level1(q: DyckPath) -> DyckPath:
-    """Conjugate-area image of a level-1 path, without inverting zeta."""
+    """Conjugate-area image of a level-1 path, without inverting zeta,
+    built row by row from the star-product split."""
     if q.a >= 2 and q.b >= 2:
         a1, b1, _, _ = split_dims(q.a, q.b)
         if not q.visits(b1, a1):
             raise Level1NotVisited(f"{q} misses the level-1 point ({b1}, {a1})")
-    shape = _chi_shape(q)
-    rotated = {(q.b - 1 - c, q.a - 1 - r) for c, r in shape}
-    return path_from_bounded_partition(q.a, q.b, _partition_from_boxes(q.a, q.b, rotated))
+    return path_from_bounded_partition(q.a, q.b, _chi_parts(q))
 
 
 # ---------------------------------------------------------------------------
 # kth-valley paths
 
 
-def _northwest_rect(a: int, b: int, level: int) -> set[tuple[int, int]]:
-    x, y = level_point(a, b, level)
-    return {(c, r) for c in range(x) for r in range(y, a)}
-
-
-def _southeast_hat(a: int, b: int, level: int) -> set[tuple[int, int]]:
-    x, y = level_point(a, b, level)
-    boxes = {(c, r) for c in range(x, b) for r in range(y)}
-    boxes.discard((x, y - 1))
-    return boxes
+def _valley_points(a: int, b: int, k: int) -> list[tuple[int, int]]:
+    if not 0 <= k < min(a, b):
+        raise InvalidValleyIndex(f"need 0 <= k < {min(a, b)}, got {k}")
+    return [level_point(a, b, level) for level in range(1, k + 1)]
 
 
 def kth_valley_path(a: int, b: int, k: int) -> DyckPath:
-    """The path whose cyclic valleys sit at levels 0, 1, ..., k (k < a)."""
-    if not 0 <= k < a:
-        raise InvalidValleyIndex(f"need 0 <= k < {a}, got {k}")
-    boxes: set[tuple[int, int]] = set()
-    for level in range(1, k + 1):
-        boxes |= _northwest_rect(a, b, level)
-    return path_from_bounded_partition(a, b, _partition_from_boxes(a, b, boxes))
+    """The path whose cyclic valleys sit at levels 0, 1, ..., k, for
+    k < min(a, b).
+
+    It bounds the union of the northwest rectangles of the level points
+    (x, y) of levels 1..k, so row r takes the largest x with y <= r.
+    """
+    points = _valley_points(a, b, k)
+    rows = [max((x for x, y in points if y <= r), default=0) for r in range(a)]
+    return path_from_bounded_partition(a, b, rows[::-1])
 
 
 def chi_kth_valley(a: int, b: int, k: int) -> DyckPath:
-    """Conjugate-area image of the kth-valley path, by the hat regions."""
-    if not 0 <= k < a:
-        raise InvalidValleyIndex(f"need 0 <= k < {a}, got {k}")
-    boxes: set[tuple[int, int]] = set()
-    for level in range(1, k + 1):
-        boxes |= _southeast_hat(a, b, level)
-    rotated = {(b - 1 - c, a - 1 - r) for c, r in boxes}
-    return path_from_bounded_partition(a, b, _partition_from_boxes(a, b, rotated))
+    """Conjugate-area image of the kth-valley path, for k < min(a, b).
+
+    The southeast hat of the level point (x, y) is the block right of x
+    and below y less its corner box (x, y - 1); turned half a turn, it
+    fills rows r >= a - y to width b - x, but row a - y to b - x - 1.
+    Each row takes the widest of the hats of levels 1..k.
+    """
+    points = _valley_points(a, b, k)
+    rows = [
+        max((b - x - (r == a - y) for x, y in points if a - y <= r), default=0)
+        for r in range(a)
+    ]
+    return path_from_bounded_partition(a, b, rows[::-1])
 
 
 # ---------------------------------------------------------------------------
 # Justified partitions
+
+
+def _fill(caps: list[int], n: int) -> Partition:
+    """n boxes taken greedily in order from parts of the given caps."""
+    used = accumulate(caps, initial=0)
+    return Partition(tuple(max(0, min(cap, n - u)) for cap, u in zip(caps, used)))
 
 
 def justified(a: int, b: int, n: int) -> tuple[Partition, Partition, DyckPath]:
@@ -540,31 +525,10 @@ def justified(a: int, b: int, n: int) -> tuple[Partition, Partition, DyckPath]:
     if not 0 <= n <= limit:
         raise TooManyBoxes(f"need 0 <= n <= {limit}, got {n}")
 
-    remaining = n
-    left_boxes: set[tuple[int, int]] = set()
-    for col in range(b):
-        rows = [r for r in range(a) if a * (col + 1) <= b * r]
-        take = min(len(rows), remaining)
-        left_boxes |= {(col, r) for r in sorted(rows, reverse=True)[:take]}
-        remaining -= take
-        if remaining == 0:
-            break
-    lam = _partition_from_boxes(a, b, left_boxes)
-
-    remaining = n
-    up_parts: list[int] = []
-    for row in reversed(range(a)):
-        cap = sum(1 for c in range(b) if box_value(a, b, c, row) > 0)
-        take = min(cap, remaining)
-        up_parts.append(take)
-        remaining -= take
-    nu = Partition(tuple(up_parts))
-
-    positives = sorted(
-        v
-        for r in range(a)
-        for c in range(b)
-        if (v := box_value(a, b, c, r)) > 0
-    )
-    p_n = path_from_hooks(a, b, positives[:n])
-    return lam.trimmed(), nu.trimmed(), p_n
+    # column c holds a - ceil((c+1)a/b) boxes above the diagonal, at its
+    # top, and row y holds (yb - 1)//a, at its left
+    cols = [a + (-(c + 1) * a // b) for c in range(b)]
+    lam = _fill(cols, n).conjugate()
+    nu = _fill([(y * b - 1) // a for y in range(a - 1, 0, -1)], n).trimmed()
+    p_n = path_from_hooks(a, b, full_path(a, b).positive_hooks()[limit - n :])
+    return lam, nu, p_n

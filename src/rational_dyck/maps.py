@@ -9,25 +9,23 @@ filling and from an interval-intersection grid.  Those are kept as
 genuinely separate code paths, so that `check=True` can cross-check all
 four.  The core route visits no box: a core row with first-column hook h
 has one hook below m per non-first-column-hook g in [0, h) above h - m.
-The module is `rational_dyck.maps`, so that `rational_dyck.zeta` names the
-function.  Each image is built by the validating DyckPath constructor; an
-image it rejects is a bug, raised as InternalInvariantError.
+The laser and interval routes count on the sorted north and east levels:
+a laser's crossings, and a row's or a column's disjoint intervals, are
+bisections, so neither scans every level per box nor builds the grid
+(`interval_grid` builds it for pictures only).  The module is
+`rational_dyck.maps`, so that `rational_dyck.zeta` names the function.
+Each image is built by the validating DyckPath constructor; an image it
+rejects is a bug, raised as InternalInvariantError.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .cores import _hooks_below, a_rows, anderson
 from .errors import DyckError, InternalInvariantError, MethodDisagreement
-from .paths import (
-    DyckPath,
-    EAST,
-    NORTH,
-    Partition,
-    box_value,
-    path_from_bounded_partition,
-)
+from .paths import DyckPath, Partition, box_value, path_from_bounded_partition
 
 __all__ = [
     "LaserFilling",
@@ -128,27 +126,38 @@ class LaserFilling:
     laser of slope a/b from its southeast corner; its value is the number
     of vertical walls of the path the laser crosses.  The total equals the
     skew length.
+
+    A box's corner has level v, and the laser crosses the north step from
+    level n when n < v < n + b, the east step from level e when
+    v < e < v + a; both counts are bisections of the sorted levels, and
+    they must agree.  Box values fall by a per column, so a row ends at
+    its first non-positive box; the row and column sums fill in the same
+    pass.
     """
 
     def __init__(self, path: DyckPath):
         self.path = path
-        norths = path.north_levels()
-        easts = path.east_levels()
+        a, b = path.a, path.b
+        norths = path.north_levels()[::-1]
+        easts = path.east_levels()[::-1]
         values: dict[tuple[int, int], int] = {}
+        row_sums = [0] * a
+        column_sums = [0] * b
         for row, col0 in enumerate(path.north_columns()):
-            for col in range(col0, path.b):
-                v = box_value(path.a, path.b, col, row)
-                if v <= 0:
-                    continue
-                vertical = sum(1 for n in norths if n < v < n + path.b)
-                horizontal = sum(1 for e in easts if v < e < v + path.a)
+            for col, v in enumerate(range(box_value(a, b, col0, row), 0, -a), col0):
+                vertical = bisect_left(norths, v) - bisect_right(norths, v - b)
+                horizontal = bisect_left(easts, v + a) - bisect_right(easts, v)
                 if vertical != horizontal:
                     raise InternalInvariantError(
                         f"laser at box ({col}, {row}) crosses {vertical} vertical "
                         f"but {horizontal} horizontal walls"
                     )
                 values[(col, row)] = vertical
+                row_sums[row] += vertical
+                column_sums[col] += vertical
         self._values = values
+        self._row_sums = tuple(row_sums)
+        self._column_sums = tuple(column_sums)
 
     def value(self, col: int, row: int) -> int:
         return self._values[(col, row)]
@@ -157,19 +166,13 @@ class LaserFilling:
         return tuple(sorted(self._values))
 
     def total(self) -> int:
-        return sum(self._values.values())
+        return sum(self._row_sums)
 
     def row_sums(self) -> tuple[int, ...]:
-        return tuple(
-            sum(v for (c, r), v in self._values.items() if r == row)
-            for row in range(self.path.a)
-        )
+        return self._row_sums
 
     def column_sums(self) -> tuple[int, ...]:
-        return tuple(
-            sum(v for (c, r), v in self._values.items() if c == col)
-            for col in range(self.path.b)
-        )
+        return self._column_sums
 
 
 def laser_filling(path: DyckPath) -> LaserFilling:
@@ -193,7 +196,8 @@ def eta_via_lasers(path: DyckPath) -> DyckPath:
 
 @dataclass(frozen=True)
 class IntervalGrid:
-    """Disjointness grid of the north intervals against the east intervals.
+    """Disjointness grid of the north intervals against the east intervals,
+    for pictures; the interval routes count without it.
 
     Row r (bottom to top) carries the r-th smallest north interval
     [n, n+b]; column c carries the c-th smallest east interval [e-a, e].
@@ -240,17 +244,17 @@ def interval_grid(path: DyckPath) -> IntervalGrid:
 
 
 def zeta_via_intervals(path: DyckPath) -> DyckPath:
-    grid = interval_grid(path)
-    counts = tuple(sum(row) for row in reversed(grid.northwest_shaded()))
+    """Row r counts the east intervals wholly below its north interval."""
+    easts = path.east_levels()[::-1]
+    counts = tuple(bisect_left(easts, n) for n in path.north_levels())
     return _bound(path.a, path.b, Partition(counts))
 
 
 def eta_via_intervals(path: DyckPath) -> DyckPath:
-    grid = interval_grid(path)
-    se = grid.southeast_shaded()
-    counts = tuple(
-        sum(se[r][c] for r in range(grid.a)) for c in reversed(range(grid.b))
-    )
+    """Column c counts the north intervals wholly below its east interval."""
+    norths = path.north_levels()[::-1]
+    top = path.a + path.b
+    counts = tuple(bisect_left(norths, e - top) for e in path.east_levels())
     mu = Partition(counts)
     return _bound(path.a, path.b, mu.conjugate().padded(path.a))
 

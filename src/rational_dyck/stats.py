@@ -79,11 +79,14 @@ def skew_inversions(path: DyckPath) -> int:
 
 
 def flip_skew_inversions(path: DyckPath) -> int:
-    """Pairs (i, j) with n_i + b < e_j - a."""
-    norths = path.north_levels()
-    easts = path.east_levels()
-    a, b = path.a, path.b
-    return sum(1 for n in norths for e in easts if n + b < e - a)
+    """Pairs (i, j) with n_i + b < e_j - a.
+
+    Each east level less a+b is bisected into the north levels, sorted
+    rising.
+    """
+    norths = path.north_levels()[::-1]
+    top = path.a + path.b
+    return sum(bisect_left(norths, e - top) for e in path.east_levels())
 
 
 def skew_length_peaks_valleys(path: DyckPath) -> int:

@@ -4,8 +4,10 @@ Oracles here deliberately avoid the library's own algorithms: enumeration
 is brute force over all step words, the conjugate oracle is the geometric
 cyclic-shift-and-rotate procedure checked against the complement rule on
 positive hooks, laser crossings are re-derived with
-exact rational intersection tests, dinv walks the boxes with their arms
-and legs, a partition's hooks are found box by box, skew inversions
+exact rational intersection tests and, box by box, by scanning every
+level, the interval routes' counts come from the whole a x b grid, the
+closed forms of the inverse module are rebuilt as sets of boxes, dinv
+walks the boxes with their arms and legs, a partition's hooks are found box by box, skew inversions
 compare every pair of levels, the partners of each zeta image are
 sought by calling iota on every pair (Q, R), and Gaussian binomials come
 from the Pascal recurrence on QPolynomial values.
@@ -23,8 +25,14 @@ from hypothesis import strategies as st
 
 from rational_dyck import DyckPath, make_path
 from rational_dyck.errors import InconsistentPair, NotACycle, NotADyckPath
-from rational_dyck.inverse import iota
-from rational_dyck.paths import EAST, NORTH, Partition, path_from_hooks
+from rational_dyck.inverse import chi, iota, level_point, split_dims
+from rational_dyck.paths import (
+    EAST,
+    NORTH,
+    Partition,
+    path_from_bounded_partition,
+    path_from_hooks,
+)
 from rational_dyck.verification import QPolynomial
 
 
@@ -171,6 +179,143 @@ def laser_value_by_intersection(path: DyckPath, col: int, row: int) -> int:
         if y < line_y < y + 1:
             count += 1
     return count
+
+
+def laser_filling_by_boxes(path: DyckPath):
+    """Each positive box's laser value, scanning every north and east level
+    for it, with the row and column sums re-added from the boxes.
+
+    A laser from level v crosses the north step from n when n < v < n + b
+    and the east step from e when v < e < v + a; the two counts must agree.
+    Returns (values by (col, row), row sums, column sums).
+    """
+    a, b = path.a, path.b
+    values = {}
+    for row, col0 in enumerate(path.north_columns()):
+        for col in range(col0, b):
+            v = row * b - (col + 1) * a
+            if v <= 0:
+                continue
+            vertical = sum(1 for n in path.north_levels() if n < v < n + b)
+            horizontal = sum(1 for e in path.east_levels() if v < e < v + a)
+            assert vertical == horizontal, (path, col, row)
+            values[(col, row)] = vertical
+    rows = tuple(sum(v for (c, r), v in values.items() if r == row) for row in range(a))
+    cols = tuple(sum(v for (c, r), v in values.items() if c == col) for col in range(b))
+    return values, rows, cols
+
+
+def interval_grid_sums(path: DyckPath):
+    """Row sums of the northwest cells and column sums of the southeast
+    cells of the a x b interval grid, built cell by cell.
+
+    Row r carries the r-th smallest north interval [n, n+b], column c the
+    c-th smallest east interval [e-a, e]; a cell is northwest when the east
+    interval ends before the north one starts, southeast when it starts
+    after the north one ends.
+    """
+    a, b = path.a, path.b
+    rows = [(n, n + b) for n in sorted(path.north_levels())]
+    cols = [(e - a, e) for e in sorted(path.east_levels())]
+    northwest = [[e_hi < n_lo for e_lo, e_hi in cols] for n_lo, n_hi in rows]
+    southeast = [[n_hi < e_lo for e_lo, e_hi in cols] for n_lo, n_hi in rows]
+    return (
+        tuple(sum(cells) for cells in northwest),
+        tuple(sum(southeast[r][c] for r in range(a)) for c in range(b)),
+    )
+
+
+def partition_from_boxes(a: int, boxes) -> Partition:
+    """The partition whose rows, top first, count the boxes (col, row) of a
+    left-justified box set in an a-row grid."""
+    counts = [0] * a
+    for c, r in boxes:
+        counts[r] += 1
+    for c, r in boxes:
+        assert all((cc, r) in boxes for cc in range(c)), "not left-justified"
+    return Partition(tuple(reversed(counts)))
+
+
+def _rotated(a: int, b: int, boxes) -> set[tuple[int, int]]:
+    return {(b - 1 - c, a - 1 - r) for c, r in boxes}
+
+
+def northwest_rect(a: int, b: int, level: int) -> set[tuple[int, int]]:
+    """The boxes left of and above the level point."""
+    x, y = level_point(a, b, level)
+    return {(c, r) for c in range(x) for r in range(y, a)}
+
+
+def southeast_hat(a: int, b: int, level: int) -> set[tuple[int, int]]:
+    """The boxes right of and below the level point, less the corner box
+    just southeast of it."""
+    x, y = level_point(a, b, level)
+    boxes = {(c, r) for c in range(x, b) for r in range(y)}
+    boxes.discard((x, y - 1))
+    return boxes
+
+
+def kth_valley_by_boxes(a: int, b: int, k: int) -> DyckPath:
+    """The path bounding the union of the northwest rectangles of levels 1..k."""
+    boxes = set().union(*(northwest_rect(a, b, lv) for lv in range(1, k + 1)))
+    return path_from_bounded_partition(a, b, partition_from_boxes(a, boxes))
+
+
+def chi_kth_valley_by_boxes(a: int, b: int, k: int) -> DyckPath:
+    """The path bounding the half-turned union of the hats of levels 1..k."""
+    boxes = set().union(*(southeast_hat(a, b, lv) for lv in range(1, k + 1)))
+    return path_from_bounded_partition(
+        a, b, partition_from_boxes(a, _rotated(a, b, boxes))
+    )
+
+
+def chi_shape_by_boxes(q: DyckPath) -> frozenset[tuple[int, int]]:
+    """Box set whose half-turn rotation bounds chi(q), for a path through
+    its level-1 point: the sub-paths' sets in the bottom-left and top-right
+    rectangles, and the southeast block less its crossed corner box.
+    Sub-paths missing their own level-1 point fall back to chi itself."""
+    a, b = q.a, q.b
+    if a == 1 or b == 1:
+        return frozenset()
+    a1, b1, a2, b2 = split_dims(a, b)
+    if not q.visits(b1, a1):
+        above = {(c, r) for r, w in enumerate(chi(q).north_columns()) for c in range(w)}
+        return frozenset(_rotated(a, b, above))
+    left = DyckPath(a1, b1, q.steps[: a1 + b1])
+    right = DyckPath(a2, b2, q.steps[a1 + b1 :])
+    boxes = set(chi_shape_by_boxes(left))
+    boxes |= {(c + b1, r + a1) for c, r in chi_shape_by_boxes(right)}
+    boxes |= {(c, r) for c in range(b1, b) for r in range(a1) if (c, r) != (b1, a1 - 1)}
+    return frozenset(boxes)
+
+
+def chi_level1_by_boxes(q: DyckPath) -> DyckPath:
+    rotated = _rotated(q.a, q.b, chi_shape_by_boxes(q))
+    return path_from_bounded_partition(q.a, q.b, partition_from_boxes(q.a, rotated))
+
+
+def justified_by_boxes(a: int, b: int, n: int):
+    """(lambda, nu, P^n) of `justified`, box by box: lambda fills the
+    columns above the diagonal from the left, each from its top; nu fills
+    the rows from the top, each from its left; P^n carries the n smallest
+    positive grid values."""
+    def value(c, r):
+        return r * b - (c + 1) * a
+
+    left = set()
+    for col in range(b):
+        rows = sorted((r for r in range(a) if value(col, r) > 0), reverse=True)
+        left |= {(col, r) for r in rows[: n - len(left)]}
+    up = set()
+    for row in reversed(range(a)):
+        cols = [c for c in range(b) if value(c, row) > 0]
+        up |= {(c, row) for c in cols[: n - len(up)]}
+    positives = sorted(value(c, r) for r in range(a) for c in range(b) if value(c, r) > 0)
+    return (
+        partition_from_boxes(a, left).trimmed(),
+        partition_from_boxes(a, up).trimmed(),
+        path_from_hooks(a, b, positives[:n]),
+    )
 
 
 def pair_uniqueness_by_scan(images, paths) -> dict[str, int]:

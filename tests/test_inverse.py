@@ -25,7 +25,17 @@ from rational_dyck.errors import (
 )
 from rational_dyck.inverse import level_point
 
-from conftest import coprime_pairs, cycle_lemma_path, cycle_lemma_paths
+from conftest import (
+    chi_kth_valley_by_boxes,
+    chi_level1_by_boxes,
+    coprime_pairs,
+    cycle_lemma_path,
+    cycle_lemma_paths,
+    justified_by_boxes,
+    kth_valley_by_boxes,
+    northwest_rect,
+    southeast_hat,
+)
 
 
 class TestPairGamma:
@@ -334,6 +344,12 @@ class TestLevel1:
                 if q.visits(x, y):
                     assert rd.chi_level1(q) == rd.chi(q)
 
+    def test_chi_level1_matches_the_box_sets(self):
+        for a, b in coprime_pairs(16):
+            for q in rd.enumerate_paths(a, b):
+                if min(a, b) == 1 or q.visits(*level_point(a, b, 1)):
+                    assert rd.chi_level1(q) == chi_level1_by_boxes(q)
+
     def test_rectangle_area_difference_is_level(self):
         # southeast minus northwest rectangle areas at any grid point
         for a, b in [(5, 8), (5, 13), (3, 4)]:
@@ -349,8 +365,8 @@ class TestKthValley:
         assert rd.chi_kth_valley(5, 8, 0) == rd.full_path(5, 8)
 
     def test_valley_levels_are_exactly_0_to_k(self):
-        for a, b in [(5, 8), (4, 7), (5, 13)]:
-            for k in range(a):
+        for a, b in coprime_pairs(20):
+            for k in range(min(a, b)):
                 qk = rd.kth_valley_path(a, b, k)
                 levels = qk.levels()
                 valley_levels = {
@@ -362,28 +378,38 @@ class TestKthValley:
                 assert valley_levels == set(range(k + 1))
 
     def test_chi_matches_general_machinery(self):
-        for a, b in [(3, 4), (3, 5), (4, 5), (5, 8), (4, 7)]:
-            for k in range(a):
+        for a, b in coprime_pairs(20):
+            for k in range(min(a, b)):
                 qk = rd.kth_valley_path(a, b, k)
                 assert rd.chi_kth_valley(a, b, k) == rd.chi(qk)
 
+    def test_rows_match_the_box_sets(self):
+        for a, b in coprime_pairs(16):
+            for k in range(min(a, b)):
+                assert rd.kth_valley_path(a, b, k) == kth_valley_by_boxes(a, b, k)
+                assert rd.chi_kth_valley(a, b, k) == chi_kth_valley_by_boxes(a, b, k)
+
     def test_hat_region_areas_match(self):
         # the k-th valley image has the same area, level by level
-        from rational_dyck.inverse import _northwest_rect, _southeast_hat
-
         for a, b in [(5, 8), (5, 13)]:
             seen_v = set()
             seen_hat = set()
             for level in range(1, a):
-                v = _northwest_rect(a, b, level) - seen_v
-                hat = _southeast_hat(a, b, level) - seen_hat
+                v = northwest_rect(a, b, level) - seen_v
+                hat = southeast_hat(a, b, level) - seen_hat
                 assert len(v) == len(hat)
-                seen_v |= _northwest_rect(a, b, level)
-                seen_hat |= _southeast_hat(a, b, level)
+                seen_v |= northwest_rect(a, b, level)
+                seen_hat |= southeast_hat(a, b, level)
 
     def test_bad_k(self):
-        with pytest.raises(InvalidValleyIndex):
-            rd.kth_valley_path(5, 8, 5)
+        # k runs below min(a, b): when a > b, the levels b..a-1 cannot all
+        # be valleys
+        for a, b in coprime_pairs(20):
+            for k in (-1, *range(min(a, b), a + 1)):
+                with pytest.raises(InvalidValleyIndex):
+                    rd.kth_valley_path(a, b, k)
+                with pytest.raises(InvalidValleyIndex):
+                    rd.chi_kth_valley(a, b, k)
 
 
 class TestJustified:
@@ -404,6 +430,11 @@ class TestJustified:
                 assert rd.eta(pn) == q_nu
                 assert rd.chi(q_lam) == q_nu
                 assert rd.zeta_inverse(q_lam) == pn
+
+    def test_matches_the_box_sets(self):
+        for a, b in coprime_pairs(16):
+            for n in range((a - 1) * (b - 1) // 2 + 1):
+                assert rd.justified(a, b, n) == justified_by_boxes(a, b, n)
 
     def test_too_many(self):
         with pytest.raises(TooManyBoxes):

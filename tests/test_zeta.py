@@ -26,6 +26,8 @@ from conftest import (
     cycle_lemma_path,
     cycle_lemma_paths,
     geometric_conjugate,
+    interval_grid_sums,
+    laser_filling_by_boxes,
     laser_value_by_intersection,
 )
 
@@ -154,10 +156,16 @@ class TestPropertiesAtScale:
         assert rd.conjugate(rd.conjugate(p)) == p
 
     @settings(deadline=None)
-    @given(cycle_lemma_paths(max_sum=120))
+    @given(cycle_lemma_paths(max_sum=300))
     def test_sweep_matches_lasers(self, p):
         assert rd.zeta(p) == zeta_via_lasers(p)
         assert rd.eta(p) == eta_via_lasers(p)
+
+    @settings(deadline=None, max_examples=50)
+    @given(cycle_lemma_paths(max_sum=300))
+    def test_check_runs_all_four_constructions(self, p):
+        assert rd.zeta(p, check=True) == zeta_via_sweep(p)
+        assert rd.eta(p, check=True) == eta_via_sweep(p)
 
     @settings(deadline=None)
     @given(cycle_lemma_paths(max_sum=120))
@@ -187,6 +195,17 @@ class TestLaserFilling:
                 filling = rd.laser_filling(p)
                 for box in filling.boxes():
                     assert filling.value(*box) == laser_value_by_intersection(p, *box)
+
+    def test_against_the_box_wise_scan(self):
+        for a, b in coprime_pairs(14):
+            for p in rd.enumerate_paths(a, b):
+                values, rows, cols = laser_filling_by_boxes(p)
+                filling = rd.laser_filling(p)
+                assert filling.boxes() == tuple(sorted(values))
+                assert {box: filling.value(*box) for box in values} == values
+                assert filling.total() == sum(values.values())
+                assert filling.row_sums() == rows
+                assert filling.column_sums() == cols
 
     def test_total_is_skew_length(self):
         for a, b in coprime_pairs(10):
@@ -223,6 +242,16 @@ class TestIntervalGrid:
                             assert value > 0
                         if se[r][c]:
                             assert value < 0
+
+    def test_routes_match_the_grid_sums(self):
+        for a, b in coprime_pairs(14):
+            for p in rd.enumerate_paths(a, b):
+                rows, cols = interval_grid_sums(p)
+                # zeta's rows are the row sums; eta's columns, above the
+                # path, are the column sums
+                assert zeta_via_intervals(p).north_columns() == tuple(sorted(rows))
+                heights = tuple(a - y for y in eta_via_intervals(p).east_rows())
+                assert heights == tuple(sorted(cols, reverse=True))
 
     def test_lowest_path_grid(self):
         p = rd.lowest_path(2, 3)

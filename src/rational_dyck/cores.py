@@ -83,7 +83,11 @@ class CorePartition:
         if math.gcd(self.a, self.b) != 1:
             raise NotCoprime(f"gcd({self.a}, {self.b}) != 1")
         # validates monotonicity, then drops the trailing zeros
-        object.__setattr__(self, "parts", Partition(self.parts).trimmed().parts)
+        parts = Partition(self.parts).trimmed().parts
+        object.__setattr__(self, "parts", parts)
+        last = len(parts) - 1
+        hooks = tuple(p + last - i for i, p in enumerate(parts))
+        object.__setattr__(self, "_leading_hooks", hooks)  # not a field: no eq or hash
         _require_no_hook(self, self.a)
         _require_no_hook(self, self.b)
 
@@ -101,8 +105,7 @@ class CorePartition:
 
     def leading_hooks(self) -> tuple[int, ...]:
         """First-column hook lengths, largest first."""
-        last = len(self.parts) - 1
-        return tuple(p + last - i for i, p in enumerate(self.parts))
+        return self._leading_hooks
 
     def to_json(self) -> dict:
         return {"a": self.a, "b": self.b, "parts": list(self.parts)}
@@ -155,7 +158,8 @@ def anderson_inverse(kappa: CorePartition) -> DyckPath:
 
 def a_rows(kappa: CorePartition, m: int) -> tuple[int, ...]:
     """Rows carrying the largest leading hook in each residue class mod m."""
-    _require_no_hook(kappa, m)
+    if m not in (kappa.a, kappa.b):  # construction checked a and b
+        _require_no_hook(kappa, m)
     best: dict[int, int] = {}
     for row, h in enumerate(kappa.leading_hooks()):
         best.setdefault(h % m, row)  # hooks are listed largest first
@@ -170,7 +174,8 @@ def a_columns(kappa: CorePartition, m: int) -> tuple[int, ...]:
 
 def boundary_boxes(kappa: CorePartition, m: int) -> int:
     """Number of boxes with hook length less than m."""
-    _require_no_hook(kappa, m)
+    if m not in (kappa.a, kappa.b):  # construction checked a and b
+        _require_no_hook(kappa, m)
     return sum(_hooks_below(kappa, range(kappa.rows), m))
 
 

@@ -95,11 +95,13 @@ def eta_via_cores(path: DyckPath) -> DyckPath:
 
 
 def zeta_via_sweep(path: DyckPath) -> DyckPath:
-    """The steps sorted by the level of their start point, rising."""
-    levels = path.levels()
-    if len(set(levels)) != path.length:  # only the final 0 repeats
+    """The steps sorted by the level of their start point, rising.
+
+    The steps are keyed by their distinct levels, so the sort is on ints."""
+    step_at = dict(zip(path.levels(), path.steps))  # the final 0 is dropped
+    if len(step_at) != path.length:
         raise InternalInvariantError("repeated level in reading word")
-    return _swept(path.a, path.b, "".join(s for _, s in sorted(zip(levels, path.steps))))
+    return _swept(path.a, path.b, "".join(map(step_at.__getitem__, sorted(step_at))))
 
 
 def eta_via_sweep(path: DyckPath) -> DyckPath:
@@ -108,10 +110,10 @@ def eta_via_sweep(path: DyckPath) -> DyckPath:
     This sorts the reverse reading word into a southwest path from (b, a),
     read back northeast.
     """
-    levels = path.levels()[1:]
-    if len(set(levels)) != path.length:
+    step_at = dict(zip(path.levels()[1:], path.steps))
+    if len(step_at) != path.length:
         raise InternalInvariantError("repeated level in reverse reading word")
-    word = "".join(s for _, s in sorted(zip(levels, path.steps), reverse=True))
+    word = "".join(map(step_at.__getitem__, sorted(step_at, reverse=True)))
     return _swept(path.a, path.b, word)
 
 

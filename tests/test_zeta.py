@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -115,6 +116,15 @@ class TestCanonicalSweep:
         monkeypatch.setattr(maps_module, "DyckPath", below)
         with pytest.raises(InternalInvariantError):
             method(running)
+
+    @pytest.mark.parametrize("method", (zeta_via_sweep, eta_via_sweep))
+    def test_repeated_level_is_a_bug(self, method):
+        # start levels 0, 1, 1, 2, 2 and end levels 1, 1, 2, 2, 0 each repeat:
+        # keyed by level, two steps would share a key and one would be lost
+        stub = SimpleNamespace(a=2, b=3, steps="NENEE", length=5)
+        stub.levels = lambda: (0, 1, 1, 2, 2, 0)
+        with pytest.raises(InternalInvariantError, match="repeated level"):
+            method(stub)
 
 
 # Seeded uniform paths far beyond exhaustive enumeration: only the sweep, at

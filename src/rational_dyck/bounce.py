@@ -18,7 +18,6 @@ recursion is kept as a cross-check, reached as ``zeta_inverse(Q,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import (
     BelowDiagonal,
@@ -34,7 +33,6 @@ from .errors import (
 )
 from .maps import zeta
 from .paths import (
-    _TABLE_CACHE_SIZE,
     DyckPath,
     EAST,
     NORTH,
@@ -162,11 +160,6 @@ def initial_bounce(path: DyckPath) -> BouncePath:
     return BouncePath(tuple(v), tuple(h))
 
 
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _gamma_zero(a: int, b: int) -> tuple[int, ...]:
-    return _gamma_one_line(lowest_path(a, b))
-
-
 def _conjugate_by_head(g: tuple[int, ...], d: int) -> tuple[int, ...]:
     """r_d * g * r_d^{-1} on one-line tuples, for the rotation r_d = (1 .. d)."""
     return tuple(v % d + 1 if v <= d else v for v in (g[d - 1],) + g[: d - 1] + g[d:])
@@ -205,10 +198,8 @@ def zeta_inverse_fuss(path: DyckPath) -> DyckPath:
 def _fuss_inverse(path: DyckPath) -> tuple[DyckPath, tuple[int, ...]]:
     """The preimage of a Fuss image and the delta trace that decodes it."""
     a, b = path.a, path.b
-    if a == 1 or b == 1:
-        return path, ()  # single-path family, fixed by zeta
     deltas = fuss_delta_trace(path)
-    g = _gamma_zero(a, b)
+    g = _gamma_one_line(lowest_path(a, b))
     for d in reversed(deltas):
         g = _conjugate_by_head(g, d)
     try:
@@ -255,7 +246,7 @@ def search_delta_traces(path: DyckPath, *, find_all: bool = False):
         nonlocal attempts
         if q_area == max_area:
             bottom = lowest_path(a, b)
-            return (_gamma_zero(a, b), bottom, None, None) if zeta(bottom) == q else None
+            return (_gamma_one_line(bottom), bottom, None, None) if zeta(bottom) == q else None
         try:
             bounce = initial_bounce(q)
         except MalformedPath:

@@ -100,8 +100,7 @@ def _cmd_stats(args) -> int:
     for path in _paths_from_args(args):
         records.append(statistics_summary(path))
     # stats output is the documented JSON schema regardless of --json
-    payload = records[0] if len(records) == 1 else records
-    print(json.dumps(payload))
+    _emit(records, True, [])
     return EXIT_OK
 
 

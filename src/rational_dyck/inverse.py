@@ -283,8 +283,6 @@ def _invert_levels(q: DyckPath) -> InversionResult:
 
 
 def _invert_square(q: DyckPath) -> InversionResult:
-    if q.b != q.a + 1:
-        raise NotSquareCase(f"({q.a}, {q.b}) is not (n, n+1)")
     return InversionResult(iota(q, reverse(q)), "square")
 
 
@@ -298,8 +296,6 @@ def _invert_fuss(q: DyckPath) -> InversionResult:
 
 
 def _invert_search(q: DyckPath) -> InversionResult:
-    if q.a == 1 or q.b == 1:
-        return InversionResult(q, "search", ())
     found, attempts = _bounce.search_delta_traces(q)
     if not found:
         raise NoPreimage(f"search found no preimage of {q} ({attempts} decodes)")
@@ -463,9 +459,7 @@ def chi_level1(q: DyckPath) -> DyckPath:
     """Conjugate-area image of a level-1 path, without inverting zeta,
     built row by row from the star-product split."""
     if q.a >= 2 and q.b >= 2:
-        a1, b1, _, _ = split_dims(q.a, q.b)
-        if not q.visits(b1, a1):
-            raise Level1NotVisited(f"{q} misses the level-1 point ({b1}, {a1})")
+        _split_at_level1(q)  # raises Level1NotVisited off the level-1 point
     return path_from_bounded_partition(q.a, q.b, _chi_parts(q))
 
 

@@ -10,7 +10,8 @@ from .errors import UnsupportedOverlay
 from .maps import interval_grid, laser_filling
 from .paths import DyckPath
 
-OVERLAYS = ("hooks", "row-lengths", "lasers", "levels", "bounce", "intervals")
+_FILLINGS = ("hooks", "row-lengths", "lasers")  # overlays that write a value per box
+OVERLAYS = (*_FILLINGS, "levels", "bounce", "intervals")
 
 _CELL_SCALE = 40  # svg pixels per box
 
@@ -47,6 +48,16 @@ def _box_grid(path: DyckPath, values: dict[tuple[int, int], int]) -> list[str]:
     return lines
 
 
+def _filling_values(path: DyckPath, name: str) -> dict[tuple[int, int], int]:
+    """{box: value} of a box-filling overlay, in drawing order: the hooks
+    row by row, the row lengths and lasers in their fillings' box order."""
+    if name == "hooks":
+        hooks = hook_filling(path.a, path.b)
+        return {(c, r): hooks.value(c, r) for r in range(path.a) for c in range(path.b)}
+    filling = row_length_filling(path) if name == "row-lengths" else laser_filling(path)
+    return {box: filling.value(*box) for box in filling.boxes()}
+
+
 def _mask_lines(path: DyckPath) -> list[str]:
     cols = path.north_columns()
     lines = []
@@ -62,23 +73,11 @@ def render_ascii(path: DyckPath, spec: RenderSpec) -> str:
     out.extend(_mask_lines(path))
     for name in spec.overlays:
         out.append(f"{name}:")
-        if name == "hooks":
-            filling = hook_filling(path.a, path.b)
-            values = {
-                (c, r): filling.value(c, r)
-                for r in range(path.a)
-                for c in range(path.b)
-            }
+        if name in _FILLINGS:
+            values = _filling_values(path, name)
             out.extend(_box_grid(path, values))
-        elif name == "row-lengths":
-            filling = row_length_filling(path)
-            values = {box: filling.value(*box) for box in filling.boxes()}
-            out.extend(_box_grid(path, values))
-        elif name == "lasers":
-            filling = laser_filling(path)
-            values = {box: filling.value(*box) for box in filling.boxes()}
-            out.extend(_box_grid(path, values))
-            out.append(f"laser total: {filling.total()}")
+            if name == "lasers":
+                out.append(f"laser total: {sum(values.values())}")
         elif name == "levels":
             levels = {pt: lvl for pt, lvl in zip(path.points(), path.levels())}
             width = max(len(str(v)) for v in levels.values())
@@ -144,24 +143,11 @@ def render_svg(path: DyckPath, spec: RenderSpec) -> str:
         f'<polyline points="{coords}" fill="none" stroke="red" stroke-width="3"/>'
     )
 
-    def center(col: int, row: int) -> tuple[float, float]:
-        px, py = pt(col, row + 1)
-        return px + s / 2, py + s / 2
-
     for name in spec.overlays:
-        if name == "hooks":
-            filling = hook_filling(a, b)
-            for r in range(a):
-                for c in range(b):
-                    parts.append(_svg_text(*center(c, r), str(filling.value(c, r))))
-        elif name == "row-lengths":
-            filling = row_length_filling(path)
-            for box in filling.boxes():
-                parts.append(_svg_text(*center(*box), str(filling.value(*box))))
-        elif name == "lasers":
-            filling = laser_filling(path)
-            for box in filling.boxes():
-                parts.append(_svg_text(*center(*box), str(filling.value(*box))))
+        if name in _FILLINGS:
+            for (col, row), value in _filling_values(path, name).items():
+                px, py = pt(col, row + 1)  # the box's top-left corner
+                parts.append(_svg_text(px + s / 2, py + s / 2, str(value)))
         elif name == "levels":
             for (x, y), lvl in zip(path.points(), path.levels()):
                 px, py = pt(x, y)

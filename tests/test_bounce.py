@@ -172,8 +172,9 @@ class TestSearchInverse:
             assert found[0][1] == fuss_delta_trace(q)
 
     def test_accepted_traces_all_decode_to_the_preimage(self):
-        # several delta traces may survive; they must all decode to the same
-        # (correct) path, and their multiplicity is telemetry, not asserted
+        # find_all tries every d of each window, and a second accepted d
+        # raises InternalInvariantError, so at most one trace survives; it
+        # must decode to the (correct) path
         trace_counts = []
         for a, b in [(3, 5), (4, 5), (5, 4)]:
             for p in rd.enumerate_paths(a, b):

@@ -7,7 +7,11 @@ import json
 import pytest
 
 import rational_dyck as rd
+from rational_dyck import cli, verification
 from rational_dyck.cli import main
+from rational_dyck.errors import NotACycle
+
+from conftest import coprime_pairs
 
 
 def run(capsys, *argv):
@@ -216,6 +220,55 @@ class TestVerify:
             "--map", "zeta", "--method", "all",
         )
         assert code == 3 and "demo invariant" in err
+
+
+class TestVerifyWitnesses:
+    """Each check's failure exits 2 with a witness per failing pair; the
+    inputs are broken one at a time to make every check fail."""
+
+    PAIRS = [(a, b) for a, b in coprime_pairs(5) if a + b >= 3]
+
+    def verify(self, capsys, check):
+        code, out, _ = run(capsys, "verify", "--check", check, "--max-sum", "5", "--json")
+        assert code == 2
+        return json.loads(out)["violations"]
+
+    def test_counts(self, capsys, monkeypatch):
+        def off_by_one(a, b):
+            return len(rd.enumerate_paths(a, b)) + 1
+
+        monkeypatch.setattr(cli, "rational_catalan_number", off_by_one)
+        assert self.verify(capsys, "counts") == [
+            {"check": "counts", "a": a, "b": b} for a, b in self.PAIRS
+        ]
+
+    @pytest.mark.parametrize(
+        "stat,flag", [("coarea", "sl_transport_ok"), ("dinv", "dinv_transport_ok")]
+    )
+    def test_zeta_bijective(self, capsys, monkeypatch, stat, flag):
+        true_stat = getattr(verification, stat)
+        monkeypatch.setattr(verification, stat, lambda p: true_stat(p) + 1)
+        violations = self.verify(capsys, "zeta-bijective")
+        reports = [rd.bijectivity_report(a, b) for a, b in self.PAIRS]
+        assert violations == [{"check": "zeta-bijective", **r.to_json()} for r in reports]
+        assert all(not r.ok and not getattr(r, flag) and r.injective for r in reports)
+
+    def test_unique_pair(self, capsys, monkeypatch):
+        def no_cycle(q, r):
+            raise NotACycle("demo")
+
+        monkeypatch.setattr(verification, "iota", no_cycle)
+        violations = self.verify(capsys, "unique-pair")
+        reports = [rd.bijectivity_report(a, b, unique_pair_scan=True) for a, b in self.PAIRS]
+        assert violations == [{"check": "unique-pair", **r.to_json()} for r in reports]
+        for r in reports:
+            assert not r.ok and set(r.pair_uniqueness.values()) == {0}
+
+    def test_qt_symmetry(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "qt_symmetry_check", lambda a, b, rank_variant: False)
+        assert self.verify(capsys, "qt-symmetry") == [
+            {"check": "qt-symmetry", "a": a, "b": b} for a, b in self.PAIRS
+        ]
 
 
 class TestRender:

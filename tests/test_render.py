@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 import rational_dyck as rd
@@ -73,3 +75,28 @@ class TestSvg:
     def test_deterministic(self, running):
         spec = RenderSpec(format="svg", overlays=("lasers", "bounce", "intervals"))
         assert render_svg(running, spec) == render_svg(running, spec)
+
+    def test_row_length_texts_sit_at_box_centres(self, running):
+        out = render_svg(running, RenderSpec(format="svg", overlays=("row-lengths",)))
+        filling = rd.row_length_filling(running)
+        expected = sorted(
+            (40 * c + 20, 40 * (running.a - 1 - r) + 20, filling.value(c, r))
+            for c, r in filling.boxes()
+        )
+        assert filling.boxes() and sorted(svg_texts(out, 14)) == expected
+
+    def test_one_level_label_per_lattice_point(self, running):
+        out = render_svg(running, RenderSpec(format="svg", overlays=("levels",)))
+        a, b = running.a, running.b
+        x = y = 0
+        expected = [(0, 40 * a - 8, 0)]
+        for step in running.steps:
+            x, y = (x, y + 1) if step == "N" else (x + 1, y)
+            expected.append((40 * x, 40 * (a - y) - 8, y * b - x * a))
+        assert sorted(svg_texts(out, 11)) == sorted(expected)
+
+
+def svg_texts(svg: str, size: int) -> list[tuple[float, float, int]]:
+    """(x, y, value) of each <text> of the given font size."""
+    pattern = rf'<text x="([^"]+)" y="([^"]+)" font-size="{size}" [^>]*>(-?\d+)</text>'
+    return [(float(x), float(y), int(v)) for x, y, v in re.findall(pattern, svg)]

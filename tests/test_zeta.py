@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 
 import rational_dyck as rd
-from rational_dyck.errors import BelowDiagonal, InternalInvariantError
+from rational_dyck.cli import main
+from rational_dyck.errors import BelowDiagonal, InternalInvariantError, MethodDisagreement
 from rational_dyck.maps import (
     eta_via_cores,
     eta_via_intervals,
@@ -287,3 +288,33 @@ class TestRelations:
                 q = rd.zeta(p)
                 assert rd.skew_length(p) == rd.coarea(q)
                 assert rd.dinv(p) == rd.area(q)
+
+
+class TestCrossCheckDisagreement:
+    """One construction that returns a different valid path must trip
+    check=True, and through it ``dyck map --method all``."""
+
+    @pytest.mark.parametrize("name", ("zeta", "eta"))
+    @pytest.mark.parametrize("method", ("cores", "laser", "intervals"))
+    def test_a_wrong_construction_is_reported(self, running, name, method, monkeypatch, capsys):
+        maps_module = importlib.import_module("rational_dyck.maps")
+        canonical = getattr(rd, name)
+        methods = {"zeta": maps_module._ZETA_METHODS, "eta": maps_module._ETA_METHODS}[name]
+        image = canonical(running)
+        wrong = rd.lowest_path(running.a, running.b)
+        assert wrong != image
+        monkeypatch.setitem(methods, method, lambda path: wrong)
+
+        with pytest.raises(MethodDisagreement) as info:
+            canonical(running, check=True)
+        assert sorted(info.value.results) == ["cores", "intervals", "laser", "sweep"]
+        assert info.value.results[method] == str(wrong)
+        assert canonical(running, check=False) == image
+
+        code = main([
+            "map", "--a", "5", "--b", "8", "--path", running.steps,
+            "--map", name, "--method", "all",
+        ])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert all(f"{m}=" in err for m in ("cores", "intervals", "laser", "sweep"))

@@ -59,13 +59,6 @@ class HookFilling:
         """All positive entries, largest first: the hooks of the full path."""
         return full_path(self.a, self.b).positive_hooks()
 
-    def grid(self) -> tuple[tuple[int, ...], ...]:
-        """Rows of values, top row first."""
-        return tuple(
-            tuple(self.value(col, row) for col in range(self.b))
-            for row in reversed(range(self.a))
-        )
-
 
 def hook_filling(a: int, b: int) -> HookFilling:
     return HookFilling(a, b)
@@ -143,9 +136,9 @@ def anderson(path: DyckPath) -> CorePartition:
 
     The row with the i-th smallest leading hook h has length h - (i - 1).
     """
-    hooks = sorted(path.positive_hooks())
-    lengths = [h - i for i, h in enumerate(hooks)]
-    return CorePartition(tuple(reversed(lengths)), path.a, path.b)
+    hooks = path.positive_hooks()  # largest first
+    last = len(hooks) - 1
+    return CorePartition(tuple(h - last + i for i, h in enumerate(hooks)), path.a, path.b)
 
 
 def anderson_inverse(kappa: CorePartition) -> DyckPath:

@@ -438,28 +438,32 @@ def _chi_parts(q: DyckPath) -> list[int]:
     sub-paths' regions in the bottom-left and top-right rectangles, and the
     southeast block of the bottom a' rows less its crossed corner box
     (b', a' - 1), which would split row a' - 1 unless the left region
-    leaves that row empty.  Sub-paths missing their own level-1 point fall
-    back to the general conjugate-area map.
+    leaves that row empty.  Raises Level1NotVisited if q misses its
+    level-1 point.
     """
     if q.a == 1 or q.b == 1:
         return [0] * q.a
-    a1, b1, _, _ = split_dims(q.a, q.b)
-    if not q.visits(b1, a1):
-        return list(chi(q).north_columns()[::-1])
     left, right = _split_at_level1(q)
-    parts = _chi_parts(left)
+    parts = _sub_chi_parts(left)
     if parts[-1]:
-        raise InternalInvariantError(f"the corner box splits row {a1 - 1} of chi({q})")
-    parts = [p + q.b - b1 for p in parts]
+        raise InternalInvariantError(f"the corner box splits row {left.a - 1} of chi({q})")
+    parts = [p + q.b - left.b for p in parts]
     parts[-1] -= 1
-    return parts + _chi_parts(right)
+    return parts + _sub_chi_parts(right)
+
+
+def _sub_chi_parts(q: DyckPath) -> list[int]:
+    """_chi_parts of a sub-path, which falls back to the general
+    conjugate-area map when it misses its own level-1 point."""
+    try:
+        return _chi_parts(q)
+    except Level1NotVisited:
+        return list(chi(q).north_columns()[::-1])
 
 
 def chi_level1(q: DyckPath) -> DyckPath:
     """Conjugate-area image of a level-1 path, without inverting zeta,
     built row by row from the star-product split."""
-    if q.a >= 2 and q.b >= 2:
-        _split_at_level1(q)  # raises Level1NotVisited off the level-1 point
     return path_from_bounded_partition(q.a, q.b, _chi_parts(q))
 
 

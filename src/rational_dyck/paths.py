@@ -45,9 +45,10 @@ NORTH = "N"
 EAST = "E"
 
 # Bound of every module cache.  Each is keyed by an (a, b) pair and holds a
-# table or a small tuple; sweeps visit the pairs in order, so a few suffice.
-# None is keyed by a path: a path keeps its own views while it lives.
-_TABLE_CACHE_SIZE = 32
+# table whose paths keep their cached views.  A sweep finishes one pair
+# before it starts the next, so one table serves it, and it holds no pair
+# it has left.  None is keyed by a path.
+_TABLE_CACHE_SIZE = 1
 
 
 def box_value(a: int, b: int, col: int, row: int) -> int:

@@ -7,7 +7,7 @@ import json
 import pytest
 
 import rational_dyck as rd
-from rational_dyck import cli, verification
+from rational_dyck import cli, inverse, verification
 from rational_dyck.cli import main
 from rational_dyck.errors import NotACycle
 
@@ -192,6 +192,15 @@ class TestVerify:
         assert code == 2
         witness = json.loads(out.splitlines()[-1])
         assert witness["violations"] and witness["violations"][0]["check"] == "qcatalan"
+
+    def test_battery_keeps_one_table_per_cache(self):
+        # each pair's checks finish before the next pair's start, so the
+        # pair-keyed caches need not keep a pair that the sweep has left
+        checks = {"counts", "zeta-bijective", "qcatalan", "qt-symmetry", "unique-pair"}
+        caches = (rd.enumerate_paths, verification._path_statistics, inverse._zeta_table)
+        for a, b in [(3, 5), (5, 3), (4, 5), (5, 4), (2, 7), (7, 2)]:
+            assert cli._verify_pair((a, b), checks, "core") == (a, b, [])
+            assert all(c.cache_info().currsize <= 1 for c in caches)
 
     def test_method_disagreement_exit_3(self, capsys, monkeypatch):
         import rational_dyck.cli as cli

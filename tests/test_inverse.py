@@ -350,6 +350,29 @@ class TestLevel1:
                 if min(a, b) == 1 or q.visits(*level_point(a, b, 1)):
                     assert rd.chi_level1(q) == chi_level1_by_boxes(q)
 
+    def test_chi_level1_splits_each_path_once(self, monkeypatch):
+        splits, dims = [], []
+        split, split_dims = inverse._split_at_level1, inverse.split_dims
+
+        def counted_split(q):
+            splits.append(q)
+            return split(q)
+
+        def counted_dims(a, b):
+            dims.append((a, b))
+            return split_dims(a, b)
+
+        monkeypatch.setattr(inverse, "_split_at_level1", counted_split)
+        monkeypatch.setattr(inverse, "split_dims", counted_dims)
+        off_level1 = 0
+        for q in rd.enumerate_paths(5, 8):
+            try:
+                rd.chi_level1(q)
+            except Level1NotVisited:
+                off_level1 += 1
+        assert off_level1 and len(set(map(id, splits))) == len(splits)  # no path split twice
+        assert len(dims) == len(splits)
+
     def test_rectangle_area_difference_is_level(self):
         # southeast minus northwest rectangle areas at any grid point
         for a, b in [(5, 8), (5, 13), (3, 4)]:

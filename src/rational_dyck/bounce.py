@@ -4,15 +4,15 @@ Walking the image path down its predecessor chain only needs the delta
 statistic of each preimage.  An initial bounce path inside the image pins
 delta exactly when b = a*k + 1 and brackets it in a window of width r
 otherwise.  The first case yields a direct inverse.  In the second, the
-image of each predecessor is itself an image to invert, with a unique
-answer since zeta is a bijection, so the inverse is a recursion over the
-images of the chain, verified at every step, whose only memo, of the
-images solved, lasts one call; no chain step is cached.  Both inverses end
-by decoding a one-line tuple with the cycle decoder of iota, whose DyckPath
-check rejects a candidate that is not a path.  Neither is a hot path: the
-dispatcher's ``auto`` inverts by the level scan of ``inverse``, and the
-recursion is kept as a cross-check, reached as ``zeta_inverse(Q,
-"search")``, which also reports its delta trace.
+image of each predecessor is itself an image to invert, so the inverse is
+a recursion over the images of the chain, verified at every step; zeta is
+a bijection, so the first d of a window that verifies is the answer.  Its
+only memo, of the images solved, lasts one call; no chain step is cached.
+Both inverses end by decoding a one-line tuple with the cycle decoder of
+iota, whose DyckPath check rejects a candidate that is not a path.
+Neither is a hot path: the dispatcher's ``auto`` inverts by the level scan
+of ``inverse``, and the recursion is kept as a cross-check, reached as
+``zeta_inverse(Q, "search")``, which also reports its delta trace.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .errors import (
     BelowDiagonal,
     DimensionTooSmall,
     InternalInvariantError,
-    MalformedPath,
     NoBoxToAdd,
     NoEastInPrefix,
     NoNorthInPrefix,
@@ -133,7 +132,9 @@ def initial_bounce(path: DyckPath) -> BouncePath:
     """Bounce inside `path`: climb to an east step, run east, repeat.
 
     Writing b = a*k + r with 0 < r < a, the walk makes k+1 climbs; the
-    i-th horizontal run has length v_1 + ... + v_i.
+    i-th horizontal run has length v_1 + ... + v_i.  On a valid path x
+    stays at most k*a < b, each climb is non-negative and the height at
+    most a, so a walk that leaves the grid is a bug.
     """
     a, b = path.a, path.b
     if a < 2:
@@ -147,10 +148,10 @@ def initial_bounce(path: DyckPath) -> BouncePath:
     x = y = 0
     for i in range(k + 1):
         if not (0 <= x < b):
-            raise MalformedPath(f"bounce left the grid at x={x} in {path}")
+            raise InternalInvariantError(f"bounce left the grid at x={x} in {path}")
         climb = east_rows[x] - y
         if climb < 0 or y + climb > a:
-            raise MalformedPath(f"bounce climb {climb} at ({x}, {y}) in {path}")
+            raise InternalInvariantError(f"bounce climb {climb} at ({x}, {y}) in {path}")
         v.append(climb)
         y += climb
         if i < k:
@@ -213,23 +214,21 @@ def _fuss_inverse(path: DyckPath) -> tuple[DyckPath, tuple[int, ...]]:
     return preimage, deltas
 
 
-def search_delta_traces(path: DyckPath, *, find_all: bool = False):
+def search_delta_traces(path: DyckPath):
     """Invert zeta by a memoized recursion over the predecessor images.
 
     Returns ``(found, attempts)``: ``found`` lists the verified
-    ``(preimage, delta trace)`` pairs, and ``attempts`` counts the
+    ``(preimage, delta trace)`` pair, and ``attempts`` counts the
     candidate decodes done.  The preimage of an image Q is the lowest
     path when Q has the maximal area.  Otherwise, for each d in the bounce
     window, Q' = zeta_predecessor(Q, d) must have a larger area; its
     preimage P' is found the same way, and the candidate P decoded from
     r_d * gamma(P') * r_d^{-1} is kept only if delta(P) = d and
-    zeta(P) = Q.  Every image is inverted once per call, through a memo
-    keyed by image, and the chain is walked with an explicit stack, so
-    depth is bounded by the area and not by the interpreter.
-
-    Zeta is a bijection, so at most one d of a window is accepted.  By
-    default the scan of a window stops there; with ``find_all`` every d is
-    tried, and a second accepted d raises InternalInvariantError.
+    zeta(P) = Q.  Zeta is a bijection, so the first d so verified is the
+    answer and the scan of the window stops there.  Every image is
+    inverted once per call, through a memo keyed by image, and the chain
+    is walked with an explicit stack, so depth is bounded by the area and
+    not by the interpreter.
     """
     a, b = path.a, path.b
     n = a + b
@@ -247,17 +246,12 @@ def search_delta_traces(path: DyckPath, *, find_all: bool = False):
         if q_area == max_area:
             bottom = lowest_path(a, b)
             return (_gamma_one_line(bottom), bottom, None, None) if zeta(bottom) == q else None
-        try:
-            bounce = initial_bounce(q)
-        except MalformedPath:
-            return None
+        bounce = initial_bounce(q)
         low = bounce.v_total + bounce.h_total + 1
-        entry = None
         for d in range(low, min(low + r - 1, n) + 1):
-            try:
-                nxt = zeta_predecessor(q, d)
-            except (NoEastInPrefix, NoNorthInPrefix, BelowDiagonal):
-                continue
+            # d > v_1, so the prefix holds a north and an east; the step
+            # moves the first east later, which only raises levels
+            nxt = zeta_predecessor(q, d)
             nxt_area = area(nxt)
             if nxt_area <= q_area:
                 continue
@@ -270,16 +264,9 @@ def search_delta_traces(path: DyckPath, *, find_all: bool = False):
                 candidate = _path_from_cycle(a, b, g)
             except (WrongStepCounts, BelowDiagonal):
                 continue
-            if candidate is None or delta(candidate) != d or zeta(candidate) != q:
-                continue
-            if entry is not None:
-                raise InternalInvariantError(
-                    f"deltas {entry[2]} and {d} both invert {q}"
-                )
-            entry = (g, candidate, d, nxt)
-            if not find_all:
-                break
-        return entry
+            if candidate is not None and delta(candidate) == d and zeta(candidate) == q:
+                return g, candidate, d, nxt
+        return None
 
     stack = [(path, invert(path, area(path)))]
     sent = None

@@ -49,10 +49,6 @@ class NotSquareCase(DyckError):
     """An operation defined only for b = a + 1 was called on other dims."""
 
 
-class AmbiguousMaxLevel(DyckError):
-    """A path has a repeated maximal level (impossible when gcd(a,b)=1)."""
-
-
 class AreaZero(DyckError):
     """The path has no box to remove."""
 
@@ -84,7 +80,7 @@ class InconsistentPair(DyckError):
 
 
 class NoPreimage(DyckError):
-    """All inversion strategies failed to find a preimage under zeta."""
+    """The strategy that ran found no preimage under zeta."""
 
 
 class DimensionTooSmall(DyckError):
@@ -105,10 +101,6 @@ class NoEastInPrefix(DyckError):
 
 class NoNorthInPrefix(DyckError):
     """The first delta steps contain no north step."""
-
-
-class MalformedPath(DyckError):
-    """A bounce walk left the grid; signals corrupt input or a bug."""
 
 
 class NotFussCase(DyckError):
@@ -132,7 +124,7 @@ class TooManyBoxes(DyckError):
 
 
 class InvalidValleyIndex(DyckError):
-    """The valley index k must satisfy 0 <= k < a."""
+    """The valley index k must satisfy 0 <= k < min(a, b)."""
 
 
 class UnsupportedOverlay(DyckError):

@@ -28,7 +28,6 @@ from itertools import accumulate, chain, compress
 from typing import Iterator
 
 from .errors import (
-    AmbiguousMaxLevel,
     AreaZero,
     BelowDiagonal,
     DoesNotFitAboveDiagonal,
@@ -564,8 +563,8 @@ def star_product(first: DyckPath, second: DyckPath) -> DyckPath:
     """Cut `first` at its unique highest level and infix `second` there."""
     lv = first.levels()
     top = max(lv)
-    if lv.count(top) != 1:
-        raise AmbiguousMaxLevel(f"maximal level {top} repeats in {first}")
+    if lv.count(top) != 1:  # coprime levels repeat only at the two ends
+        raise InternalInvariantError(f"maximal level {top} repeats in {first}")
     cut = lv.index(top)
     word = first.steps[:cut] + second.steps + first.steps[cut:]
     return DyckPath(first.a + second.a, first.b + second.b, word)

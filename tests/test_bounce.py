@@ -14,6 +14,7 @@ from rational_dyck import bounce
 from rational_dyck.bounce import fuss_delta_trace, search_delta_traces
 from rational_dyck.errors import (
     DimensionTooSmall,
+    InternalInvariantError,
     NoBoxToAdd,
     NoEastInPrefix,
     NotFussCase,
@@ -167,21 +168,27 @@ class TestSearchInverse:
     def test_fuss_inputs_have_width_one_window(self):
         for p in rd.enumerate_paths(3, 7):
             q = rd.zeta(p)
-            found, _ = search_delta_traces(q, find_all=True)
+            found, _ = search_delta_traces(q)
             assert [path for path, _ in found] == [p]
             assert found[0][1] == fuss_delta_trace(q)
 
     def test_accepted_traces_all_decode_to_the_preimage(self):
-        # find_all tries every d of each window, and a second accepted d
-        # raises InternalInvariantError, so at most one trace survives; it
-        # must decode to the (correct) path
-        trace_counts = []
+        # zeta is a bijection, so the scan of each window stops at the
+        # first d whose decode verifies: every image yields exactly one
+        # trace, and it decodes to the preimage
         for a, b in [(3, 5), (4, 5), (5, 4)]:
             for p in rd.enumerate_paths(a, b):
-                found, _ = search_delta_traces(rd.zeta(p), find_all=True)
-                assert found and all(path == p for path, _ in found)
-                trace_counts.append(len(found))
-        assert min(trace_counts) >= 1
+                found, _ = search_delta_traces(rd.zeta(p))
+                assert len(found) == 1
+                assert found[0][0] == p
+
+    def test_bounce_off_the_grid_is_a_bug(self, running, monkeypatch):
+        # on a valid path the bounce stays in the grid, so a walk that
+        # leaves it is an internal error, not an image without preimage
+        q = rd.zeta(running)
+        monkeypatch.setattr(rd.DyckPath, "east_rows", lambda self: (self.a + 1,) * self.b)
+        with pytest.raises(InternalInvariantError, match="bounce climb"):
+            rd.zeta_inverse(q, "search")
 
     def test_running_example(self, running):
         assert rd.zeta_inverse(rd.zeta(running), "search") == running

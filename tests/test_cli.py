@@ -301,3 +301,38 @@ class TestRender:
             "--overlays", "glitter",
         )
         assert code == 1
+
+    def test_bounce_off_the_grid_exit_3(self, capsys, monkeypatch):
+        # a bounce that leaves the grid of a valid path is a bug, not input
+        monkeypatch.setattr(rd.DyckPath, "east_rows", lambda self: (self.a + 1,) * self.b)
+        code, _, err = run(
+            capsys, "render", "--a", "5", "--b", "8", "--path", "NNNENEEENEEEE",
+            "--overlays", "bounce",
+        )
+        assert code == 3 and "bounce climb" in err
+
+
+class TestUsageErrors:
+    def test_unknown_map_choice(self, capsys):
+        code, _, err = run(
+            capsys, "map", "--a", "2", "--b", "3", "--path", "NENEE", "--map", "sweep",
+        )
+        assert code == 1 and "invalid choice" in err
+
+    def test_file_line_without_three_fields(self, capsys, tmp_path):
+        spec_file = tmp_path / "paths.txt"
+        spec_file.write_text("5 8\n")
+        code, _, err = run(capsys, "stats", "--file", str(spec_file))
+        assert code == 1 and err.startswith(f"dyck: {spec_file}:1: expected 'a b steps'")
+
+    def test_bad_path_names_its_line(self, capsys, tmp_path):
+        spec_file = tmp_path / "paths.txt"
+        spec_file.write_text("2 3 NENEE\n2 3 EENEN\n")
+        code, _, err = run(capsys, "stats", "--file", str(spec_file))
+        assert code == 1 and err.startswith(f"dyck: {spec_file}:2: ")
+
+    def test_empty_file(self, capsys, tmp_path):
+        spec_file = tmp_path / "paths.txt"
+        spec_file.write_text("\n\n")
+        code, _, err = run(capsys, "stats", "--file", str(spec_file))
+        assert code == 1 and "no path specs found" in err

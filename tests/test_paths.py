@@ -15,6 +15,7 @@ import rational_dyck as rd
 from rational_dyck.errors import (
     AreaZero,
     BelowDiagonal,
+    InternalInvariantError,
     NotCoprime,
     NotSquareCase,
     PathParseError,
@@ -427,6 +428,15 @@ class TestStarProduct:
         left = rd.make_path(1, 2, "NEE")
         right = rd.make_path(1, 1, "NE")
         assert rd.star_product(left, right).steps == "NNEEE"
+
+    def test_repeated_maximal_level_is_a_bug(self, monkeypatch):
+        # the levels of a coprime path repeat only at its two ends, so a
+        # second maximum means the level data is wrong
+        left = rd.make_path(2, 3, "NNEEE")
+        right = rd.make_path(1, 1, "NE")
+        monkeypatch.setattr(rd.DyckPath, "levels", lambda self: (0, 3, 6, 6, 0))
+        with pytest.raises(InternalInvariantError, match="repeats"):
+            rd.star_product(left, right)
 
     def test_degenerate_dims_rejected_by_type(self):
         with pytest.raises(ValueError):

@@ -73,10 +73,12 @@ class CorePartition:
     b: int
 
     def __post_init__(self):
+        if not isinstance(self.a, int) or not isinstance(self.b, int):
+            raise ValueError("dimensions must be integers")
         if math.gcd(self.a, self.b) != 1:
             raise NotCoprime(f"gcd({self.a}, {self.b}) != 1")
-        # validates monotonicity, then drops the trailing zeros
-        parts = Partition(self.parts).trimmed().parts
+        parts = Partition(self.parts).parts  # validated, so zeros trail
+        parts = parts[: len(parts) - parts.count(0)]
         object.__setattr__(self, "parts", parts)
         last = len(parts) - 1
         hooks = tuple(p + last - i for i, p in enumerate(parts))
@@ -105,7 +107,7 @@ class CorePartition:
 
     @classmethod
     def from_json(cls, data: dict) -> "CorePartition":
-        return cls(tuple(int(p) for p in data["parts"]), int(data["a"]), int(data["b"]))
+        return cls(data["parts"], data["a"], data["b"])
 
 
 def _require_no_hook(kappa: CorePartition, m: int) -> None:

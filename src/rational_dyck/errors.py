@@ -37,14 +37,6 @@ class BelowDiagonal(DyckError):
         super().__init__(f"path goes below the diagonal at {point}")
 
 
-class WrongDescentCount(DyckError):
-    """A permutation does not have exactly b right cyclic descents."""
-
-
-class DoesNotFitAboveDiagonal(DyckError):
-    """A partition does not fit between the path corner and the diagonal."""
-
-
 class NotSquareCase(DyckError):
     """An operation defined only for b = a + 1 was called on other dims."""
 

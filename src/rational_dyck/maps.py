@@ -14,8 +14,9 @@ a laser's crossings, and a row's or a column's disjoint intervals, are
 bisections, so neither scans every level per box nor builds the grid
 (`interval_grid` builds it for pictures only).  The module is
 `rational_dyck.maps`, so that `rational_dyck.zeta` names the function.
-Each image is built by the validating DyckPath constructor; an image it
-rejects is a bug, raised as InternalInvariantError.
+Each image is built by the validating DyckPath constructor, from a swept
+word or a bounded partition; an image it rejects is a bug, raised as
+InternalInvariantError.
 """
 
 from __future__ import annotations
@@ -47,18 +48,14 @@ __all__ = [
 ]
 
 
-def _bound(a: int, b: int, parts) -> DyckPath:
+def _image(a: int, b: int, shape) -> DyckPath:
+    """The (a,b)-path with the given step word or bounded partition."""
     try:
-        return path_from_bounded_partition(a, b, parts)
-    except Exception as exc:  # a failure here is a bug, never bad input
-        raise InternalInvariantError(f"image partition {parts} is not bounded") from exc
-
-
-def _swept(a: int, b: int, steps: str) -> DyckPath:
-    try:
-        return DyckPath(a, b, steps)
-    except DyckError as exc:  # a failure here is a bug, never bad input
-        raise InternalInvariantError(f"swept word {steps} is not a Dyck path") from exc
+        if isinstance(shape, str):
+            return DyckPath(a, b, shape)
+        return path_from_bounded_partition(a, b, shape)
+    except (DyckError, ValueError) as exc:  # a failure here is a bug, never bad input
+        raise InternalInvariantError(f"image {shape} is not an ({a},{b})-Dyck path") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +66,7 @@ def _boundary_partition(path: DyckPath, m: int, bound: int) -> Partition:
     """Per-row counts of hooks below `bound` in the core's m-rows, length m."""
     kappa = anderson(path)
     counts = _hooks_below(kappa, a_rows(kappa, m), bound)
-    return Partition(tuple(sorted(counts, reverse=True))).padded(m)
+    return Partition(sorted(counts, reverse=True)).padded(m)
 
 
 def lambda_partition(path: DyckPath) -> Partition:
@@ -83,11 +80,11 @@ def mu_partition(path: DyckPath) -> Partition:
 
 
 def zeta_via_cores(path: DyckPath) -> DyckPath:
-    return _bound(path.a, path.b, lambda_partition(path))
+    return _image(path.a, path.b, lambda_partition(path))
 
 
 def eta_via_cores(path: DyckPath) -> DyckPath:
-    return _bound(path.a, path.b, mu_partition(path).conjugate().padded(path.a))
+    return _image(path.a, path.b, mu_partition(path).conjugate())
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +98,7 @@ def zeta_via_sweep(path: DyckPath) -> DyckPath:
     step_at = dict(zip(path.levels(), path.steps))  # the final 0 is dropped
     if len(step_at) != path.length:
         raise InternalInvariantError("repeated level in reading word")
-    return _swept(path.a, path.b, "".join(map(step_at.__getitem__, sorted(step_at))))
+    return _image(path.a, path.b, "".join(map(step_at.__getitem__, sorted(step_at))))
 
 
 def eta_via_sweep(path: DyckPath) -> DyckPath:
@@ -114,7 +111,7 @@ def eta_via_sweep(path: DyckPath) -> DyckPath:
     if len(step_at) != path.length:
         raise InternalInvariantError("repeated level in reverse reading word")
     word = "".join(map(step_at.__getitem__, sorted(step_at, reverse=True)))
-    return _swept(path.a, path.b, word)
+    return _image(path.a, path.b, word)
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +180,12 @@ def laser_filling(path: DyckPath) -> LaserFilling:
 
 def zeta_via_lasers(path: DyckPath) -> DyckPath:
     rows = sorted(laser_filling(path).row_sums(), reverse=True)
-    return _bound(path.a, path.b, Partition(tuple(rows)))
+    return _image(path.a, path.b, rows)
 
 
 def eta_via_lasers(path: DyckPath) -> DyckPath:
     cols = sorted(laser_filling(path).column_sums(), reverse=True)
-    mu = Partition(tuple(cols))
-    return _bound(path.a, path.b, mu.conjugate().padded(path.a))
+    return _image(path.a, path.b, Partition(cols).conjugate())
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +245,7 @@ def zeta_via_intervals(path: DyckPath) -> DyckPath:
     """Row r counts the east intervals wholly below its north interval."""
     easts = path.east_levels()[::-1]
     counts = tuple(bisect_left(easts, n) for n in path.north_levels())
-    return _bound(path.a, path.b, Partition(counts))
+    return _image(path.a, path.b, counts)
 
 
 def eta_via_intervals(path: DyckPath) -> DyckPath:
@@ -257,8 +253,7 @@ def eta_via_intervals(path: DyckPath) -> DyckPath:
     norths = path.north_levels()[::-1]
     top = path.a + path.b
     counts = tuple(bisect_left(norths, e - top) for e in path.east_levels())
-    mu = Partition(counts)
-    return _bound(path.a, path.b, mu.conjugate().padded(path.a))
+    return _image(path.a, path.b, Partition(counts).conjugate())
 
 
 # ---------------------------------------------------------------------------

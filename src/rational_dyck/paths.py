@@ -11,8 +11,10 @@ whether a caller or the library built it: dimensions, alphabet,
 coprimality, step counts, then the diagonal, each by builtins over the
 whole word.  A rejected word raises the error that names its fault;
 PathParseError carries the offset of the first bad character and
-BelowDiagonal the first lattice point below the diagonal.  The inverses
-rely on this to reject candidate words.
+BelowDiagonal the first lattice point below the diagonal.  The builders
+here (from a bounded partition, north columns, a permutation or a hook
+set) and the inverses rely on this to reject their words: they build a
+word and check nothing that DyckPath or Partition checks.
 
 A path owns its level data: it keeps the levels y*b - x*a that the diagonal
 check walks, and builds each other view on first use and keeps it, so a
@@ -30,13 +32,11 @@ from typing import Iterator
 from .errors import (
     AreaZero,
     BelowDiagonal,
-    DoesNotFitAboveDiagonal,
     InternalInvariantError,
     NotACycle,
     NotCoprime,
     NotSquareCase,
     PathParseError,
-    WrongDescentCount,
     WrongStepCounts,
 )
 
@@ -74,12 +74,12 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
+        parts = tuple(self.parts)
         object.__setattr__(self, "parts", parts)
-        if any(p < 0 for p in parts):
-            raise ValueError(f"negative part in {parts}")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError(f"parts not weakly decreasing: {parts}")
+        if not set(map(type, parts)) <= {int}:
+            raise ValueError(f"parts must be integers: {parts}")
+        if min(parts, default=0) < 0 or list(parts) != sorted(parts, reverse=True):
+            raise ValueError(f"parts not non-negative and weakly decreasing: {parts}")
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.parts)
@@ -151,10 +151,10 @@ class Permutation:
     one_line: tuple[int, ...]
 
     def __post_init__(self):
-        one_line = tuple(int(v) for v in self.one_line)
+        one_line = tuple(self.one_line)
         object.__setattr__(self, "one_line", one_line)
-        if sorted(one_line) != list(range(1, len(one_line) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(one_line)}: {one_line}")
+        if not set(map(type, one_line)) <= {int} or sorted(one_line) != list(range(1, self.n + 1)):
+            raise ValueError(f"not a permutation of 1..{self.n}: {one_line}")
 
     @property
     def n(self) -> int:
@@ -368,7 +368,7 @@ class DyckPath:
 
     @classmethod
     def from_json(cls, data: dict) -> "DyckPath":
-        return cls(int(data["a"]), int(data["b"]), str(data["steps"]))
+        return cls(data["a"], data["b"], data["steps"])
 
 
 def make_path(a: int, b: int, steps: str) -> DyckPath:
@@ -378,8 +378,7 @@ def make_path(a: int, b: int, steps: str) -> DyckPath:
 
 def lowest_path(a: int, b: int) -> DyckPath:
     """The area-0 path hugging the diagonal."""
-    cols = tuple(j * b // a for j in range(a))
-    return _path_from_north_columns(a, b, cols)
+    return _path_from_north_columns(a, b, (j * b // a for j in range(a)))
 
 
 def full_path(a: int, b: int) -> DyckPath:
@@ -388,39 +387,27 @@ def full_path(a: int, b: int) -> DyckPath:
 
 
 def _path_from_north_columns(a: int, b: int, cols) -> DyckPath:
-    cols = tuple(cols)
-    word = []
-    x = 0
-    for c in cols:
-        if c < x:
-            raise ValueError(f"north columns not monotone: {cols}")
-        word.append(EAST * (c - x))
-        word.append(NORTH)
-        x = c
-    word.append(EAST * (b - x))
-    return DyckPath(a, b, "".join(word))
+    """The path whose north step in row y sits at column cols[y]; columns not
+    rising weakly from 0 to b give too many easts, so WrongStepCounts."""
+    cols = (0, *cols, b)
+    return DyckPath(a, b, NORTH.join(EAST * (c - x) for x, c in zip(cols, cols[1:])))
 
 
 def path_from_bounded_partition(a: int, b: int, parts) -> DyckPath:
-    """The path whose bounded partition is the given one (length <= a)."""
-    if isinstance(parts, Partition):
-        parts = parts.parts
-    parts = tuple(int(p) for p in parts)
-    if len(parts) > a:
-        raise DoesNotFitAboveDiagonal(f"{parts} has more than {a} rows")
-    padded = Partition(parts).padded(a)
-    cols = tuple(reversed(padded.parts))
-    for row, col in enumerate(cols):
-        if a * col > b * row or col > b:
-            raise DoesNotFitAboveDiagonal(f"row of length {col} at height {row}")
-    return _path_from_north_columns(a, b, cols)
+    """The path whose bounded partition is the given one.  Partition.padded
+    rejects more than a rows, and DyckPath a row that crosses the diagonal
+    (BelowDiagonal) or is longer than b (WrongStepCounts)."""
+    if not isinstance(parts, Partition):
+        parts = Partition(parts)
+    return _path_from_north_columns(a, b, parts.padded(a).parts[::-1])
 
 
 def path_from_hooks(a: int, b: int, hooks) -> DyckPath:
-    """The path whose set of positive hooks is exactly `hooks`."""
-    wanted = frozenset(int(h) for h in hooks)
-    if any(h <= 0 for h in wanted):
-        raise ValueError("hooks must be positive")
+    """The path whose set of positive hooks is exactly `hooks`; ValueError
+    for any other set of integers."""
+    wanted = frozenset(hooks)
+    if not set(map(type, wanted)) <= {int} or min(wanted, default=1) < 1:
+        raise ValueError("hooks must be positive integers")
     cols = []
     for row in range(a):
         col = 0
@@ -430,10 +417,13 @@ def path_from_hooks(a: int, b: int, hooks) -> DyckPath:
                 break
             col += 1
         cols.append(col)
-    path = _path_from_north_columns(a, b, cols)
-    if frozenset(path.positive_hooks()) != wanted:
-        raise ValueError(f"{sorted(wanted)} is not a valid hook set for ({a},{b})")
-    return path
+    try:
+        path = _path_from_north_columns(a, b, cols)
+        if frozenset(path.positive_hooks()) == wanted:
+            return path
+    except WrongStepCounts:  # the scan's columns fell back: no path has these hooks
+        pass
+    raise ValueError(f"{sorted(wanted)} is not a valid hook set for ({a},{b})")
 
 
 def sigma(path: DyckPath) -> Permutation:
@@ -467,14 +457,9 @@ def _descent_word(values) -> str:
 
 
 def path_from_permutation(perm: Permutation, a: int, b: int) -> DyckPath:
-    """Rebuild the path whose east steps sit at perm's right cyclic descents."""
-    if perm.n != a + b:
-        raise WrongDescentCount(f"permutation size {perm.n} != {a + b}")
-    word = _descent_word(perm.one_line)
-    descents = word.count(EAST)
-    if descents != b:
-        raise WrongDescentCount(f"{descents} cyclic descents, expected {b}")
-    return DyckPath(a, b, word)
+    """Rebuild the path whose east steps sit at perm's right cyclic descents;
+    DyckPath raises WrongStepCounts unless perm has size a+b and b descents."""
+    return DyckPath(a, b, _descent_word(perm.one_line))
 
 
 def _path_from_cycle(a: int, b: int, g) -> DyckPath | None:
@@ -554,9 +539,7 @@ def reverse(path: DyckPath) -> DyckPath:
     """Square-case reversal: bounds the conjugate of the bounded partition."""
     if path.b != path.a + 1:
         raise NotSquareCase(f"({path.a}, {path.b}) is not (n, n+1)")
-    return path_from_bounded_partition(
-        path.a, path.b, path.bounded_partition().conjugate()
-    )
+    return path_from_bounded_partition(path.a, path.b, path.bounded_partition().conjugate())
 
 
 def star_product(first: DyckPath, second: DyckPath) -> DyckPath:

@@ -23,6 +23,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from operator import add
 
 from .errors import (
@@ -59,7 +60,9 @@ class QPolynomial:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coeffs)
+        coeffs = tuple(self.coeffs)
+        if not set(map(type, coeffs)) <= {int}:
+            raise ValueError(f"coefficients must be integers: {coeffs}")
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coeffs", coeffs)
@@ -210,17 +213,18 @@ def sl_rank_generating(a: int, b: int, *, rank_variant: str = "core") -> QPolyno
 
 @dataclass(frozen=True)
 class QTPolynomial:
-    """Sparse integer polynomial in q and t, keyed by (q-power, t-power)."""
+    """Sparse integer polynomial in q and t, keyed by (q-power, t-power):
+    one term per key, sorted, each with a nonzero coefficient."""
 
     terms: tuple[tuple[tuple[int, int], int], ...]
 
     def __post_init__(self):
-        cleaned = tuple(
-            ((int(i), int(j)), int(c))
-            for (i, j), c in sorted(self.terms)
-            if c != 0
-        )
-        object.__setattr__(self, "terms", cleaned)
+        sums: dict[tuple[int, int], int] = {}
+        for (i, j), c in self.terms:
+            sums[i, j] = sums.get((i, j), 0) + c
+        if not set(map(type, chain(*sums, sums.values()))) <= {int}:
+            raise ValueError(f"powers and coefficients must be integers: {self.terms}")
+        object.__setattr__(self, "terms", tuple(sorted((k, c) for k, c in sums.items() if c)))
 
     @classmethod
     def from_exponent_pairs(cls, pairs) -> "QTPolynomial":

@@ -88,6 +88,14 @@ class TestAnderson:
         with pytest.raises(ValueError):
             CorePartition.from_json({"a": 3, "b": 5, "parts": [1, 0, 1]})
 
+    def test_non_integer_parts_rejected(self):
+        with pytest.raises(ValueError):
+            CorePartition((1.5,), 2, 3)
+        with pytest.raises(ValueError):
+            CorePartition.from_json({"a": 2, "b": 3, "parts": [1.5]})
+        with pytest.raises(ValueError):
+            CorePartition.from_json({"a": 2.0, "b": 3, "parts": [1]})
+
 
 class TestHooksFromLeadingHooks:
     def test_against_the_box_scan(self):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import copy
 import pickle
 import random
-from itertools import product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +19,6 @@ from rational_dyck.errors import (
     NotCoprime,
     NotSquareCase,
     PathParseError,
-    WrongDescentCount,
     WrongStepCounts,
 )
 from rational_dyck.paths import (
@@ -78,6 +77,10 @@ class TestConstruction:
     def test_non_string_steps(self):
         with pytest.raises(ValueError):
             rd.DyckPath(2, 3, ["N", "E", "N", "E", "E"])
+
+    def test_json_non_integer_dims_rejected(self):
+        with pytest.raises(ValueError):
+            rd.DyckPath.from_json({"a": 2.5, "b": 3, "steps": "NENEE"})
 
 
 class TestValidation:
@@ -278,7 +281,7 @@ class TestPermutations:
 
     def test_identity_wrong_descent_count(self):
         ident = Permutation.identity(5)
-        with pytest.raises(WrongDescentCount):
+        with pytest.raises(WrongStepCounts):
             rd.path_from_permutation(ident, 2, 3)
         # identity has a single cyclic descent, so b = 1 works
         assert rd.path_from_permutation(Permutation.identity(4), 3, 1).steps == "NNNE"
@@ -334,6 +337,82 @@ class TestBoundedPartition:
     def test_does_not_fit(self):
         with pytest.raises(rd.DyckError):
             rd.path_from_bounded_partition(2, 3, (3, 1))
+
+    def test_non_integer_part_rejected(self):
+        with pytest.raises(ValueError):
+            rd.path_from_bounded_partition(2, 3, (1.9,))
+
+
+# The builders check nothing themselves: DyckPath and Partition reject what
+# does not fit.  These tests write the builders' former checks out as
+# oracles and require the same accept set.
+
+FIT_PAIRS = [(2, 3), (3, 4), (3, 5), (4, 5), (2, 7), (4, 7)]
+HOOK_PAIRS = [(3, 4), (3, 5), (4, 5), (2, 7), (5, 6)]
+
+
+def fits_above_diagonal(a, b, parts):
+    """At most a rows, and the row of length col at height row (counted
+    from the bottom, zeros padded) has a*col <= b*row and col <= b."""
+    if len(parts) > a:
+        return False
+    cols = (tuple(parts) + (0,) * (a - len(parts)))[::-1]
+    return all(a * col <= b * row and col <= b for row, col in enumerate(cols))
+
+
+class TestBuildersAgainstTheOldRules:
+    def test_bounded_partition_fit_rule(self):
+        for a, b in FIT_PAIRS:
+            accepted = set()
+            for rows in range(a + 2):
+                for parts in combinations_with_replacement(range(b + 1, -1, -1), rows):
+                    if fits_above_diagonal(a, b, parts):
+                        path = rd.path_from_bounded_partition(a, b, parts)
+                        assert path.bounded_partition() == Partition(parts).trimmed()
+                        accepted.add(path)
+                    else:
+                        with pytest.raises((ValueError, BelowDiagonal, WrongStepCounts)):
+                            rd.path_from_bounded_partition(a, b, parts)
+            assert accepted == set(rd.enumerate_paths(a, b))
+
+    def test_permutation_descent_count(self):
+        pairs = {(a, b): brute_force_paths(a, b) for a, b in coprime_pairs(8)}
+        for n in range(2, 8):
+            for one_line in permutations(range(1, n + 1)):
+                perm = Permutation(one_line)
+                descents = perm.right_cyclic_descents()
+                word = "".join("E" if i in descents else "N" for i in range(1, n + 1))
+                for (a, b), valid in pairs.items():
+                    if abs(a + b - n) > 1:
+                        continue
+                    if n != a + b or len(descents) != b:
+                        expected = WrongStepCounts
+                    else:
+                        expected = word if word in valid else BelowDiagonal
+                    try:
+                        got = rd.path_from_permutation(perm, a, b).steps
+                    except rd.DyckError as err:
+                        got = type(err)
+                    assert got == expected, (one_line, a, b)
+
+    def test_invalid_hook_sets_raise_value_error(self):
+        invalid = 0
+        for a, b in HOOK_PAIRS:
+            valid = {frozenset(p.positive_hooks()) for p in rd.enumerate_paths(a, b)}
+            values = rd.full_path(a, b).positive_hooks()
+            for k in range(len(values) + 1):
+                for hooks in combinations(values, k):
+                    if frozenset(hooks) in valid:
+                        assert set(rd.path_from_hooks(a, b, hooks).positive_hooks()) == set(hooks)
+                        continue
+                    invalid += 1
+                    with pytest.raises(ValueError):  # a DyckError would escape it
+                        rd.path_from_hooks(a, b, hooks)
+        assert invalid == 1048
+
+    def test_non_integer_hook_rejected(self):
+        with pytest.raises(ValueError):
+            rd.path_from_hooks(2, 3, [1.5])
 
 
 class TestEnumeration:
@@ -551,6 +630,12 @@ class TestPartitionType:
             Partition((1, 2))
         with pytest.raises(ValueError):
             Partition((2, -1))
+
+    def test_non_integer_parts_rejected(self):
+        with pytest.raises(ValueError):
+            Partition((3.7, 1))
+        with pytest.raises(ValueError):
+            Permutation((1.2, 2.9))
 
     def test_hooks(self):
         p = Partition((6, 4, 3, 2, 2, 1, 1, 1, 1))

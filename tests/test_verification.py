@@ -43,6 +43,10 @@ class TestQPolynomial:
         assert QPolynomial((0, 0)).coeffs == ()
         assert not QPolynomial.zero()
 
+    def test_non_integer_coefficient_rejected(self):
+        with pytest.raises(ValueError):
+            QPolynomial((1.5, 2))
+
     def test_arithmetic(self):
         p = QPolynomial((1, 1))
         assert (p * p).coeffs == (1, 2, 1)
@@ -146,6 +150,20 @@ class TestQTSymmetry:
         assert poly.swapped() == poly
         lopsided = QTPolynomial.from_exponent_pairs([(0, 1)])
         assert lopsided.swapped() != lopsided
+
+    def test_repeated_keys_are_summed(self):
+        assert QTPolynomial((((0, 0), 1), ((0, 0), 2))) == QTPolynomial((((0, 0), 3),))
+        assert QTPolynomial((((0, 1), 1), ((0, 1), -1))) == QTPolynomial(())
+        assert QTPolynomial((((1, 0), 2), ((0, 1), 1), ((1, 0), 1))).terms == (
+            ((0, 1), 1),
+            ((1, 0), 3),
+        )
+
+    def test_non_integer_term_rejected(self):
+        with pytest.raises(ValueError):
+            QTPolynomial((((0, 0), 1.5),))
+        with pytest.raises(ValueError):
+            QTPolynomial((((0.5, 0), 1),))
 
     def test_specialization(self):
         for a, b in [(3, 4), (5, 2)]:

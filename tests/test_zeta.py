@@ -118,6 +118,23 @@ class TestCanonicalSweep:
         with pytest.raises(InternalInvariantError):
             method(running)
 
+    @pytest.mark.parametrize("method", (zeta_via_cores, eta_via_lasers, zeta_via_intervals))
+    def test_image_wrapper_catches_domain_errors_only(self, running, method, monkeypatch):
+        maps_module = importlib.import_module("rational_dyck.maps")
+
+        def raising(error):
+            def build(a, b, parts):
+                raise error
+
+            return build
+
+        monkeypatch.setattr(maps_module, "path_from_bounded_partition", raising(ValueError()))
+        with pytest.raises(InternalInvariantError):
+            method(running)
+        monkeypatch.setattr(maps_module, "path_from_bounded_partition", raising(KeyError()))
+        with pytest.raises(KeyError):
+            method(running)
+
     @pytest.mark.parametrize("method", (zeta_via_sweep, eta_via_sweep))
     def test_repeated_level_is_a_bug(self, method):
         # start levels 0, 1, 1, 2, 2 and end levels 1, 1, 2, 2, 0 each repeat:

@@ -34,8 +34,8 @@ for name, z_fn, e_fn in [
     print(f"{name}: zeta = {z_fn(P)}   eta = {e_fn(P)}")
 
 print()
-print("cross-checked entry points:",
-      rd.zeta(P, check=True), "/", rd.eta(P, check=True))
+zeta_image, eta_image = rd.cross_check(P)
+print("cross-checked entry points:", zeta_image, "/", eta_image)
 print()
 
 print("the laser filling behind the third construction:")

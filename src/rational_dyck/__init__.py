@@ -48,6 +48,7 @@ from .inverse import (
 from .maps import (
     IntervalGrid,
     LaserFilling,
+    cross_check,
     eta,
     eta_via_cores,
     eta_via_intervals,

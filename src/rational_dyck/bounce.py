@@ -67,7 +67,10 @@ def conj_predecessor(path: DyckPath) -> DyckPath:
     geometric = conjugate(predecessor(conjugate(path)))
 
     twisted = _conjugate_by_head_inverse(_gamma_one_line(path), delta(path))
-    algebraic = _path_from_cycle(path.a, path.b, twisted)
+    try:
+        algebraic = _path_from_cycle(path.a, path.b, twisted)
+    except (WrongStepCounts, BelowDiagonal) as exc:  # the decode is internal: a bug
+        raise InternalInvariantError(f"conj_predecessor of {path} decodes no path") from exc
     if algebraic != geometric:
         raise InternalInvariantError(
             f"conj_predecessor mismatch for {path}: {geometric} vs {algebraic}"

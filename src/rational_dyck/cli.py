@@ -21,7 +21,7 @@ from .errors import (
     PathParseError,
 )
 from .inverse import STRATEGIES, chi, zeta_inverse_detailed
-from .maps import _ETA_METHODS, _ZETA_METHODS, eta, zeta
+from .maps import _CONSTRUCTIONS, cross_check
 from .paths import (
     DyckPath,
     conjugate,
@@ -109,14 +109,8 @@ def _cmd_map(args) -> int:
     lines = []
     for path in _paths_from_args(args):
         if args.map in ("zeta", "eta"):
-            canonical, methods = {
-                "zeta": (zeta, _ZETA_METHODS),
-                "eta": (eta, _ETA_METHODS),
-            }[args.map]
-            if args.method == "all":
-                image = canonical(path, check=True)
-            else:
-                image = methods[args.method](path)
+            build = cross_check if args.method == "all" else _CONSTRUCTIONS[args.method]
+            image = build(path)[("zeta", "eta").index(args.map)]
             record = image.to_json()
             if args.method == "all":
                 record["methods_agree"] = True
@@ -255,7 +249,7 @@ def build_parser() -> _Parser:
     p_map.add_argument(
         "--method",
         default="sweep",
-        choices=(*_ZETA_METHODS, "all"),
+        choices=(*_CONSTRUCTIONS, "all"),
         help="construction to use for zeta/eta (default: the canonical sweep)",
     )
     p_map.set_defaults(fn=_cmd_map)

@@ -39,6 +39,7 @@ from .errors import (
     NoPreimage,
     NotACycle,
     NotADyckPath,
+    NotCoprime,
     NotSquareCase,
     TooManyBoxes,
     WrongStepCounts,
@@ -394,7 +395,7 @@ def split_dims(a: int, b: int) -> tuple[int, int, int, int]:
     if a < 2 or b < 2:
         raise DimensionTooSmall(f"({a}, {b}) does not split")
     if math.gcd(a, b) != 1:
-        raise ValueError(f"gcd({a}, {b}) != 1")
+        raise NotCoprime(f"gcd({a}, {b}) != 1")
     a1 = pow(b, -1, a)
     b1 = (a1 * b - 1) // a
     a2, b2 = a - a1, b - b1

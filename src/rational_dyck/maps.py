@@ -2,12 +2,13 @@
 
 zeta sweeps a line of slope a/b across the path from the diagonal towards
 the northwest; eta sweeps from the far corner back southeast.  The sweep,
-which sorts the steps by level, is the canonical construction: `zeta` and
-`eta` call it alone, in O((a+b) log(a+b)).  The paper proves it equal to
+which sorts the steps by level, is the canonical construction: it is
+`zeta` and `eta` themselves, in O((a+b) log(a+b)).  The paper proves it equal to
 three others, computed from the core (boundary-box counts), from a laser
 filling and from an interval-intersection grid.  Those are kept as
-genuinely separate code paths, so that `check=True` can cross-check all
-four.  The core route visits no box: a core row with first-column hook h
+genuinely separate code paths: `cross_check` builds each once, reads it by
+rows for zeta and by columns for eta, and requires all four to agree.
+The core route visits no box: a core row with first-column hook h
 has one hook below m per non-first-column-hook g in [0, h) above h - m.
 The laser and interval routes count on the sorted north and east levels:
 a laser's crossings, and a row's or a column's disjoint intervals, are
@@ -24,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .cores import _hooks_below, a_rows, anderson
+from .cores import CorePartition, _hooks_below, a_rows, anderson
 from .errors import DyckError, InternalInvariantError, MethodDisagreement
 from .paths import DyckPath, Partition, box_value, path_from_bounded_partition
 
@@ -45,6 +46,7 @@ __all__ = [
     "eta_via_intervals",
     "zeta",
     "eta",
+    "cross_check",
 ]
 
 
@@ -62,33 +64,40 @@ def _image(a: int, b: int, shape) -> DyckPath:
 # Via cores
 
 
-def _boundary_partition(path: DyckPath, m: int, bound: int) -> Partition:
+def _boundary_partition(kappa: CorePartition, m: int, bound: int) -> Partition:
     """Per-row counts of hooks below `bound` in the core's m-rows, length m."""
-    kappa = anderson(path)
     counts = _hooks_below(kappa, a_rows(kappa, m), bound)
     return Partition(sorted(counts, reverse=True)).padded(m)
 
 
 def lambda_partition(path: DyckPath) -> Partition:
     """Per-row counts of b-boundary boxes in the a-rows of the core, length a."""
-    return _boundary_partition(path, path.a, path.b)
+    return _boundary_partition(anderson(path), path.a, path.b)
 
 
 def mu_partition(path: DyckPath) -> Partition:
     """Per-row counts of a-boundary boxes in the b-rows of the core, length b."""
-    return _boundary_partition(path, path.b, path.a)
+    return _boundary_partition(anderson(path), path.b, path.a)
+
+
+def _cores(path: DyckPath) -> tuple[DyckPath, DyckPath]:
+    """zeta and eta from one core: lambda (a-rows, bound b) and mu (b-rows, bound a)."""
+    kappa = anderson(path)
+    lam = _boundary_partition(kappa, path.a, path.b)
+    mu = _boundary_partition(kappa, path.b, path.a)
+    return _image(path.a, path.b, lam), _image(path.a, path.b, mu.conjugate())
 
 
 def zeta_via_cores(path: DyckPath) -> DyckPath:
-    return _image(path.a, path.b, lambda_partition(path))
+    return _cores(path)[0]
 
 
 def eta_via_cores(path: DyckPath) -> DyckPath:
-    return _image(path.a, path.b, mu_partition(path).conjugate())
+    return _cores(path)[1]
 
 
 # ---------------------------------------------------------------------------
-# Via sweep
+# Via sweep, the canonical construction
 
 
 def zeta_via_sweep(path: DyckPath) -> DyckPath:
@@ -112,6 +121,9 @@ def eta_via_sweep(path: DyckPath) -> DyckPath:
         raise InternalInvariantError("repeated level in reverse reading word")
     word = "".join(map(step_at.__getitem__, sorted(step_at, reverse=True)))
     return _image(path.a, path.b, word)
+
+
+zeta, eta = zeta_via_sweep, eta_via_sweep
 
 
 # ---------------------------------------------------------------------------
@@ -178,14 +190,20 @@ def laser_filling(path: DyckPath) -> LaserFilling:
     return LaserFilling(path)
 
 
+def _lasers(path: DyckPath) -> tuple[DyckPath, DyckPath]:
+    """zeta and eta from one filling: its row sums and its column sums."""
+    filling = laser_filling(path)
+    rows = sorted(filling.row_sums(), reverse=True)
+    cols = sorted(filling.column_sums(), reverse=True)
+    return _image(path.a, path.b, rows), _image(path.a, path.b, Partition(cols).conjugate())
+
+
 def zeta_via_lasers(path: DyckPath) -> DyckPath:
-    rows = sorted(laser_filling(path).row_sums(), reverse=True)
-    return _image(path.a, path.b, rows)
+    return _lasers(path)[0]
 
 
 def eta_via_lasers(path: DyckPath) -> DyckPath:
-    cols = sorted(laser_filling(path).column_sums(), reverse=True)
-    return _image(path.a, path.b, Partition(cols).conjugate())
+    return _lasers(path)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -257,43 +275,22 @@ def eta_via_intervals(path: DyckPath) -> DyckPath:
 
 
 # ---------------------------------------------------------------------------
-# Canonical entry points
+# The cross-check
 
-CANONICAL = "sweep"
-
-_ZETA_METHODS = {
-    "cores": zeta_via_cores,
-    "sweep": zeta_via_sweep,
-    "laser": zeta_via_lasers,
-    "intervals": zeta_via_intervals,
-}
-
-_ETA_METHODS = {
-    "cores": eta_via_cores,
-    "sweep": eta_via_sweep,
-    "laser": eta_via_lasers,
-    "intervals": eta_via_intervals,
+_CONSTRUCTIONS = {  # method -> (zeta image, eta image), from one build
+    "cores": _cores,
+    "sweep": lambda path: (zeta_via_sweep(path), eta_via_sweep(path)),
+    "laser": _lasers,
+    "intervals": lambda path: (zeta_via_intervals(path), eta_via_intervals(path)),
 }
 
 
-def _dispatch(name: str, methods, path: DyckPath, check: bool) -> DyckPath:
-    if not check:
-        return methods[CANONICAL](path)
-    results = {m: fn(path) for m, fn in methods.items()}
-    if len(set(results.values())) != 1:
-        raise MethodDisagreement(
-            f"{name}({path})", {m: str(p) for m, p in results.items()}
-        )
-    return results[CANONICAL]
-
-
-def zeta(path: DyckPath, *, check: bool = False) -> DyckPath:
-    """The zeta map, by the sweep; with check=True all four constructions
-    must agree."""
-    return _dispatch("zeta", _ZETA_METHODS, path, check)
-
-
-def eta(path: DyckPath, *, check: bool = False) -> DyckPath:
-    """The eta map, by the sweep; with check=True all four constructions
-    must agree."""
-    return _dispatch("eta", _ETA_METHODS, path, check)
+def cross_check(path: DyckPath) -> tuple[DyckPath, DyckPath]:
+    """(zeta(P), eta(P)) by the sweep, once the four constructions, each built
+    once, agree on both; the first map they disagree on raises MethodDisagreement."""
+    pairs = {method: build(path) for method, build in _CONSTRUCTIONS.items()}
+    for i, name in enumerate(("zeta", "eta")):
+        images = {method: pair[i] for method, pair in pairs.items()}
+        if len(set(images.values())) != 1:
+            raise MethodDisagreement(f"{name}({path})", {m: str(q) for m, q in images.items()})
+    return pairs["sweep"]

@@ -153,7 +153,7 @@ class Permutation:
     def __post_init__(self):
         one_line = tuple(self.one_line)
         object.__setattr__(self, "one_line", one_line)
-        if not set(map(type, one_line)) <= {int} or sorted(one_line) != list(range(1, self.n + 1)):
+        if set(map(type, one_line)) != {int} or sorted(one_line) != list(range(1, self.n + 1)):
             raise ValueError(f"not a permutation of 1..{self.n}: {one_line}")
 
     @property

@@ -77,6 +77,8 @@ class QPolynomial:
 
     @classmethod
     def monomial(cls, power: int, coeff: int = 1) -> "QPolynomial":
+        if power < 0:
+            raise ValueError(f"negative power {power}")
         return cls((0,) * power + (coeff,))
 
     @property
@@ -150,7 +152,9 @@ class QPolynomial:
 
 
 def q_bracket(n: int) -> QPolynomial:
-    """[n]_q = 1 + q + ... + q^(n-1)."""
+    """[n]_q = 1 + q + ... + q^(n-1), zero for n = 0."""
+    if n < 0:
+        raise ValueError(f"negative bracket [{n}]_q")
     return QPolynomial((1,) * n)
 
 

@@ -12,6 +12,7 @@ import pytest
 import rational_dyck as rd
 from rational_dyck import bounce
 from rational_dyck.bounce import fuss_delta_trace, search_delta_traces
+from rational_dyck.cli import main
 from rational_dyck.errors import (
     DimensionTooSmall,
     InternalInvariantError,
@@ -40,6 +41,17 @@ class TestConjPredecessor:
     def test_bottom_raises(self):
         with pytest.raises(NoBoxToAdd):
             rd.conj_predecessor(rd.lowest_path(3, 5))
+
+    def test_a_bad_decode_is_a_bug(self, running, monkeypatch, capsys):
+        # the cycle 1 -> 2 -> ... -> 13 -> 1 decodes to one east step; the
+        # path is valid, so the failure is the algebraic route's, exit 3
+        image = rd.zeta(running).steps
+        monkeypatch.setattr(bounce, "_conjugate_by_head_inverse", lambda g, d: (*range(2, 14), 1))
+        with pytest.raises(InternalInvariantError):
+            rd.conj_predecessor(running)
+        code = main(["invert", "--a", "5", "--b", "8", "--path", image, "--trace"])
+        assert code == 3
+        assert "decodes no path" in capsys.readouterr().err
 
     def test_chains_reach_lowest(self):
         for a, b in [(3, 5), (4, 5), (2, 7)]:

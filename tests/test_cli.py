@@ -206,10 +206,10 @@ class TestVerify:
         import rational_dyck.cli as cli
         from rational_dyck.errors import MethodDisagreement
 
-        def broken(path, check=False):
+        def broken(path):
             raise MethodDisagreement("zeta(demo)", {"cores": "x", "sweep": "y"})
 
-        monkeypatch.setattr(cli, "zeta", broken)
+        monkeypatch.setattr(cli, "cross_check", broken)
         code, _, err = run(
             capsys, "map", "--a", "2", "--b", "3", "--path", "NENEE",
             "--map", "zeta", "--method", "all",
@@ -220,10 +220,10 @@ class TestVerify:
         import rational_dyck.cli as cli
         from rational_dyck.errors import InternalInvariantError
 
-        def broken(path, check=False):
+        def broken(path):
             raise InternalInvariantError("demo invariant")
 
-        monkeypatch.setattr(cli, "zeta", broken)
+        monkeypatch.setattr(cli, "cross_check", broken)
         code, _, err = run(
             capsys, "map", "--a", "2", "--b", "3", "--path", "NENEE",
             "--map", "zeta", "--method", "all",

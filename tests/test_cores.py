@@ -122,8 +122,7 @@ class TestHooksFromLeadingHooks:
         p = running if draw == "running" else cycle_lemma_path(random.Random(draw), 29, 41)
         monkeypatch.setattr(Partition, "hook", walk)
         monkeypatch.setattr(Partition, "boxes", walk)
-        rd.zeta(p, check=True)
-        rd.eta(p, check=True)
+        rd.cross_check(p)
         kappa = rd.anderson(p)
         for m in (p.a, p.b):
             a_rows(kappa, m)

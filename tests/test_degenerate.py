@@ -29,8 +29,7 @@ class TestSinglePathFamilies:
 
     def test_maps_fix_the_path(self, a, b):
         p = rd.lowest_path(a, b)
-        assert rd.zeta(p, check=True) == p
-        assert rd.eta(p, check=True) == p
+        assert rd.cross_check(p) == (p, p)
         assert rd.conjugate(p) == p
         assert rd.zeta_inverse(p) == p
 

@@ -19,6 +19,7 @@ from rational_dyck.errors import (
     NoPreimage,
     NotACycle,
     NotADyckPath,
+    NotCoprime,
     NotSquareCase,
     RoundTripFailure,
     TooManyBoxes,
@@ -289,6 +290,10 @@ class TestSplitDims:
     def test_too_small(self):
         with pytest.raises(DimensionTooSmall):
             rd.split_dims(1, 5)
+
+    def test_not_coprime(self):
+        with pytest.raises(NotCoprime):
+            rd.split_dims(4, 6)
 
 
 class TestLevel1:

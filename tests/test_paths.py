@@ -305,6 +305,13 @@ class TestPermutations:
         rho = rd.rotation_cycle(5, 1, 3)
         assert rho.one_line == (2, 3, 1, 4, 5)
 
+    def test_empty_permutation_rejected(self):
+        # no path has a + b = 0, and an empty one-line has no cycle from 1
+        with pytest.raises(ValueError):
+            Permutation(())
+        with pytest.raises(ValueError):
+            standardize(())
+
     @given(st.permutations(list(range(1, 8))))
     def test_standardize_of_permutation_is_itself(self, values):
         assert standardize(values).one_line == tuple(values)

@@ -57,6 +57,16 @@ class TestQPolynomial:
         assert rd.q_bracket(5).coeffs == (1, 1, 1, 1, 1)
         assert rd.q_bracket(1).coeffs == (1,)
 
+    def test_negative_bracket_rejected(self):
+        assert rd.q_bracket(0) == QPolynomial.zero()
+        with pytest.raises(ValueError):
+            rd.q_bracket(-2)
+
+    def test_negative_monomial_rejected(self):
+        assert QPolynomial.monomial(0, 5) == QPolynomial((5,))
+        with pytest.raises(ValueError):
+            QPolynomial.monomial(-1, 5)
+
     def test_exact_division(self):
         p = QPolynomial((1, 0, 1))  # 1 + q^2
         product = p * rd.q_bracket(5)

@@ -76,8 +76,7 @@ class TestLowestAndFull:
     def test_zeta_of_lowest_is_full(self):
         for a, b in coprime_pairs(10):
             low = rd.lowest_path(a, b)
-            assert rd.zeta(low, check=True) == rd.full_path(a, b)
-            assert rd.eta(low, check=True) == rd.full_path(a, b)
+            assert rd.cross_check(low) == (rd.full_path(a, b),) * 2
 
     def test_zeta_of_full_is_lowest(self):
         for a, b in coprime_pairs(10):
@@ -86,16 +85,39 @@ class TestLowestAndFull:
     def test_four_constructions_agree_on_the_largest_core(self):
         # the full path's (61,89)-core has 1,227,600 boxes
         full = rd.full_path(61, 89)
-        assert rd.zeta(full, check=True) == rd.lowest_path(61, 89)
-        assert rd.eta(full, check=True) == rd.lowest_path(61, 89)
+        assert rd.cross_check(full) == (rd.lowest_path(61, 89),) * 2
 
 
 class TestFourWayAgreement:
     def test_exhaustive(self):
         for a, b in coprime_pairs(11):
             for p in rd.enumerate_paths(a, b):
-                rd.zeta(p, check=True)
-                rd.eta(p, check=True)
+                rd.cross_check(p)
+
+    @pytest.mark.parametrize("draw", ("running", "29,41"))
+    def test_one_core_and_one_filling_per_path(self, draw, running, monkeypatch):
+        maps_module = importlib.import_module("rational_dyck.maps")
+        cores, fillings = [], []
+
+        def counted_anderson(path):
+            cores.append(path)
+            return rd.anderson(path)
+
+        class CountedFilling(rd.LaserFilling):
+            def __init__(self, path):
+                fillings.append(path)
+                super().__init__(path)
+
+        p = running if draw == "running" else cycle_lemma_path(random.Random(draw), 29, 41)
+        monkeypatch.setattr(maps_module, "anderson", counted_anderson)
+        monkeypatch.setattr(maps_module, "LaserFilling", CountedFilling)
+        assert rd.cross_check(p) == (rd.zeta(p), rd.eta(p))
+        assert cores == [p] and fillings == [p]
+
+    def test_check_keyword_is_gone(self, running):
+        for canonical in (rd.zeta, rd.eta):
+            with pytest.raises(TypeError):
+                canonical(running, check=True)
 
 
 class TestCanonicalSweep:
@@ -192,8 +214,7 @@ class TestPropertiesAtScale:
     @settings(deadline=None, max_examples=50)
     @given(cycle_lemma_paths(max_sum=300))
     def test_check_runs_all_four_constructions(self, p):
-        assert rd.zeta(p, check=True) == zeta_via_sweep(p)
-        assert rd.eta(p, check=True) == eta_via_sweep(p)
+        assert rd.cross_check(p) == (zeta_via_sweep(p), eta_via_sweep(p))
 
     @settings(deadline=None)
     @given(cycle_lemma_paths(max_sum=120))
@@ -308,30 +329,40 @@ class TestRelations:
 
 
 class TestCrossCheckDisagreement:
-    """One construction that returns a different valid path must trip
-    check=True, and through it ``dyck map --method all``."""
+    """One construction that returns a different valid path for one map must
+    trip cross_check, and through it ``dyck map --method all`` for either map."""
 
     @pytest.mark.parametrize("name", ("zeta", "eta"))
     @pytest.mark.parametrize("method", ("cores", "laser", "intervals"))
     def test_a_wrong_construction_is_reported(self, running, name, method, monkeypatch, capsys):
-        maps_module = importlib.import_module("rational_dyck.maps")
-        canonical = getattr(rd, name)
-        methods = {"zeta": maps_module._ZETA_METHODS, "eta": maps_module._ETA_METHODS}[name]
-        image = canonical(running)
+        constructions = importlib.import_module("rational_dyck.maps")._CONSTRUCTIONS
+        images = rd.cross_check(running)
+        which = ("zeta", "eta").index(name)
         wrong = rd.lowest_path(running.a, running.b)
-        assert wrong != image
-        monkeypatch.setitem(methods, method, lambda path: wrong)
+        assert wrong != images[which]
+        broken = tuple(wrong if i == which else q for i, q in enumerate(images))
+        monkeypatch.setitem(constructions, method, lambda path: broken)
 
         with pytest.raises(MethodDisagreement) as info:
-            canonical(running, check=True)
+            rd.cross_check(running)
+        assert info.value.name == f"{name}({running})"
         assert sorted(info.value.results) == ["cores", "intervals", "laser", "sweep"]
         assert info.value.results[method] == str(wrong)
-        assert canonical(running, check=False) == image
+        assert (rd.zeta(running), rd.eta(running)) == images
 
-        code = main([
-            "map", "--a", "5", "--b", "8", "--path", running.steps,
-            "--map", name, "--method", "all",
-        ])
-        err = capsys.readouterr().err
-        assert code == 3
-        assert all(f"{m}=" in err for m in ("cores", "intervals", "laser", "sweep"))
+        for shown in ("zeta", "eta"):
+            code = main([
+                "map", "--a", "5", "--b", "8", "--path", running.steps,
+                "--map", shown, "--method", "all",
+            ])
+            err = capsys.readouterr().err
+            assert code == 3
+            assert all(f"{m}=" in err for m in ("cores", "intervals", "laser", "sweep"))
+
+    def test_the_first_map_that_disagrees_is_named(self, running, monkeypatch):
+        constructions = importlib.import_module("rational_dyck.maps")._CONSTRUCTIONS
+        wrong = rd.lowest_path(running.a, running.b)
+        monkeypatch.setitem(constructions, "laser", lambda path: (wrong, wrong))
+        with pytest.raises(MethodDisagreement) as info:
+            rd.cross_check(running)
+        assert info.value.name == f"zeta({running})"

@@ -30,7 +30,7 @@ from .errors import (
     RoundTripFailure,
     WrongStepCounts,
 )
-from .maps import zeta
+from .maps import _sends
 from .paths import (
     DyckPath,
     EAST,
@@ -210,7 +210,7 @@ def _fuss_inverse(path: DyckPath) -> tuple[DyckPath, tuple[int, ...]]:
         preimage = _path_from_cycle(a, b, g)
     except (WrongStepCounts, BelowDiagonal):
         preimage = None
-    if preimage is None or zeta(preimage) != path:
+    if preimage is None or not _sends(preimage, path):
         raise RoundTripFailure(
             f"round trip failed for {path} via deltas {deltas}", deltas
         )
@@ -248,7 +248,7 @@ def search_delta_traces(path: DyckPath):
         nonlocal attempts
         if q_area == max_area:
             bottom = lowest_path(a, b)
-            return (_gamma_one_line(bottom), bottom, None, None) if zeta(bottom) == q else None
+            return (_gamma_one_line(bottom), bottom, None, None) if _sends(bottom, q) else None
         bounce = initial_bounce(q)
         low = bounce.v_total + bounce.h_total + 1
         for d in range(low, min(low + r - 1, n) + 1):
@@ -267,7 +267,7 @@ def search_delta_traces(path: DyckPath):
                 candidate = _path_from_cycle(a, b, g)
             except (WrongStepCounts, BelowDiagonal):
                 continue
-            if candidate is not None and delta(candidate) == d and zeta(candidate) == q:
+            if candidate is not None and delta(candidate) == d and _sends(candidate, q):
                 return g, candidate, d, nxt
         return None
 

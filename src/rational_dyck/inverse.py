@@ -7,7 +7,9 @@ one-line notation, and place east steps at its cyclic descents.  The
 pairing is a raw tuple, and the decode is the one the delta recursion and
 the Fuss inverse end with, and DyckPath's own check rejects a descent
 word that is not a path.  iota always round-trips its result through
-zeta and eta.
+zeta and eta, and every strategy's preimage goes through zeta; each round
+trip compares the swept word with the known image's steps and builds the
+image only when they differ.
 
 Knowing Q alone, P is found by the level scan (the ``levels`` strategy,
 and the whole of ``auto``): it searches the letters of eta(P) one by one
@@ -44,7 +46,7 @@ from .errors import (
     TooManyBoxes,
     WrongStepCounts,
 )
-from .maps import eta, zeta
+from .maps import _sends, eta, zeta
 from .paths import (
     _TABLE_CACHE_SIZE,
     DyckPath,
@@ -131,7 +133,7 @@ def iota(q: DyckPath, r: DyckPath) -> DyckPath:
         raise NotADyckPath(str(exc)) from exc
     if path is None:
         raise NotACycle(f"the pairing of {q} and {r} has more than one cycle")
-    if zeta(path) != q or eta(path) != r:
+    if not (_sends(path, q) and _sends(path, r, eta=True)):
         raise InconsistentPair(f"iota({q}, {r}) decoded {path} but images differ")
     return path
 
@@ -342,7 +344,7 @@ def zeta_inverse_detailed(q: DyckPath, strategy: str = "auto") -> InversionResul
 
 def _verified(strategy: str, q: DyckPath) -> InversionResult:
     result = _STRATEGY_FUNCS[strategy](q)
-    if zeta(result.path) != q:
+    if not _sends(result.path, q):
         raise NoPreimage(f"strategy {strategy} produced a non-preimage for {q}")
     return result
 

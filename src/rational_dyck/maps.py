@@ -17,7 +17,8 @@ bisections, so neither scans every level per box nor builds the grid
 `rational_dyck.maps`, so that `rational_dyck.zeta` names the function.
 Each image is built by the validating DyckPath constructor, from a swept
 word or a bounded partition; an image it rejects is a bug, raised as
-InternalInvariantError.
+InternalInvariantError.  A round trip compares the swept word with the
+known image's steps, and builds the image only when they differ.
 """
 
 from __future__ import annotations
@@ -100,27 +101,37 @@ def eta_via_cores(path: DyckPath) -> DyckPath:
 # Via sweep, the canonical construction
 
 
-def zeta_via_sweep(path: DyckPath) -> DyckPath:
-    """The steps sorted by the level of their start point, rising.
-
-    The steps are keyed by their distinct levels, so the sort is on ints."""
-    step_at = dict(zip(path.levels(), path.steps))  # the final 0 is dropped
+def _swept_word(path: DyckPath, eta: bool = False) -> str:
+    """zeta's word: the steps sorted by the level of their start point,
+    rising.  eta's: sorted by the level of their end point, falling, which
+    sorts the reverse reading word into a southwest path from (b, a), read
+    back northeast.  The levels are distinct, so the sort is on ints."""
+    levels = path.levels()[1:] if eta else path.levels()  # zeta drops the final 0
+    step_at = dict(zip(levels, path.steps))
     if len(step_at) != path.length:
-        raise InternalInvariantError("repeated level in reading word")
-    return _image(path.a, path.b, "".join(map(step_at.__getitem__, sorted(step_at))))
+        raise InternalInvariantError(f"repeated level in the levels of {path}")
+    return "".join(map(step_at.__getitem__, sorted(step_at, reverse=eta)))
+
+
+def _sends(path: DyckPath, q: DyckPath, eta: bool = False) -> bool:
+    """Whether zeta (eta when asked) sends the path to Q, by its swept word
+    against Q's steps and dimensions.  A word that differs is still built,
+    so one that is not a Dyck path raises InternalInvariantError."""
+    word = _swept_word(path, eta)
+    if word == q.steps and (path.a, path.b) == (q.a, q.b):
+        return True
+    _image(path.a, path.b, word)
+    return False
+
+
+def zeta_via_sweep(path: DyckPath) -> DyckPath:
+    """The steps sorted by the level of their start point, rising."""
+    return _image(path.a, path.b, _swept_word(path))
 
 
 def eta_via_sweep(path: DyckPath) -> DyckPath:
-    """The steps sorted by the level of their end point, falling.
-
-    This sorts the reverse reading word into a southwest path from (b, a),
-    read back northeast.
-    """
-    step_at = dict(zip(path.levels()[1:], path.steps))
-    if len(step_at) != path.length:
-        raise InternalInvariantError("repeated level in reverse reading word")
-    word = "".join(map(step_at.__getitem__, sorted(step_at, reverse=True)))
-    return _image(path.a, path.b, word)
+    """The steps sorted by the level of their end point, falling."""
+    return _image(path.a, path.b, _swept_word(path, eta=True))
 
 
 zeta, eta = zeta_via_sweep, eta_via_sweep

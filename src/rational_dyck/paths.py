@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate, chain, compress
 from typing import Iterator
 
@@ -48,6 +48,20 @@ EAST = "E"
 # before it starts the next, so one table serves it, and it holds no pair
 # it has left.  None is keyed by a path.
 _TABLE_CACHE_SIZE = 1
+
+
+class _view:
+    """functools.cached_property as of Python 3.12, without the lock older
+    versions take on a first read: the value goes into the instance's dict."""
+
+    def __init__(self, func):  # used as a decorator, so stored under its own name
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        obj.__dict__[self.name] = value = self.func(obj)
+        return value
 
 
 def box_value(a: int, b: int, col: int, row: int) -> int:
@@ -105,7 +119,7 @@ class Partition:
             raise ValueError(f"{self.parts} longer than {length}")
         return Partition(self.parts + (0,) * (length - len(self.parts)))
 
-    @cached_property
+    @_view
     def _column_heights(self) -> tuple[int, ...]:
         """Number of parts exceeding j, for each column j of the diagram.
 
@@ -336,25 +350,25 @@ class DyckPath:
         """
         return self._positive_hooks
 
-    @cached_property
+    @_view
     def _north_levels(self) -> tuple[int, ...]:
         norths = compress(self._levels, map(NORTH.__eq__, self.steps))
         return tuple(sorted(norths, reverse=True))
 
-    @cached_property
+    @_view
     def _east_levels(self) -> tuple[int, ...]:
         easts = compress(self._levels, map(EAST.__eq__, self.steps))
         return tuple(sorted(easts, reverse=True))
 
-    @cached_property
+    @_view
     def _north_columns(self) -> tuple[int, ...]:
         return tuple(accumulate(map(len, self.steps.split(NORTH)[:-1])))
 
-    @cached_property
+    @_view
     def _east_rows(self) -> tuple[int, ...]:
         return tuple(accumulate(map(len, self.steps.split(EAST)[:-1])))
 
-    @cached_property
+    @_view
     def _positive_hooks(self) -> tuple[int, ...]:
         # in row y, the boxes right of the north step in column c have
         # values y*b - (c+1)*a, falling by a per column while positive

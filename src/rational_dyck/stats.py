@@ -5,12 +5,24 @@ side, peak/valley row lengths, skew inversions, flip skew inversions); the
 laser route lives with the laser filling.  All arithmetic is exact.
 
 The statistics of `statistics_summary` are read off the path's levels and
-north columns, with no box loop and no Partition.  dinv is defined on the
-boxes above the path, but each such box pairs an east step e with a later
-north step n, its arm and leg being the E and N steps strictly between
-them.  Then L(n) - L(e) = leg*b - arm*a - a on start levels, so the box
-counts exactly when L(e) - (a+b) < L(n) < L(e): a window on levels,
-counted in one left-to-right pass.
+north columns, with no box loop and no Partition.  Let c_y be the column
+of the north step in row y.
+
+- area = (a-1)(b-1)/2 - coarea, where coarea is the sum of the c_y.  Box
+  (x, y) lies above the diagonal when its southeast corner does,
+  y*b > (x+1)*a; a*x never equals y*b inside the grid, so row y >= 1
+  holds floor(y*b/a) such boxes, row 0 none, and rows y and a - y hold
+  b - 1 together: (a-1)(b-1)/2 in all.  The path passes (c_y, y), so
+  c_y <= floor(y*b/a), and its c_y boxes left of the north step are
+  the ones of row y above the path.
+- rank = a less the number of c_y equal to 0, the nonzero rows of the
+  bounded partition; the core rank equals the area.
+- delta counts the reading-word levels below a + b.
+- dinv is defined on the boxes above the path, but each such box pairs an
+  east step e with a later north step n, its arm and leg being the E and N
+  steps strictly between them.  Then L(n) - L(e) = leg*b - arm*a - a on
+  start levels, so the box counts exactly when L(e) - (a+b) < L(n) < L(e):
+  a window on levels, counted in one left-to-right pass.
 """
 
 from __future__ import annotations
@@ -38,16 +50,8 @@ __all__ = [
 
 
 def area(path: DyckPath) -> int:
-    """Number of boxes below the path and above the diagonal.
-
-    In row y, whose north step is in column c, these are the boxes of
-    columns c <= x < floor(y*b/a), counted without visiting them; a*x
-    never equals y*b inside the grid since gcd(a, b) = 1.
-    """
-    a, b = path.a, path.b
-    return sum(
-        max(0, (y * b - 1) // a - c) for y, c in enumerate(path.north_columns())
-    )
+    """Boxes below the path and above the diagonal: (a-1)(b-1)/2 less the coarea."""
+    return (path.a - 1) * (path.b - 1) // 2 - coarea(path)
 
 
 def coarea(path: DyckPath) -> int:
@@ -58,7 +62,7 @@ def coarea(path: DyckPath) -> int:
 def path_rank(path: DyckPath) -> int:
     """Number of nonzero rows of the bounded partition, which are the
     nonzero north columns."""
-    return sum(1 for c in path.north_columns() if c)
+    return path.a - path.north_columns().count(0)
 
 
 rank = path_rank
@@ -138,8 +142,7 @@ def dinv(path: DyckPath) -> int:
 
 def delta(path: DyckPath) -> int:
     """Number of reading-word levels strictly below a + b."""
-    bound = path.a + path.b
-    return sum(1 for v in path.reading_word() if v < bound)
+    return sum(map((path.a + path.b).__gt__, path.reading_word()))
 
 
 def statistics_summary(path: DyckPath) -> dict[str, int]:

@@ -12,8 +12,8 @@ length and its rank under both variants, in enumeration order.
 counts sl + rank and `qt_catalan` counts (rank, (a-1)(b-1)/2 - sl).  The
 table is keyed by the pair, never by a path, and only the last pair's is
 kept.  On a 2-vCPU host, `dyck verify --check all` runs every coprime pair
-with a+b <= 18 in 1.5 s and 24 MB peak RSS, a+b <= 20 in 7.7 s and 31 MB,
-and a+b <= 22 in 24 s and 57 MB; the largest pairs alone, (11,9) and
+with a+b <= 18 in 1.4 s and 24 MB peak RSS, a+b <= 20 in 5.3 s and 31 MB,
+and a+b <= 22 in 18 s and 57 MB; the largest pairs alone, (11,9) and
 (13,9), peak at 33 and 62 MB.
 """
 

@@ -7,7 +7,8 @@ positive hooks, laser crossings are re-derived with
 exact rational intersection tests and, box by box, by scanning every
 level, the interval routes' counts come from the whole a x b grid, the
 closed forms of the inverse module are rebuilt as sets of boxes, dinv
-walks the boxes with their arms and legs, a partition's hooks are found box by box, skew inversions
+walks the boxes with their arms and legs, the area counts boxes one at a
+time, a partition's hooks are found box by box, skew inversions
 compare every pair of levels, the partners of each zeta image are
 sought by calling iota on every pair (Q, R), Gaussian binomials come
 from the Pascal recurrence on QPolynomial values, and the q- and
@@ -131,6 +132,22 @@ def conjugate_by_hooks(path: DyckPath) -> DyckPath:
     m = hooks[0]
     present = frozenset(hooks)
     return path_from_hooks(path.a, path.b, [m - n for n in range(m + 1) if n not in present])
+
+
+def area_by_boxes(path: DyckPath) -> int:
+    """Boxes (x, y) right of row y's north step, x >= c_y, with their
+    southeast corner weakly above the diagonal, (x+1)*a <= y*b; the
+    columns c_y come from walking the word."""
+    a, b = path.a, path.b
+    columns, x = [], 0
+    for s in path.steps:
+        if s == NORTH:
+            columns.append(x)
+        else:
+            x += 1
+    return sum(
+        1 for y, c in enumerate(columns) for x in range(c, b) if (x + 1) * a <= y * b
+    )
 
 
 def dinv_by_boxes(path: DyckPath) -> int:

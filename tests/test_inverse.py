@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 import rational_dyck as rd
-from rational_dyck import inverse
+from rational_dyck import cli, inverse, maps
 from rational_dyck.errors import (
     DimensionTooSmall,
     InconsistentPair,
@@ -25,6 +25,7 @@ from rational_dyck.errors import (
     TooManyBoxes,
 )
 from rational_dyck.inverse import level_point
+from rational_dyck.paths import EAST, NORTH
 
 from conftest import (
     chi_kth_valley_by_boxes,
@@ -101,6 +102,39 @@ class TestIota:
         for a, b in coprime_pairs(9):
             for p in rd.enumerate_paths(a, b):
                 assert rd.area(rd.zeta(p)) == rd.area(rd.eta(p))
+
+
+class TestRoundTripsKeepBugs:
+    """A swept word that is not a Dyck path is a bug wherever a round trip
+    reads it, never a mismatch reported as InconsistentPair or NoPreimage."""
+
+    @pytest.fixture
+    def images(self, monkeypatch, running):
+        q, r = rd.zeta(running), rd.eta(running)
+        fuss = rd.zeta(rd.enumerate_paths(3, 7)[4])
+
+        def below(path, eta=False):
+            return EAST * path.b + NORTH * path.a
+
+        monkeypatch.setattr(maps, "_swept_word", below)
+        return q, r, fuss
+
+    def test_iota(self, images):
+        with pytest.raises(InternalInvariantError):
+            rd.iota(images[0], images[1])
+
+    @pytest.mark.parametrize("strategy", ("auto", "search", "fuss"))
+    def test_zeta_inverse(self, images, strategy):
+        q = images[2] if strategy == "fuss" else images[0]
+        with pytest.raises(InternalInvariantError):
+            rd.zeta_inverse(q, strategy)
+
+    @pytest.mark.parametrize("strategy", ("auto", "search"))
+    def test_dyck_invert_exits_3(self, images, strategy, capsys):
+        q = images[0]
+        argv = ["invert", "--a", "5", "--b", "8", "--path", q.steps, "--strategy", strategy]
+        assert cli.main(argv) == 3
+        assert "is not an (5,8)-Dyck path" in capsys.readouterr().err
 
 
 class TestExceedances:

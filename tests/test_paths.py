@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
+import functools
+import importlib
 import pickle
+import pkgutil
 import random
+from collections import Counter
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
@@ -25,6 +30,7 @@ from rational_dyck.paths import (
     Partition,
     Permutation,
     _path_from_cycle,
+    _view,
     box_value,
     standardize,
 )
@@ -253,6 +259,54 @@ class TestViews:
         for twin in (copy.copy(p), pickle.loads(pickle.dumps(p))):
             assert twin == p and hash(twin) == hash(p)
             assert read_views(twin) == views
+
+
+class TestViewSemantics:
+    """The views are lock-free cached properties: each runs once per
+    instance, stays out of the fields, and leaves equality, hash and repr
+    on the fields."""
+
+    def test_each_view_runs_once_per_instance(self, monkeypatch):
+        calls = Counter()
+        for cls in (rd.DyckPath, Partition):
+            for name, view in list(vars(cls).items()):
+                if isinstance(view, _view):
+
+                    def counted(obj, func=view.func, name=name):
+                        calls[name] += 1
+                        return func(obj)
+
+                    monkeypatch.setattr(view, "func", counted)
+        path_views = "_north_levels _east_levels _north_columns _east_rows _positive_hooks"
+        twins = [rd.DyckPath(5, 8, "NNNENEEENEEEE") for _ in range(2)]
+        for p in twins + twins:
+            read_views(p)
+        shape = Partition((4, 2, 1))
+        for _ in range(2):
+            shape.conjugate(), shape.leg(0, 1)
+        assert calls == {**dict.fromkeys(path_views.split(), 2), "_column_heights": 1}
+
+    def test_a_read_path_equals_a_fresh_one(self):
+        for p in rd.enumerate_paths(5, 8):
+            fresh = rd.DyckPath(p.a, p.b, p.steps)
+            read_views(p)
+            assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
+        shape, fresh = Partition((4, 2, 1)), Partition((4, 2, 1))
+        shape.conjugate()
+        assert shape == fresh and hash(shape) == hash(fresh) and repr(shape) == repr(fresh)
+
+    def test_fields_are_unchanged(self):
+        assert [f.name for f in dataclasses.fields(rd.DyckPath)] == ["a", "b", "steps"]
+        assert [f.name for f in dataclasses.fields(Partition)] == ["parts"]
+
+    def test_no_module_uses_cached_property(self):
+        for info in pkgutil.iter_modules(rd.__path__):
+            module = importlib.import_module(f"rational_dyck.{info.name}")
+            values = list(vars(module).values())
+            assert not any(v is functools.cached_property for v in values), info.name
+            for cls in (v for v in values if isinstance(v, type)):
+                members = vars(cls).values()
+                assert not any(isinstance(v, functools.cached_property) for v in members)
 
 
 class TestPermutations:

@@ -7,8 +7,10 @@ import random
 from hypothesis import given, settings
 
 import rational_dyck as rd
+from rational_dyck.paths import NORTH
 
 from conftest import (
+    area_by_boxes,
     coprime_pairs,
     cycle_lemma_path,
     cycle_lemma_paths,
@@ -41,6 +43,40 @@ class TestAreaFamily:
     def test_core_rank_is_core_row_count(self):
         for p in all_paths(9):
             assert rd.core_rank(p) == rd.anderson(p).rows
+
+
+def rank_and_delta_by_walk(p):
+    """Rows whose north step leaves column x > 0, and points before the
+    last whose level y*b - x*a is below a + b, counted on a walk."""
+    x = y = rank = delta = 0
+    for s in p.steps:
+        delta += y * p.b - x * p.a < p.a + p.b
+        if s == NORTH:
+            rank += x > 0
+            y += 1
+        else:
+            x += 1
+    return rank, delta
+
+
+class TestAgainstDirectCounts:
+    """area, core_rank, rank and delta, which visit no box, against counts
+    that visit every box and point."""
+
+    @staticmethod
+    def check(p):
+        area = area_by_boxes(p)
+        assert (rd.area(p), rd.core_rank(p)) == (area, area)
+        assert (rd.rank(p), rd.delta(p)) == rank_and_delta_by_walk(p)
+
+    def test_exhaustive(self):
+        for p in all_paths(14):
+            self.check(p)
+
+    @settings(deadline=None)
+    @given(cycle_lemma_paths(max_sum=120))
+    def test_large(self, p):
+        self.check(p)
 
 
 class TestSkewLength:

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import math
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import rational_dyck as rd
-from rational_dyck import inverse, stats, verification
+from rational_dyck import maps, stats, verification
 from rational_dyck.errors import InexactDivision, InternalInvariantError, NotCoprime
 from rational_dyck.verification import QPolynomial, QTPolynomial
 
@@ -258,17 +260,53 @@ class TestBijectivityReport:
     @pytest.mark.parametrize("a,b", [(3, 4), (4, 5), (3, 8), (4, 7), (5, 7)])
     def test_unique_pair_scan_matches_all_pairs_when_zeta_collides(self, monkeypatch, a, b):
         # conjugating the odd-area paths first merges fibres and can
-        # leave an image without its true preimage
-        def colliding(p):
-            return rd.zeta(rd.conjugate(p)) if rd.area(p) % 2 else rd.zeta(p)
+        # leave an image without its true preimage; zeta and iota's round
+        # trip both read the patched word
+        swept_word = maps._swept_word
 
-        monkeypatch.setattr(verification, "zeta", colliding)
-        monkeypatch.setattr(inverse, "zeta", colliding)
+        def colliding_word(p, eta=False):
+            return swept_word(rd.conjugate(p) if rd.area(p) % 2 and not eta else p, eta)
+
+        monkeypatch.setattr(maps, "_swept_word", colliding_word)
+        colliding = rd.zeta
         paths = rd.enumerate_paths(a, b)
         report = rd.bijectivity_report(a, b, unique_pair_scan=True)
         oracle = pair_uniqueness_by_scan(dict.fromkeys(map(colliding, paths)), paths)
         assert report.collisions and not report.ok
         assert list(report.pair_uniqueness.items()) == list(oracle.items())
+
+    def test_unique_pair_scan_builds_four_paths_per_path(self, monkeypatch):
+        # enumeration, zeta, eta and iota's decode; iota's round trip
+        # compares swept words and builds no image
+        counts = Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        init = rd.DyckPath.__post_init__
+        monkeypatch.setattr(rd.DyckPath, "__post_init__", counting("builds", init))
+        monkeypatch.setattr(verification, "iota", counting("iota", verification.iota))
+        modules = [m for n, m in sys.modules.items() if n.partition(".")[0] == "rational_dyck"]
+        for fn in (maps.zeta_via_sweep, maps.eta_via_sweep):
+            wrapper = counting(fn.__name__, fn)
+            for module in modules:
+                for name in [n for n, v in vars(module).items() if v is fn]:
+                    monkeypatch.setattr(module, name, wrapper)
+        for a, b in coprime_pairs(12):
+            counts.clear()
+            rd.enumerate_paths.cache_clear()
+            report = rd.bijectivity_report(a, b, unique_pair_scan=True)
+            n = report.path_count
+            assert counts == {
+                "builds": 4 * n,
+                "zeta_via_sweep": n,
+                "eta_via_sweep": n,
+                "iota": report.image_count,
+            }, (a, b)
 
     def test_unique_pair_scan_propagates_a_bug_in_iota(self, monkeypatch):
         def broken(q, r):

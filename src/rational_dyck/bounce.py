@@ -17,8 +17,6 @@ of ``inverse``, and the recursion is kept as a cross-check, reached as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     BelowDiagonal,
     DimensionTooSmall,
@@ -35,6 +33,7 @@ from .paths import (
     DyckPath,
     EAST,
     NORTH,
+    _Value,
     _gamma_one_line,
     _path_from_cycle,
     conjugate,
@@ -103,12 +102,13 @@ def zeta_predecessor(path: DyckPath, delta_value: int) -> DyckPath:
     return DyckPath(path.a, path.b, "".join(rotated) + path.steps[delta_value:])
 
 
-@dataclass(frozen=True)
-class BouncePath:
+class BouncePath(_Value):
     """Staircase of k+1 vertical and k horizontal moves inside a path."""
 
-    v: tuple[int, ...]
-    h: tuple[int, ...]
+    __match_args__ = ("v", "h")
+
+    def __init__(self, v: tuple[int, ...], h: tuple[int, ...]):
+        self.__dict__.update(v=v, h=h)
 
     @property
     def v_total(self) -> int:

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 
 from .errors import NotACore, NotCoprime
-from .paths import DyckPath, Partition, box_value, full_path, path_from_hooks
+from .paths import DyckPath, Partition, _Value, box_value, full_path, path_from_hooks
 
 __all__ = [
     "HookFilling",
@@ -34,8 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HookFilling:
+class HookFilling(_Value):
     """The integer filling of the a x b grid of boxes.
 
     The box whose lower-right lattice point is p carries level(p); values
@@ -43,12 +41,12 @@ class HookFilling:
     main diagonal exactly when its value is positive.
     """
 
-    a: int
-    b: int
+    __match_args__ = ("a", "b")
 
-    def __post_init__(self):
-        if math.gcd(self.a, self.b) != 1:
-            raise NotCoprime(f"gcd({self.a}, {self.b}) != 1")
+    def __init__(self, a: int, b: int):
+        if math.gcd(a, b) != 1:
+            raise NotCoprime(f"gcd({a}, {b}) != 1")
+        self.__dict__.update(a=a, b=b)
 
     def value(self, col: int, row: int) -> int:
         if not (0 <= col < self.b and 0 <= row < self.a):
@@ -64,27 +62,24 @@ def hook_filling(a: int, b: int) -> HookFilling:
     return HookFilling(a, b)
 
 
-@dataclass(frozen=True)
-class CorePartition:
+class CorePartition(_Value):
     """A partition with no hook of length a or b, for coprime a and b."""
 
-    parts: tuple[int, ...]
-    a: int
-    b: int
+    __match_args__ = ("parts", "a", "b")
 
-    def __post_init__(self):
-        if not isinstance(self.a, int) or not isinstance(self.b, int):
+    def __init__(self, parts: tuple[int, ...], a: int, b: int):
+        if not isinstance(a, int) or not isinstance(b, int):
             raise ValueError("dimensions must be integers")
-        if math.gcd(self.a, self.b) != 1:
-            raise NotCoprime(f"gcd({self.a}, {self.b}) != 1")
-        parts = Partition(self.parts).parts  # validated, so zeros trail
+        if math.gcd(a, b) != 1:
+            raise NotCoprime(f"gcd({a}, {b}) != 1")
+        parts = Partition(parts).parts  # validated, so zeros trail
         parts = parts[: len(parts) - parts.count(0)]
-        object.__setattr__(self, "parts", parts)
         last = len(parts) - 1
         hooks = tuple(p + last - i for i, p in enumerate(parts))
-        object.__setattr__(self, "_leading_hooks", hooks)  # not a field: no eq or hash
-        _require_no_hook(self, self.a)
-        _require_no_hook(self, self.b)
+        # _leading_hooks is not a field: no eq or hash
+        self.__dict__.update(parts=parts, a=a, b=b, _leading_hooks=hooks)
+        _require_no_hook(self, a)
+        _require_no_hook(self, b)
 
     @property
     def partition(self) -> Partition:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
@@ -54,6 +53,7 @@ from .paths import (
     NORTH,
     Partition,
     Permutation,
+    _Value,
     _path_from_cycle,
     enumerate_paths,
     full_path,
@@ -154,11 +154,11 @@ def exceedances_check(q: DyckPath, r: DyckPath) -> bool:
 # The zeta inverse dispatcher
 
 
-@dataclass(frozen=True)
-class InversionResult:
-    path: DyckPath
-    strategy: str
-    deltas: tuple[int, ...] | None = None
+class InversionResult(_Value):
+    __match_args__ = ("path", "strategy", "deltas")
+
+    def __init__(self, path: DyckPath, strategy: str, deltas: tuple[int, ...] | None = None):
+        self.__dict__.update(path=path, strategy=strategy, deltas=deltas)
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)

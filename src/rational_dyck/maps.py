@@ -24,11 +24,10 @@ known image's steps, and builds the image only when they differ.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 
 from .cores import CorePartition, _hooks_below, a_rows, anderson
 from .errors import DyckError, InternalInvariantError, MethodDisagreement
-from .paths import DyckPath, Partition, box_value, path_from_bounded_partition
+from .paths import DyckPath, Partition, _Value, box_value, path_from_bounded_partition
 
 __all__ = [
     "LaserFilling",
@@ -221,8 +220,7 @@ def eta_via_lasers(path: DyckPath) -> DyckPath:
 # Via interval intersections
 
 
-@dataclass(frozen=True)
-class IntervalGrid:
+class IntervalGrid(_Value):
     """Disjointness grid of the north intervals against the east intervals,
     for pictures; the interval routes count without it.
 
@@ -232,9 +230,17 @@ class IntervalGrid:
     northwest of the diagonal when e < n and southeast when n + b < e - a.
     """
 
-    north_intervals: tuple[tuple[int, int], ...]
-    east_intervals: tuple[tuple[int, int], ...]
-    shaded: tuple[tuple[bool, ...], ...]  # [row][col], row 0 at the bottom
+    __match_args__ = ("north_intervals", "east_intervals", "shaded")
+
+    def __init__(
+        self,
+        north_intervals: tuple[tuple[int, int], ...],
+        east_intervals: tuple[tuple[int, int], ...],
+        shaded: tuple[tuple[bool, ...], ...],  # [row][col], row 0 at the bottom
+    ):
+        self.__dict__.update(
+            north_intervals=north_intervals, east_intervals=east_intervals, shaded=shaded
+        )
 
     @property
     def a(self) -> int:

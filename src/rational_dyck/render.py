@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bounce import initial_bounce
 from .cores import hook_filling, row_length_filling
 from .errors import UnsupportedOverlay
 from .maps import interval_grid, laser_filling
-from .paths import DyckPath
+from .paths import DyckPath, _Value
 
 _FILLINGS = ("hooks", "row-lengths", "lasers")  # overlays that write a value per box
 OVERLAYS = (*_FILLINGS, "levels", "bounce", "intervals")
@@ -16,18 +14,17 @@ OVERLAYS = (*_FILLINGS, "levels", "bounce", "intervals")
 _CELL_SCALE = 40  # svg pixels per box
 
 
-@dataclass(frozen=True)
-class RenderSpec:
-    format: str = "ascii"
-    overlays: tuple[str, ...] = ()
+class RenderSpec(_Value):
+    __match_args__ = ("format", "overlays")
 
-    def __post_init__(self):
-        if self.format not in ("ascii", "svg"):
-            raise UnsupportedOverlay(f"unknown format {self.format!r}")
-        object.__setattr__(self, "overlays", tuple(self.overlays))
-        for name in self.overlays:
+    def __init__(self, format: str = "ascii", overlays: tuple[str, ...] = ()):
+        if format not in ("ascii", "svg"):
+            raise UnsupportedOverlay(f"unknown format {format!r}")
+        overlays = tuple(overlays)
+        for name in overlays:
             if name not in OVERLAYS:
                 raise UnsupportedOverlay(f"unknown overlay {name!r}")
+        self.__dict__.update(format=format, overlays=overlays)
 
 
 def _validate(path: DyckPath, spec: RenderSpec) -> None:

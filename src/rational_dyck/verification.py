@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from operator import add
@@ -36,7 +35,13 @@ from .errors import (
 )
 from .inverse import iota
 from .maps import eta, zeta
-from .paths import _TABLE_CACHE_SIZE, DyckPath, enumerate_paths, rational_catalan_number
+from .paths import (
+    _TABLE_CACHE_SIZE,
+    DyckPath,
+    _Value,
+    enumerate_paths,
+    rational_catalan_number,
+)
 from .stats import area, coarea, core_rank, dinv, path_rank, skew_length
 
 __all__ = [
@@ -53,19 +58,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QPolynomial:
+class QPolynomial(_Value):
     """Dense integer-coefficient polynomial in q, trailing zeros stripped."""
 
-    coeffs: tuple[int, ...]
+    __match_args__ = ("coeffs",)
 
-    def __post_init__(self):
-        coeffs = tuple(self.coeffs)
+    def __init__(self, coeffs: tuple[int, ...]):
+        coeffs = tuple(coeffs)
         if not set(map(type, coeffs)) <= {int}:
             raise ValueError(f"coefficients must be integers: {coeffs}")
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
-        object.__setattr__(self, "coeffs", coeffs)
+        self.__dict__.update(coeffs=coeffs)
 
     @classmethod
     def zero(cls) -> "QPolynomial":
@@ -215,20 +219,19 @@ def sl_rank_generating(a: int, b: int, *, rank_variant: str = "core") -> QPolyno
     return QPolynomial(tuple(counts[e] for e in range(max(counts) + 1)))
 
 
-@dataclass(frozen=True)
-class QTPolynomial:
+class QTPolynomial(_Value):
     """Sparse integer polynomial in q and t, keyed by (q-power, t-power):
     one term per key, sorted, each with a nonzero coefficient."""
 
-    terms: tuple[tuple[tuple[int, int], int], ...]
+    __match_args__ = ("terms",)
 
-    def __post_init__(self):
+    def __init__(self, terms: tuple[tuple[tuple[int, int], int], ...]):
         sums: dict[tuple[int, int], int] = {}
-        for (i, j), c in self.terms:
+        for (i, j), c in terms:
             sums[i, j] = sums.get((i, j), 0) + c
         if not set(map(type, chain(*sums, sums.values()))) <= {int}:
-            raise ValueError(f"powers and coefficients must be integers: {self.terms}")
-        object.__setattr__(self, "terms", tuple(sorted((k, c) for k, c in sums.items() if c)))
+            raise ValueError(f"powers and coefficients must be integers: {terms}")
+        self.__dict__.update(terms=tuple(sorted((k, c) for k, c in sums.items() if c)))
 
     @classmethod
     def from_exponent_pairs(cls, pairs) -> "QTPolynomial":
@@ -258,19 +261,44 @@ def qt_symmetry_check(a: int, b: int, *, rank_variant: str = "core") -> bool:
 # Bijectivity telemetry
 
 
-@dataclass
-class BijectivityReport:
-    """Findings of the exhaustive zeta scan on one dimension pair."""
+class BijectivityReport(_Value):
+    """Findings of the exhaustive zeta scan on one dimension pair.
 
-    a: int
-    b: int
-    path_count: int
-    image_count: int
-    injective: bool
-    sl_transport_ok: bool
-    dinv_transport_ok: bool
-    collisions: tuple[tuple[str, str], ...] = ()
-    pair_uniqueness: dict[str, int] | None = None
+    The one mutable value type: fields can be assigned, and it has no hash.
+    """
+
+    __match_args__ = (
+        "a",
+        "b",
+        "path_count",
+        "image_count",
+        "injective",
+        "sl_transport_ok",
+        "dinv_transport_ok",
+        "collisions",
+        "pair_uniqueness",
+    )
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(
+        self,
+        a: int,
+        b: int,
+        path_count: int,
+        image_count: int,
+        injective: bool,
+        sl_transport_ok: bool,
+        dinv_transport_ok: bool,
+        collisions: tuple[tuple[str, str], ...] = (),
+        pair_uniqueness: dict[str, int] | None = None,
+    ):
+        self.a, self.b = a, b
+        self.path_count, self.image_count = path_count, image_count
+        self.injective = injective
+        self.sl_transport_ok, self.dinv_transport_ok = sl_transport_ok, dinv_transport_ok
+        self.collisions, self.pair_uniqueness = collisions, pair_uniqueness
 
     @property
     def ok(self) -> bool:

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import copy
-import dataclasses
 import functools
+import gc
 import importlib
 import pickle
 import pkgutil
 import random
+import weakref
 from collections import Counter
 from itertools import combinations, combinations_with_replacement, permutations, product
 
@@ -296,8 +297,8 @@ class TestViewSemantics:
         assert shape == fresh and hash(shape) == hash(fresh) and repr(shape) == repr(fresh)
 
     def test_fields_are_unchanged(self):
-        assert [f.name for f in dataclasses.fields(rd.DyckPath)] == ["a", "b", "steps"]
-        assert [f.name for f in dataclasses.fields(Partition)] == ["parts"]
+        assert list(rd.DyckPath.__match_args__) == ["a", "b", "steps"]
+        assert list(Partition.__match_args__) == ["parts"]
 
     def test_no_module_uses_cached_property(self):
         for info in pkgutil.iter_modules(rd.__path__):
@@ -502,6 +503,19 @@ class TestEnumeration:
     def test_not_coprime(self):
         with pytest.raises(NotCoprime):
             rd.enumerate_paths(2, 4)
+
+    def test_an_evicted_pair_is_freed_without_the_collector(self):
+        rd.enumerate_paths.cache_clear()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            path = weakref.ref(rd.enumerate_paths(5, 8)[0])
+            assert path() is not None
+            rd.enumerate_paths(4, 7)
+            assert path() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestConjugate:

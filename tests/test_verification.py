@@ -287,8 +287,8 @@ class TestBijectivityReport:
 
             return counted
 
-        init = rd.DyckPath.__post_init__
-        monkeypatch.setattr(rd.DyckPath, "__post_init__", counting("builds", init))
+        init = rd.DyckPath.__init__
+        monkeypatch.setattr(rd.DyckPath, "__init__", counting("builds", init))
         monkeypatch.setattr(verification, "iota", counting("iota", verification.iota))
         modules = [m for n, m in sys.modules.items() if n.partition(".")[0] == "rational_dyck"]
         for fn in (maps.zeta_via_sweep, maps.eta_via_sweep):

@@ -75,14 +75,11 @@ from .paths import (
     gamma,
     lowest_path,
     make_path,
-    maximal_level,
     path_from_bounded_partition,
     path_from_hooks,
-    path_from_permutation,
     predecessor,
     rational_catalan_number,
     reverse,
-    rotation_cycle,
     sigma,
     standardize,
     star_product,

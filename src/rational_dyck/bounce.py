@@ -10,9 +10,10 @@ a bijection, so the first d of a window that verifies is the answer.  Its
 only memo, of the images solved, lasts one call; no chain step is cached.
 Both inverses end by decoding a one-line tuple with the cycle decoder of
 iota, whose DyckPath check rejects a candidate that is not a path.
-Neither is a hot path: the dispatcher's ``auto`` inverts by the level scan
-of ``inverse``, and the recursion is kept as a cross-check, reached as
-``zeta_inverse(Q, "search")``, which also reports its delta trace.
+Neither is a hot path: ``zeta_inverse`` runs the level scan of
+``inverse``.  ``zeta_inverse_fuss`` and ``search_delta_traces``, which
+also reports the delta trace it decoded, are cross-checks that the tests
+call directly.
 """
 
 from __future__ import annotations
@@ -196,11 +197,6 @@ def fuss_delta_trace(path: DyckPath) -> tuple[int, ...]:
 
 def zeta_inverse_fuss(path: DyckPath) -> DyckPath:
     """Exact inverse of zeta when b = a*k + 1, via the bounce-pinned chain."""
-    return _fuss_inverse(path)[0]
-
-
-def _fuss_inverse(path: DyckPath) -> tuple[DyckPath, tuple[int, ...]]:
-    """The preimage of a Fuss image and the delta trace that decodes it."""
     a, b = path.a, path.b
     deltas = fuss_delta_trace(path)
     g = _gamma_one_line(lowest_path(a, b))
@@ -214,7 +210,7 @@ def _fuss_inverse(path: DyckPath) -> tuple[DyckPath, tuple[int, ...]]:
         raise RoundTripFailure(
             f"round trip failed for {path} via deltas {deltas}", deltas
         )
-    return preimage, deltas
+    return preimage
 
 
 def search_delta_traces(path: DyckPath):

@@ -20,7 +20,7 @@ from .errors import (
     NoBoxToAdd,
     PathParseError,
 )
-from .inverse import STRATEGIES, chi, zeta_inverse_detailed
+from .inverse import chi, zeta_inverse_detailed
 from .maps import _CONSTRUCTIONS, cross_check
 from .paths import (
     DyckPath,
@@ -149,12 +149,11 @@ def _cmd_invert(args) -> int:
     records = []
     lines = []
     for path in _paths_from_args(args):
-        result = zeta_inverse_detailed(path, args.strategy)
+        result = zeta_inverse_detailed(path)
         record = result.path.to_json()
         record["strategy"] = result.strategy
         if args.trace:
-            deltas = result.deltas
-            record["deltas"] = list(deltas if deltas is not None else _delta_trace(result.path))
+            record["deltas"] = _delta_trace(result.path)
         records.append(record)
         line = f"{result.path.steps} (strategy={result.strategy})"
         if args.trace:
@@ -256,13 +255,6 @@ def build_parser() -> _Parser:
 
     p_inv = sub.add_parser("invert", help="find the zeta preimage of a path")
     _add_path_arguments(p_inv)
-    p_inv.add_argument(
-        "--strategy",
-        default="auto",
-        choices=STRATEGIES,
-        help="auto runs the level scan (levels); the others are forced"
-        " cross-checks (default: auto)",
-    )
     p_inv.add_argument(
         "--trace",
         action="store_true",

@@ -14,7 +14,7 @@ import math
 from bisect import bisect_left
 
 from .errors import NotACore, NotCoprime
-from .paths import DyckPath, Partition, _Value, box_value, full_path, path_from_hooks
+from .paths import DyckPath, Partition, _Value, box_value, path_from_hooks
 
 __all__ = [
     "HookFilling",
@@ -53,10 +53,6 @@ class HookFilling(_Value):
             raise ValueError(f"box ({col}, {row}) outside the {self.a}x{self.b} grid")
         return box_value(self.a, self.b, col, row)
 
-    def positive_values(self) -> tuple[int, ...]:
-        """All positive entries, largest first: the hooks of the full path."""
-        return full_path(self.a, self.b).positive_hooks()
-
 
 def hook_filling(a: int, b: int) -> HookFilling:
     return HookFilling(a, b)
@@ -68,7 +64,7 @@ class CorePartition(_Value):
     __match_args__ = ("parts", "a", "b")
 
     def __init__(self, parts: tuple[int, ...], a: int, b: int):
-        if not isinstance(a, int) or not isinstance(b, int):
+        if type(a) is not int or type(b) is not int:
             raise ValueError("dimensions must be integers")
         if math.gcd(a, b) != 1:
             raise NotCoprime(f"gcd({a}, {b}) != 1")
@@ -212,15 +208,6 @@ class RowLengthFilling:
     def total(self) -> int:
         """Sum of all entries; equals the size of the core."""
         return sum(self._values.values())
-
-    def westmost_values(self) -> tuple[int, ...]:
-        """Value of the leftmost box under the path in each row."""
-        return tuple(self.value(c, r) for r, c in enumerate(self.path.north_columns()))
-
-    def northmost_values(self) -> tuple[int, ...]:
-        """Value of the topmost box under the path in each column: the one
-        just below the column's east step."""
-        return tuple(self.value(c, r - 1) for c, r in enumerate(self.path.east_rows()))
 
 
 def row_length_filling(path: DyckPath) -> RowLengthFilling:

@@ -72,7 +72,7 @@ class InconsistentPair(DyckError):
 
 
 class NoPreimage(DyckError):
-    """The strategy that ran found no preimage under zeta."""
+    """The level scan of zeta_inverse found no preimage under zeta."""
 
 
 class DimensionTooSmall(DyckError):

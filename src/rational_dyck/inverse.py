@@ -7,29 +7,29 @@ one-line notation, and place east steps at its cyclic descents.  The
 pairing is a raw tuple, and the decode is the one the delta recursion and
 the Fuss inverse end with, and DyckPath's own check rejects a descent
 word that is not a path.  iota always round-trips its result through
-zeta and eta, and every strategy's preimage goes through zeta; each round
-trip compares the swept word with the known image's steps and builds the
+zeta and eta, and zeta_inverse its answer through zeta; each round trip
+compares the swept word with the known image's steps and builds the
 image only when they differ.
 
-Knowing Q alone, P is found by the level scan (the ``levels`` strategy,
-and the whole of ``auto``): it searches the letters of eta(P) one by one
-against Q's level order, in the manner of Xin's search algorithm for the
-sweep map and the Thomas-Williams inverse.  The delta recursion
-(``search``), the square-case formulas, the level-1 star recursion, the
-Fuss chain and the zeta table stay as strategies that can be forced, as
-cross-checks.  The justified and valley families close the module.  Each
-closed form builds its shape as one count per row or column, read off a
-path's north columns or the level points, and never a set of boxes.
+Knowing Q alone, P is found by the level scan, the one algorithm of
+zeta_inverse: it searches the letters of eta(P) one by one against Q's
+level order, in the manner of Xin's search algorithm for the sweep map
+and the Thomas-Williams inverse.  The paper's closed forms stay callable
+as cross-checks that the tests hold against the scan: the square case is
+iota(Q, reverse(Q)), the level-1 star recursion is zeta_inverse_level1,
+and the Fuss chain and the delta recursion are zeta_inverse_fuss and
+search_delta_traces in ``bounce``.  The justified and valley families
+close the module.  Each closed form builds its shape as one count per
+row or column, read off a path's north columns or the level points, and
+never a set of boxes.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from functools import lru_cache
 from itertools import accumulate
 
-from . import bounce as _bounce
 from .errors import (
     BelowDiagonal,
     DimensionTooSmall,
@@ -45,9 +45,8 @@ from .errors import (
     TooManyBoxes,
     WrongStepCounts,
 )
-from .maps import _sends, eta, zeta
+from .maps import _sends, eta
 from .paths import (
-    _TABLE_CACHE_SIZE,
     DyckPath,
     EAST,
     NORTH,
@@ -55,11 +54,9 @@ from .paths import (
     Permutation,
     _Value,
     _path_from_cycle,
-    enumerate_paths,
     full_path,
     path_from_bounded_partition,
     path_from_hooks,
-    reverse,
     star_product,
 )
 
@@ -80,9 +77,6 @@ __all__ = [
     "chi_kth_valley",
     "justified",
 ]
-
-STRATEGIES = ("auto", "levels", "square", "level1", "fuss", "search", "table")
-
 
 # ---------------------------------------------------------------------------
 # The pair inverse
@@ -151,19 +145,14 @@ def exceedances_check(q: DyckPath, r: DyckPath) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The zeta inverse dispatcher
+# The zeta inverse
 
 
 class InversionResult(_Value):
-    __match_args__ = ("path", "strategy", "deltas")
+    __match_args__ = ("path", "strategy")
 
-    def __init__(self, path: DyckPath, strategy: str, deltas: tuple[int, ...] | None = None):
-        self.__dict__.update(path=path, strategy=strategy, deltas=deltas)
-
-
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _zeta_table(a: int, b: int) -> dict[DyckPath, DyckPath]:
-    return {zeta(p): p for p in enumerate_paths(a, b)}
+    def __init__(self, path: DyckPath, strategy: str):
+        self.__dict__.update(path=path, strategy=strategy)
 
 
 def _preimage_by_levels(q: DyckPath) -> tuple[DyckPath | None, int]:
@@ -278,79 +267,26 @@ def _preimage_by_levels(q: DyckPath) -> tuple[DyckPath | None, int]:
     return DyckPath(a, b, "".join(steps)), nodes
 
 
-def _invert_levels(q: DyckPath) -> InversionResult:
+def zeta_inverse_detailed(q: DyckPath) -> InversionResult:
+    """Find P with zeta(P) = Q, and the label of the route taken.
+
+    When a = 1 or b = 1, Q is its own preimage and the label is ``table``.
+    Otherwise the level scan runs, its answer is round-tripped through
+    zeta, and the label is ``levels``; an image without a preimage raises
+    NoPreimage with the number of nodes the scan visited.
+    """
+    if q.a == 1 or q.b == 1:
+        return InversionResult(q, "table")
     path, nodes = _preimage_by_levels(q)
     if path is None:
         raise NoPreimage(f"level scan found no preimage of {q} ({nodes} nodes)")
+    if not _sends(path, q):
+        raise NoPreimage(f"level scan produced a non-preimage for {q}")
     return InversionResult(path, "levels")
 
 
-def _invert_square(q: DyckPath) -> InversionResult:
-    return InversionResult(iota(q, reverse(q)), "square")
-
-
-def _invert_level1(q: DyckPath) -> InversionResult:
-    return InversionResult(zeta_inverse_level1(q), "level1")
-
-
-def _invert_fuss(q: DyckPath) -> InversionResult:
-    path, deltas = _bounce._fuss_inverse(q)
-    return InversionResult(path, "fuss", deltas)
-
-
-def _invert_search(q: DyckPath) -> InversionResult:
-    found, attempts = _bounce.search_delta_traces(q)
-    if not found:
-        raise NoPreimage(f"search found no preimage of {q} ({attempts} decodes)")
-    path, deltas = found[0]
-    return InversionResult(path, "search", deltas)
-
-
-def _invert_table(q: DyckPath) -> InversionResult:
-    table = _zeta_table(q.a, q.b)
-    if q not in table:
-        raise NoPreimage(f"{q} is not in the image of zeta on ({q.a}, {q.b})")
-    return InversionResult(table[q], "table")
-
-
-_STRATEGY_FUNCS = {
-    "levels": _invert_levels,
-    "square": _invert_square,
-    "level1": _invert_level1,
-    "fuss": _invert_fuss,
-    "search": _invert_search,
-    "table": _invert_table,
-}
-
-
-def zeta_inverse_detailed(q: DyckPath, strategy: str = "auto") -> InversionResult:
-    """Find P with zeta(P) = Q.
-
-    `auto` runs the level scan alone (reported as ``table`` when a = 1 or
-    b = 1, where Q is its own preimage) and raises its NoPreimage as is;
-    `strategy` forces any single branch, the closed forms and the delta
-    search included, as a cross-check.  Every branch's output is verified
-    by applying zeta before it is returned, so a wrong branch can only
-    cost time, not correctness.
-    """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy != "auto":
-        return _verified(strategy, q)
-    if q.a == 1 or q.b == 1:
-        return InversionResult(q, "table")
-    return _verified("levels", q)
-
-
-def _verified(strategy: str, q: DyckPath) -> InversionResult:
-    result = _STRATEGY_FUNCS[strategy](q)
-    if not _sends(result.path, q):
-        raise NoPreimage(f"strategy {strategy} produced a non-preimage for {q}")
-    return result
-
-
-def zeta_inverse(q: DyckPath, strategy: str = "auto") -> DyckPath:
-    return zeta_inverse_detailed(q, strategy).path
+def zeta_inverse(q: DyckPath) -> DyckPath:
+    return zeta_inverse_detailed(q).path
 
 
 def chi(q: DyckPath) -> DyckPath:

@@ -153,10 +153,6 @@ class Partition(_Value):
     def size(self) -> int:
         return sum(self.parts)
 
-    @property
-    def nonzero_rows(self) -> int:
-        return sum(1 for p in self.parts if p > 0)
-
     def trimmed(self) -> "Partition":
         """Drop trailing zero parts."""
         return Partition(tuple(p for p in self.parts if p > 0))
@@ -226,10 +222,6 @@ class Permutation(_Value):
         return self.one_line[i - 1]
 
     @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
-    @classmethod
     def from_cycle(cls, cycle, n: int | None = None) -> "Permutation":
         """Permutation acting as the given cycle, fixing everything else."""
         cycle = tuple(cycle)
@@ -251,18 +243,6 @@ class Permutation(_Value):
             raise ValueError("size mismatch")
         return Permutation(tuple(self(other(i)) for i in range(1, self.n + 1)))
 
-    def conjugated_by(self, rho: "Permutation") -> "Permutation":
-        """rho * self * rho^{-1}."""
-        return rho.compose(self).compose(rho.inverse())
-
-    def is_single_cycle(self) -> bool:
-        seen = 1
-        j = self(1)
-        while j != 1:
-            seen += 1
-            j = self(j)
-        return seen == self.n
-
     def cycle_from(self, start: int = 1) -> tuple[int, ...]:
         """Cycle notation of a full-cycle permutation, starting at `start`."""
         out = [start]
@@ -281,10 +261,6 @@ class Permutation(_Value):
             i for i in range(1, n + 1) if self.one_line[i - 1] > self.one_line[i % n]
         )
 
-    def right_cyclic_ascents(self) -> tuple[int, ...]:
-        descents = set(self.right_cyclic_descents())
-        return tuple(i for i in range(1, self.n + 1) if i not in descents)
-
     def exceedance_positions(self) -> tuple[int, ...]:
         return tuple(i for i in range(1, self.n + 1) if self(i) > i)
 
@@ -301,13 +277,6 @@ def standardize(values) -> Permutation:
     return Permutation(tuple(rank[v] for v in values))
 
 
-def rotation_cycle(n: int, i: int, j: int) -> Permutation:
-    """The cycle (i, i+1, ..., j) inside the symmetric group on 1..n."""
-    if not 1 <= i <= j <= n:
-        raise ValueError(f"need 1 <= {i} <= {j} <= {n}")
-    return Permutation.from_cycle(tuple(range(i, j + 1)), n)
-
-
 # ---------------------------------------------------------------------------
 # Dyck paths
 
@@ -318,7 +287,7 @@ class DyckPath(_Value):
     __match_args__ = ("a", "b", "steps")
 
     def __init__(self, a: int, b: int, steps: str):
-        if not isinstance(a, int) or not isinstance(b, int):
+        if type(a) is not int or type(b) is not int:
             raise ValueError("dimensions must be integers")
         if a < 1 or b < 1:
             raise ValueError("dimensions must be positive")
@@ -527,12 +496,6 @@ def _descent_word(values) -> str:
     )
 
 
-def path_from_permutation(perm: Permutation, a: int, b: int) -> DyckPath:
-    """Rebuild the path whose east steps sit at perm's right cyclic descents;
-    DyckPath raises WrongStepCounts unless perm has size a+b and b descents."""
-    return DyckPath(a, b, _descent_word(perm.one_line))
-
-
 def _path_from_cycle(a: int, b: int, g) -> DyckPath | None:
     """The path whose cycle, in one-line notation, is the raw tuple g.
 
@@ -625,11 +588,6 @@ def star_product(first: DyckPath, second: DyckPath) -> DyckPath:
     cut = lv.index(top)
     word = first.steps[:cut] + second.steps + first.steps[cut:]
     return DyckPath(first.a + second.a, first.b + second.b, word)
-
-
-def maximal_level(path: DyckPath) -> int:
-    """Largest entry of the reading word."""
-    return max(path.reading_word())
 
 
 def predecessor(path: DyckPath) -> DyckPath:

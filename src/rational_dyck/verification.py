@@ -85,10 +85,6 @@ class QPolynomial(_Value):
             raise ValueError(f"negative power {power}")
         return cls((0,) * power + (coeff,))
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 

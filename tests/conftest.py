@@ -8,11 +8,16 @@ exact rational intersection tests and, box by box, by scanning every
 level, the interval routes' counts come from the whole a x b grid, the
 closed forms of the inverse module are rebuilt as sets of boxes, dinv
 walks the boxes with their arms and legs, the area counts boxes one at a
-time, a partition's hooks are found box by box, skew inversions
+time, a partition's hooks and the positive entries of the hook filling
+are found box by box, skew inversions
 compare every pair of levels, the partners of each zeta image are
 sought by calling iota on every pair (Q, R), Gaussian binomials come
 from the Pascal recurrence on QPolynomial values, and the q- and
 q,t-generating functions take each path's statistics one path at a time.
+A few definitions of the paper that the library does not need (the
+rotation cycle, conjugation of permutations, the path of a permutation's
+descents, the boundary values of the row-length filling) and the delta
+search's answer as one pair are stated here for the tests that check them.
 """
 
 from __future__ import annotations
@@ -26,13 +31,15 @@ from itertools import combinations
 import pytest
 from hypothesis import strategies as st
 
-from rational_dyck import DyckPath, enumerate_paths, make_path
-from rational_dyck.errors import InconsistentPair, NotACycle, NotADyckPath
+from rational_dyck import DyckPath, Permutation, enumerate_paths, hook_filling, make_path
+from rational_dyck.bounce import search_delta_traces
+from rational_dyck.errors import InconsistentPair, NoPreimage, NotACycle, NotADyckPath
 from rational_dyck.inverse import chi, iota, level_point, split_dims
 from rational_dyck.paths import (
     EAST,
     NORTH,
     Partition,
+    _descent_word,
     path_from_bounded_partition,
     path_from_hooks,
 )
@@ -173,6 +180,50 @@ def hooks_by_boxes(parts) -> list[int]:
     """Every hook length of the partition, one box at a time."""
     p = Partition(tuple(parts))
     return [p.hook(i, j) for i, j in p.boxes()]
+
+
+def positive_values(a: int, b: int) -> list[int]:
+    """Every positive entry of the (a,b) hook filling, largest first, read
+    box by box."""
+    filling = hook_filling(a, b)
+    values = (filling.value(col, row) for col in range(b) for row in range(a))
+    return sorted((v for v in values if v > 0), reverse=True)
+
+
+def westmost_values(filling) -> tuple[int, ...]:
+    """Row-length filling value of the leftmost box under the path, by row."""
+    return tuple(filling.value(c, r) for r, c in enumerate(filling.path.north_columns()))
+
+
+def northmost_values(filling) -> tuple[int, ...]:
+    """Row-length filling value of the topmost box under the path in each
+    column: the one just below the column's east step."""
+    return tuple(filling.value(c, r - 1) for c, r in enumerate(filling.path.east_rows()))
+
+
+def rotation_cycle(n: int, i: int, j: int) -> Permutation:
+    """The cycle (i, i+1, ..., j) inside the symmetric group on 1..n."""
+    return Permutation.from_cycle(tuple(range(i, j + 1)), n)
+
+
+def conjugated_by(g: Permutation, rho: Permutation) -> Permutation:
+    """rho * g * rho^{-1}."""
+    return rho.compose(g).compose(rho.inverse())
+
+
+def path_from_permutation(perm: Permutation, a: int, b: int) -> DyckPath:
+    """The path with east steps at perm's right cyclic descents, through the
+    library's descent decode; DyckPath rejects a word that is no path."""
+    return DyckPath(a, b, _descent_word(perm.one_line))
+
+
+def search_preimage(q: DyckPath) -> tuple[DyckPath, tuple[int, ...]]:
+    """The delta search's preimage of Q and its delta trace, or NoPreimage."""
+    found, attempts = search_delta_traces(q)
+    if not found:
+        raise NoPreimage(f"search found no preimage of {q} ({attempts} decodes)")
+    [(path, deltas)] = found
+    return path, deltas
 
 
 def skew_inversion_pairs(path: DyckPath) -> int:

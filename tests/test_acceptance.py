@@ -149,7 +149,7 @@ def test_criterion_07_square_case():
             for q in rd.enumerate_paths(n, n + 1):
                 rev = rd.reverse(q)
                 assert rd.chi(q) == rev
-                assert rd.zeta_inverse(q, "square") == rd.iota(q, rev)
+                assert rd.iota(q, rev) == rd.zeta_inverse(q)
                 if n >= 2:
                     assert rd.square_gamma_shaded(q) == rd.pair_gamma(q, rev)
 
@@ -158,9 +158,10 @@ def test_criterion_08_level1_recursion_and_area_identity():
     with criterion(8, "level-1 star recursion <= 13; area identity"):
         for a, b in coprime_pairs(13):
             x, y = level_point(a, b, 1)
-            for q in rd.enumerate_paths(a, b):
+            for p in rd.enumerate_paths(a, b):
+                q = rd.zeta(p)
                 if q.visits(x, y):
-                    assert rd.zeta_inverse_level1(q) == rd.zeta_inverse(q, "table")
+                    assert rd.zeta_inverse_level1(q) == p
         for a, b in [(5, 8), (5, 13)]:
             for x in range(b + 1):
                 for y in range(a + 1):

@@ -21,7 +21,13 @@ from rational_dyck.errors import (
     NotFussCase,
 )
 
-from conftest import coprime_pairs, cycle_lemma_path
+from conftest import (
+    conjugated_by,
+    coprime_pairs,
+    cycle_lemma_path,
+    rotation_cycle,
+    search_preimage,
+)
 
 
 def delta_tilde(path):
@@ -34,8 +40,8 @@ def delta_tilde(path):
 class TestConjPredecessor:
     def test_running_example_gamma_rotation(self, running):
         succ = rd.conj_predecessor(running)
-        rho = rd.rotation_cycle(13, 1, rd.delta(running))
-        expected = rd.gamma(running).conjugated_by(rho.inverse())
+        rho = rotation_cycle(13, 1, rd.delta(running))
+        expected = conjugated_by(rd.gamma(running), rho.inverse())
         assert rd.gamma(succ) == expected
 
     def test_bottom_raises(self):
@@ -149,8 +155,8 @@ class TestFussInverse:
             for p in rd.enumerate_paths(a, b):
                 assert rd.zeta_inverse_fuss(rd.zeta(p)) == p
 
-    def test_dispatcher_traces_each_image_once(self, monkeypatch):
-        # the preimage and the reported deltas come from one trace
+    def test_traces_each_image_once(self, monkeypatch):
+        # the chain inverse walks each image's predecessor chain once
         calls = []
 
         def counted(path):
@@ -158,11 +164,10 @@ class TestFussInverse:
             return fuss_delta_trace(path)
 
         monkeypatch.setattr(bounce, "fuss_delta_trace", counted)
-        images = [rd.zeta(p) for ab in [(3, 7), (4, 9)] for p in rd.enumerate_paths(*ab)]
-        for q in images:
-            result = rd.zeta_inverse_detailed(q, "fuss")
-            assert result.deltas == fuss_delta_trace(q)
-        assert len(calls) == len(images)
+        paths = [p for ab in [(3, 7), (4, 9)] for p in rd.enumerate_paths(*ab)]
+        images = [rd.zeta(p) for p in paths]
+        assert [rd.zeta_inverse_fuss(q) for q in images] == paths
+        assert calls == images
 
     def test_trace_of_lowest_image(self):
         # zeta(lowest) is the full path: the chain is already at its end
@@ -175,7 +180,7 @@ class TestSearchInverse:
         # includes the wide-window b < a pairs; this is the slow test
         for a, b in coprime_pairs(13):
             for p in rd.enumerate_paths(a, b):
-                assert rd.zeta_inverse(rd.zeta(p), "search") == p
+                assert search_preimage(rd.zeta(p))[0] == p
 
     def test_fuss_inputs_have_width_one_window(self):
         for p in rd.enumerate_paths(3, 7):
@@ -200,10 +205,11 @@ class TestSearchInverse:
         q = rd.zeta(running)
         monkeypatch.setattr(rd.DyckPath, "east_rows", lambda self: (self.a + 1,) * self.b)
         with pytest.raises(InternalInvariantError, match="bounce climb"):
-            rd.zeta_inverse(q, "search")
+            search_delta_traces(q)
 
     def test_running_example(self, running):
-        assert rd.zeta_inverse(rd.zeta(running), "search") == running
+        deltas = (5, 8, 10, 11, 12, 12)
+        assert search_preimage(rd.zeta(running)) == (running, deltas)
 
     def test_long_chain_needs_no_interpreter_recursion(self):
         # the predecessor chain of a (120,241) image has over a thousand
@@ -256,7 +262,7 @@ class TestCaches:
             if param.annotation in (rd.DyckPath, "DyckPath")
         }
         assert path_keyed == set()
-        assert {"paths.enumerate_paths", "inverse._zeta_table"} <= set(caches)
+        assert {"paths.enumerate_paths", "verification._path_statistics"} <= set(caches)
         for name, fn in caches.items():
             maxsize = fn.cache_parameters()["maxsize"]
             assert maxsize is not None and maxsize > 0, name

@@ -7,11 +7,12 @@ import json
 import pytest
 
 import rational_dyck as rd
-from rational_dyck import cli, inverse, verification
+from rational_dyck import cli, verification
+from rational_dyck.bounce import fuss_delta_trace
 from rational_dyck.cli import main
 from rational_dyck.errors import NotACycle
 
-from conftest import coprime_pairs
+from conftest import coprime_pairs, search_preimage
 
 
 def run(capsys, *argv):
@@ -125,8 +126,8 @@ class TestInvert:
         assert isinstance(record["deltas"], list)
 
     def test_trace_is_the_search_trace(self, capsys, tmp_path):
-        # auto's level scan reports no deltas, so --trace walks the chain
-        # down from the preimage; the delta search decodes from that trace
+        # the level scan reports no deltas, so --trace walks the chain down
+        # from the preimage; the delta search decodes from that trace
         images = [rd.zeta(p) for ab in ((5, 8), (8, 5)) for p in rd.enumerate_paths(*ab)]
         spec_file = tmp_path / "images.txt"
         spec_file.write_text("".join(f"{q.a} {q.b} {q.steps}\n" for q in images))
@@ -135,24 +136,30 @@ class TestInvert:
         records = json.loads(out)
         assert {r["strategy"] for r in records} == {"levels"}
         for q, record in zip(images, records):
-            searched = rd.zeta_inverse_detailed(q, "search")
-            assert record["steps"] == searched.path.steps
-            assert record["deltas"] == list(searched.deltas)
+            path, deltas = search_preimage(q)
+            assert record["steps"] == path.steps
+            assert record["deltas"] == list(deltas)
 
-    def test_strategies(self, capsys):
-        for strategy in ("levels", "square", "fuss", "search", "table", "auto"):
-            code, out, _ = run(
-                capsys, "invert", "--a", "2", "--b", "3", "--path", "NENEE",
-                "--strategy", strategy,
-            )
-            assert code == 0 and out.startswith("NNEEE")
+    def test_strategy_flag_is_rejected(self, capsys):
+        # there is one inverse, so --strategy is a usage error
+        code, out, _ = run(capsys, "invert", "--a", "2", "--b", "3", "--path", "NENEE")
+        assert (code, out) == (0, "NNEEE (strategy=levels)\n")
+        code, out, err = run(
+            capsys, "invert", "--a", "2", "--b", "3", "--path", "NENEE",
+            "--strategy", "search",
+        )
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --strategy search" in err
 
     def test_fuss_trace_text(self, capsys):
+        # on a Fuss image the trace is the bounce-pinned chain's
+        q = rd.make_path(3, 7, "NENENEEEEE")
         code, out, _ = run(
-            capsys, "invert", "--a", "3", "--b", "7", "--path",
-            "NENENEEEEE", "--strategy", "fuss", "--trace",
+            capsys, "invert", "--a", "3", "--b", "7", "--path", q.steps, "--trace",
         )
-        assert code == 0 and "deltas=" in out
+        deltas = list(fuss_delta_trace(q))
+        assert code == 0
+        assert out == f"{rd.zeta_inverse_fuss(q).steps} (strategy=levels) deltas={deltas}\n"
 
     def test_file_batch_matches_one_call_per_path(self, capsys, tmp_path):
         # one --path call per image prints the records of one batch
@@ -197,7 +204,7 @@ class TestVerify:
         # each pair's checks finish before the next pair's start, so the
         # pair-keyed caches need not keep a pair that the sweep has left
         checks = {"counts", "zeta-bijective", "qcatalan", "qt-symmetry", "unique-pair"}
-        caches = (rd.enumerate_paths, verification._path_statistics, inverse._zeta_table)
+        caches = (rd.enumerate_paths, verification._path_statistics)
         for a, b in [(3, 5), (5, 3), (4, 5), (5, 4), (2, 7), (7, 2)]:
             assert cli._verify_pair((a, b), checks, "core") == (a, b, [])
             assert all(c.cache_info().currsize <= 1 for c in caches)

@@ -12,7 +12,14 @@ from rational_dyck.cores import CorePartition, a_columns, a_rows
 from rational_dyck.errors import NotACore, NotCoprime
 from rational_dyck.paths import Partition
 
-from conftest import coprime_pairs, cycle_lemma_path, hooks_by_boxes
+from conftest import (
+    coprime_pairs,
+    cycle_lemma_path,
+    hooks_by_boxes,
+    northmost_values,
+    positive_values,
+    westmost_values,
+)
 
 
 @pytest.fixture
@@ -37,7 +44,7 @@ class TestHookFilling:
 
     def test_positive_values_distinct_and_counted(self):
         for a, b in coprime_pairs(12):
-            vals = rd.hook_filling(a, b).positive_values()
+            vals = positive_values(a, b)
             assert len(vals) == len(set(vals)) == (a - 1) * (b - 1) // 2
 
     def test_requires_coprime(self):
@@ -54,7 +61,7 @@ class TestPositiveHooks:
 
     def test_full_path_all(self):
         full = rd.full_path(5, 8)
-        assert full.positive_hooks() == rd.hook_filling(5, 8).positive_values()
+        assert list(full.positive_hooks()) == positive_values(5, 8)
 
 
 class TestAnderson:
@@ -95,6 +102,8 @@ class TestAnderson:
             CorePartition.from_json({"a": 2, "b": 3, "parts": [1.5]})
         with pytest.raises(ValueError):
             CorePartition.from_json({"a": 2.0, "b": 3, "parts": [1]})
+        with pytest.raises(ValueError, match="dimensions must be integers"):
+            CorePartition.from_json({"a": True, "b": 3, "parts": []})
 
 
 class TestHooksFromLeadingHooks:
@@ -193,10 +202,10 @@ class TestRowLengthFilling:
     def test_running_values(self, running):
         filling = rd.row_length_filling(running)
         assert filling.total() == 21
-        assert sorted(filling.westmost_values()) == sorted((2, 6, 4, 1, 0))
-        assert filling.northmost_values() == (4, 6, 3, 1, 2, 1, 0, 0)
-        assert sum(filling.westmost_values()) == 13
-        assert sum(filling.northmost_values()) == 17
+        assert sorted(westmost_values(filling)) == sorted((2, 6, 4, 1, 0))
+        assert northmost_values(filling) == (4, 6, 3, 1, 2, 1, 0, 0)
+        assert sum(westmost_values(filling)) == 13
+        assert sum(northmost_values(filling)) == 17
 
     def test_lowest_all_zero(self):
         filling = rd.row_length_filling(rd.lowest_path(4, 5))
@@ -222,8 +231,8 @@ class TestRowLengthFilling:
             for p in rd.enumerate_paths(a, b):
                 kappa = rd.anderson(p)
                 filling = rd.row_length_filling(p)
-                assert sum(filling.westmost_values()) == rd.boundary_boxes(kappa, a)
-                assert sum(filling.northmost_values()) == rd.boundary_boxes(kappa, b)
+                assert sum(westmost_values(filling)) == rd.boundary_boxes(kappa, a)
+                assert sum(northmost_values(filling)) == rd.boundary_boxes(kappa, b)
 
 
 class TestAColumns:

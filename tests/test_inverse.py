@@ -1,4 +1,5 @@
-"""The pair inverse iota, the dispatcher, chi, and the special families."""
+"""The pair inverse iota, zeta_inverse and the closed forms it is checked
+against, chi, and the special families."""
 
 from __future__ import annotations
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 
 import rational_dyck as rd
-from rational_dyck import cli, inverse, maps
+from rational_dyck import bounce, cli, inverse, maps
+from rational_dyck.bounce import search_delta_traces
 from rational_dyck.errors import (
     DimensionTooSmall,
     InconsistentPair,
@@ -20,6 +22,7 @@ from rational_dyck.errors import (
     NotACycle,
     NotADyckPath,
     NotCoprime,
+    NotFussCase,
     NotSquareCase,
     RoundTripFailure,
     TooManyBoxes,
@@ -36,6 +39,7 @@ from conftest import (
     justified_by_boxes,
     kth_valley_by_boxes,
     northwest_rect,
+    search_preimage,
     southeast_hat,
 )
 
@@ -59,7 +63,7 @@ class TestPairGamma:
     def test_trivial_pair_is_cyclic(self):
         q = rd.full_path(2, 3)
         g = rd.pair_gamma(q, q)
-        assert g.is_single_cycle()
+        assert len(g.cycle_from(1)) == g.n
         assert rd.iota(q, q) == rd.lowest_path(2, 3)
 
 
@@ -123,16 +127,22 @@ class TestRoundTripsKeepBugs:
         with pytest.raises(InternalInvariantError):
             rd.iota(images[0], images[1])
 
+    # auto is zeta_inverse, the level scan; search and fuss are the chain
+    # inverses, called directly
     @pytest.mark.parametrize("strategy", ("auto", "search", "fuss"))
     def test_zeta_inverse(self, images, strategy):
+        invert = {
+            "auto": rd.zeta_inverse,
+            "search": search_delta_traces,
+            "fuss": rd.zeta_inverse_fuss,
+        }[strategy]
         q = images[2] if strategy == "fuss" else images[0]
         with pytest.raises(InternalInvariantError):
-            rd.zeta_inverse(q, strategy)
+            invert(q)
 
-    @pytest.mark.parametrize("strategy", ("auto", "search"))
-    def test_dyck_invert_exits_3(self, images, strategy, capsys):
+    def test_dyck_invert_exits_3(self, images, capsys):
         q = images[0]
-        argv = ["invert", "--a", "5", "--b", "8", "--path", q.steps, "--strategy", strategy]
+        argv = ["invert", "--a", "5", "--b", "8", "--path", q.steps, "--trace"]
         assert cli.main(argv) == 3
         assert "is not an (5,8)-Dyck path" in capsys.readouterr().err
 
@@ -159,16 +169,21 @@ class TestZetaInverseDispatcher:
         assert rd.zeta_inverse(rd.full_path(5, 8)) == rd.lowest_path(5, 8)
 
     def test_every_strategy_on_covered_inputs(self):
-        q = rd.zeta(rd.make_path(4, 5, "NNENEENEE"))
-        for strategy in ("levels", "square", "fuss", "search", "table"):
-            assert rd.zeta(rd.zeta_inverse(q, strategy)) == q
+        # (4,5) is both a square and a Fuss case: every closed form applies
+        p = rd.make_path(4, 5, "NNENEENEE")
+        q = rd.zeta(p)
+        table = {rd.zeta(x): x for x in rd.enumerate_paths(4, 5)}
+        assert rd.zeta_inverse(q) == p
+        assert rd.iota(q, rd.reverse(q)) == p
+        assert rd.zeta_inverse_fuss(q) == p
+        assert search_preimage(q)[0] == p
+        assert table[q] == p
 
     def test_strategies_agree(self):
         for a, b in [(4, 7), (3, 8), (5, 6)]:
             for p in rd.enumerate_paths(a, b):
                 q = rd.zeta(p)
-                assert rd.zeta_inverse(q, "search") == p
-                assert rd.zeta_inverse(q, "table") == p
+                assert search_preimage(q)[0] == p
 
     def test_exhaustive_round_trip(self):
         for a, b in coprime_pairs(11):
@@ -179,12 +194,14 @@ class TestZetaInverseDispatcher:
         result = rd.zeta_inverse_detailed(rd.zeta(rd.lowest_path(4, 5)))
         assert result.strategy == "levels"
 
-    def test_forced_strategy_failure(self):
-        # a (5,8) image missing the level-1 point: the forced level1 branch fails
-        q = rd.zeta(rd.make_path(5, 8, "NNNENEEENEEEE"))
+    def test_forced_strategy_failure(self, running):
+        # a (5,8) image missing the level-1 point: the level-1 closed form
+        # refuses it, and the level scan still inverts it
+        q = rd.zeta(running)
         assert not q.visits(*level_point(5, 8, 1))
-        with pytest.raises((NoPreimage, Level1NotVisited)):
-            rd.zeta_inverse_detailed(q, "level1")
+        with pytest.raises(Level1NotVisited):
+            rd.zeta_inverse_level1(q)
+        assert rd.zeta_inverse(q) == running
 
     @pytest.mark.parametrize(
         "error",
@@ -198,34 +215,41 @@ class TestZetaInverseDispatcher:
         def broken(q):
             raise error
 
-        monkeypatch.setitem(inverse._STRATEGY_FUNCS, "levels", broken)
+        monkeypatch.setattr(inverse, "_preimage_by_levels", broken)
         with pytest.raises(type(error)):
             rd.zeta_inverse_detailed(rd.full_path(4, 5))
 
-    def test_auto_raises_the_search_failure_without_a_table(self, monkeypatch):
-        # auto runs the level scan alone and never falls back to the table
-        def no_preimage(q):
-            raise NoPreimage("demo")
+    def test_auto_raises_the_search_failure_without_a_table(self, monkeypatch, running):
+        # the level scan is the only route: its failure is raised with the
+        # nodes it visited, and nothing falls back to another inverse
+        monkeypatch.setattr(inverse, "_preimage_by_levels", lambda q: (None, 7))
+        with pytest.raises(NoPreimage, match=r"\(7 nodes\)"):
+            rd.zeta_inverse_detailed(rd.zeta(running))
 
-        def table(q):
-            raise AssertionError("auto built the table")
-
-        monkeypatch.setitem(inverse._STRATEGY_FUNCS, "levels", no_preimage)
-        monkeypatch.setitem(inverse._STRATEGY_FUNCS, "table", table)
-        q = rd.zeta(rd.make_path(5, 8, "NNNENEEENEEEE"))
-        with pytest.raises(NoPreimage, match="demo"):
-            rd.zeta_inverse_detailed(q)
+    def test_a_scan_answer_that_fails_the_round_trip_is_refused(self, monkeypatch, running):
+        monkeypatch.setattr(inverse, "_preimage_by_levels", lambda q: (running, 14))
+        with pytest.raises(NoPreimage, match="non-preimage"):
+            rd.zeta_inverse_detailed(rd.full_path(5, 8))
 
     def test_single_path_families_keep_the_table_label(self):
         for q in (rd.lowest_path(1, 4), rd.lowest_path(5, 1)):
             assert rd.zeta_inverse_detailed(q) == inverse.InversionResult(q, "table")
 
     def test_auto_moves_on_after_a_failed_precondition(self, monkeypatch):
-        # auto consults no closed form, so a failing one cannot stop it
-        def not_square(q):
-            raise NotSquareCase("demo")
+        # zeta_inverse consults no closed form, so a failing one cannot stop it
+        def failing(error):
+            def closed_form(*args):
+                raise error("demo")
 
-        monkeypatch.setitem(inverse._STRATEGY_FUNCS, "square", not_square)
+            return closed_form
+
+        for module, name, error in (
+            (inverse, "square_gamma_shaded", NotSquareCase),
+            (inverse, "zeta_inverse_level1", Level1NotVisited),
+            (bounce, "zeta_inverse_fuss", NotFussCase),
+            (bounce, "search_delta_traces", NoPreimage),
+        ):
+            monkeypatch.setattr(module, name, failing(error))
         result = rd.zeta_inverse_detailed(rd.full_path(4, 5))
         assert result == inverse.InversionResult(rd.lowest_path(4, 5), "levels")
 
@@ -235,7 +259,7 @@ class TestLevelScan:
         for a, b in coprime_pairs(13):
             for p in rd.enumerate_paths(a, b):
                 q = rd.zeta(p)
-                assert rd.zeta_inverse(q, "levels") == rd.zeta_inverse(q, "table") == p
+                assert rd.zeta_inverse(q) == p
 
     @settings(deadline=None)
     @given(cycle_lemma_paths(max_sum=40))
@@ -267,7 +291,7 @@ SEARCH_PATHS = [
 class TestSearchAtScale:
     @pytest.mark.parametrize("p", SEARCH_PATHS, ids=str)
     def test_round_trip(self, p):
-        assert rd.zeta_inverse(rd.zeta(p), "search") == p
+        assert search_preimage(rd.zeta(p))[0] == p
 
 
 class TestChi:
@@ -294,7 +318,7 @@ class TestSquareCase:
     def test_inverse_via_reverse(self):
         for n in range(1, 6):
             for q in rd.enumerate_paths(n, n + 1):
-                assert rd.zeta_inverse(q, "square") == rd.iota(q, rd.reverse(q))
+                assert rd.zeta_inverse(q) == rd.iota(q, rd.reverse(q))
 
     def test_shaded_gamma_agrees_with_pair_gamma(self):
         for n in range(2, 7):
@@ -358,9 +382,10 @@ class TestLevel1:
     def test_agreement_with_table(self):
         for a, b in coprime_pairs(11, min_dim=2):
             x, y = level_point(a, b, 1)
-            for q in rd.enumerate_paths(a, b):
+            for p in rd.enumerate_paths(a, b):
+                q = rd.zeta(p)
                 if q.visits(x, y):
-                    assert rd.zeta_inverse_level1(q) == rd.zeta_inverse(q, "table")
+                    assert rd.zeta_inverse_level1(q) == p
 
     def test_not_visiting_raises(self):
         q = rd.zeta(rd.make_path(5, 8, "NNNENEEENEEEE"))

@@ -43,6 +43,8 @@ from conftest import (
     cycle_lemma_paths,
     first_point_below,
     geometric_conjugate,
+    path_from_permutation,
+    rotation_cycle,
 )
 
 
@@ -88,6 +90,9 @@ class TestConstruction:
     def test_json_non_integer_dims_rejected(self):
         with pytest.raises(ValueError):
             rd.DyckPath.from_json({"a": 2.5, "b": 3, "steps": "NENEE"})
+        # bool is a subclass of int, but True is no dimension
+        with pytest.raises(ValueError, match="dimensions must be integers"):
+            rd.DyckPath.from_json({"a": True, "b": 2, "steps": "NEE"})
 
 
 class TestValidation:
@@ -327,19 +332,19 @@ class TestPermutations:
             assert rd.sigma(p).right_cyclic_descents() == east
 
     def test_path_from_permutation_round_trip(self, running):
-        assert rd.path_from_permutation(rd.sigma(running), 5, 8) == running
+        assert path_from_permutation(rd.sigma(running), 5, 8) == running
 
     def test_path_from_permutation_exhaustive(self):
         for a, b in coprime_pairs(12):
             for p in rd.enumerate_paths(a, b):
-                assert rd.path_from_permutation(rd.sigma(p), a, b) == p
+                assert path_from_permutation(rd.sigma(p), a, b) == p
 
     def test_identity_wrong_descent_count(self):
-        ident = Permutation.identity(5)
+        ident = Permutation((1, 2, 3, 4, 5))
         with pytest.raises(WrongStepCounts):
-            rd.path_from_permutation(ident, 2, 3)
+            path_from_permutation(ident, 2, 3)
         # identity has a single cyclic descent, so b = 1 works
-        assert rd.path_from_permutation(Permutation.identity(4), 3, 1).steps == "NNNE"
+        assert path_from_permutation(Permutation((1, 2, 3, 4)), 3, 1).steps == "NNNE"
 
     def test_cycle_decoder_inverts_gamma(self):
         for a, b in coprime_pairs(12):
@@ -354,10 +359,10 @@ class TestPermutations:
         p = Permutation((2, 3, 1))
         q = Permutation((1, 3, 2))
         assert p.compose(q).one_line == (2, 1, 3)
-        assert p.compose(p.inverse()) == Permutation.identity(3)
+        assert p.compose(p.inverse()) == Permutation((1, 2, 3))
 
     def test_rotation_cycle(self):
-        rho = rd.rotation_cycle(5, 1, 3)
+        rho = rotation_cycle(5, 1, 3)
         assert rho.one_line == (2, 3, 1, 4, 5)
 
     def test_empty_permutation_rejected(self):
@@ -452,7 +457,7 @@ class TestBuildersAgainstTheOldRules:
                     else:
                         expected = word if word in valid else BelowDiagonal
                     try:
-                        got = rd.path_from_permutation(perm, a, b).steps
+                        got = path_from_permutation(perm, a, b).steps
                     except rd.DyckError as err:
                         got = type(err)
                     assert got == expected, (one_line, a, b)
@@ -607,7 +612,7 @@ class TestStarProduct:
 
 class TestPredecessor:
     def test_running_maximal_level(self, running):
-        assert rd.maximal_level(running) == 27
+        assert max(running.reading_word()) == 27
         pred = rd.predecessor(running)
         word = pred.reading_word()
         assert 27 not in word and 14 in word

@@ -196,7 +196,7 @@ class TestSummary:
         expected = {
             "area": (p.a - 1) * (p.b - 1) // 2 - bounded.size,
             "coarea": bounded.size,
-            "rank": bounded.nonzero_rows,
+            "rank": len(bounded.trimmed()),
             "sl": sl,
             "slp": (p.a - 1) * (p.b - 1) // 2 - sl,
             "dinv": dinv_by_boxes(p),

@@ -45,10 +45,9 @@ VALUES = {
         "CorePartition(parts=(6, 4, 3, 2, 2, 1, 1, 1, 1), a=5, b=8)",
     ),
     "InversionResult": (
-        lambda: rd.zeta_inverse_detailed(rd.zeta(rd.DyckPath(5, 8, RUNNING)), "search"),
-        ("path", "strategy", "deltas"),
-        "InversionResult(path=DyckPath(a=5, b=8, steps='NNNENEEENEEEE'), "
-        "strategy='search', deltas=(5, 8, 10, 11, 12, 12))",
+        lambda: rd.zeta_inverse_detailed(rd.zeta(rd.DyckPath(5, 8, RUNNING))),
+        ("path", "strategy"),
+        "InversionResult(path=DyckPath(a=5, b=8, steps='NNNENEEENEEEE'), strategy='levels')",
     ),
     "IntervalGrid": (
         lambda: rd.interval_grid(rd.DyckPath(2, 3, "NENEE")),

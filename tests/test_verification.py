@@ -127,7 +127,7 @@ class TestRationalQCatalan:
     def test_degree(self):
         # deg qbinom(a+b, a) - deg [a+b]_q = ab - (a + b - 1)
         for a, b in coprime_pairs(12):
-            assert rd.rational_q_catalan(a, b).degree == (a - 1) * (b - 1)
+            assert len(rd.rational_q_catalan(a, b).coeffs) - 1 == (a - 1) * (b - 1)
 
     def test_non_negative_coefficients(self):
         for a, b in coprime_pairs(12):

@@ -69,7 +69,8 @@ class TestRunningExample:
                 forward = {i + 1 for i in range(n) if p.steps[i] == "E"}
                 assert forward == set(rd.sigma(p).right_cyclic_descents())
                 backward = {i + 1 for i in range(n) if p.steps[n - 1 - i] == "E"}
-                assert backward == set(rd.tau(p).right_cyclic_ascents())
+                ascents = set(range(1, n + 1)) - set(rd.tau(p).right_cyclic_descents())
+                assert backward == ascents
 
 
 class TestLowestAndFull:

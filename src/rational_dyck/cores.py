@@ -44,6 +44,10 @@ class HookFilling(_Value):
     __match_args__ = ("a", "b")
 
     def __init__(self, a: int, b: int):
+        if type(a) is not int or type(b) is not int:
+            raise ValueError("dimensions must be integers")
+        if a < 1 or b < 1:
+            raise ValueError("dimensions must be positive")
         if math.gcd(a, b) != 1:
             raise NotCoprime(f"gcd({a}, {b}) != 1")
         self.__dict__.update(a=a, b=b)

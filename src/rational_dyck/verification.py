@@ -42,7 +42,7 @@ from .paths import (
     enumerate_paths,
     rational_catalan_number,
 )
-from .stats import area, coarea, core_rank, dinv, path_rank, skew_length
+from .stats import coarea, core_rank, dinv, path_rank, skew_length
 
 __all__ = [
     "QPolynomial",
@@ -337,6 +337,7 @@ def bijectivity_report(a: int, b: int, *, unique_pair_scan: bool = False) -> Bij
             f"{rational_catalan_number(a, b)}"
         )
     sls, _ = _path_statistics(a, b)
+    half = (a - 1) * (b - 1) // 2
     fibres: dict[DyckPath, list[DyckPath]] = {}
     collisions = []
     sl_ok = True
@@ -347,9 +348,10 @@ def bijectivity_report(a: int, b: int, *, unique_pair_scan: bool = False) -> Bij
         if fibre:
             collisions.append((str(fibre[0]), str(p)))
         fibre.append(p)
-        if sl != coarea(q):
+        co = coarea(q)  # area(q) is half - co: one sum of q's north columns
+        if sl != co:
             sl_ok = False
-        if dinv(p) != area(q):
+        if dinv(p) != half - co:
             dinv_ok = False
 
     uniqueness = None

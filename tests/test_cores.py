@@ -51,6 +51,23 @@ class TestHookFilling:
         with pytest.raises(NotCoprime):
             rd.hook_filling(2, 4)
 
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            (True, 3, "integers"),
+            (2, False, "integers"),
+            (2.0, 3, "integers"),
+            (0, 1, "positive"),
+            (-1, 2, "positive"),
+            (3, -2, "positive"),
+        ],
+    )
+    def test_dimensions_checked_like_a_path(self, a, b, message):
+        with pytest.raises(ValueError, match=f"dimensions must be {message}"):
+            rd.hook_filling(a, b)
+        with pytest.raises(ValueError, match=f"dimensions must be {message}"):
+            rd.DyckPath(a, b, "")
+
 
 class TestPositiveHooks:
     def test_running(self, running):

@@ -7,6 +7,7 @@ import random
 from hypothesis import given, settings
 
 import rational_dyck as rd
+from rational_dyck import stats
 from rational_dyck.paths import NORTH
 
 from conftest import (
@@ -187,6 +188,19 @@ class TestSummary:
             "slp": 4,
             "dinv": 4,
             "delta": 5,
+        }
+
+    def test_dinv_is_not_read_off_the_skew_length(self, monkeypatch):
+        # dinv = slp holds, but the summary counts dinv on its own: a fault
+        # in the skew inversions moves sl and slp and leaves dinv
+        p = cycle_lemma_path(random.Random(7), 121, 173)
+        expected = rd.statistics_summary(p)
+        skew_inversions = stats.skew_inversions
+        monkeypatch.setattr(stats, "skew_inversions", lambda path: skew_inversions(path) + 1)
+        summary = rd.statistics_summary(p)
+        assert summary["sl"] == expected["sl"] + 1 and summary["slp"] == expected["slp"] - 1
+        assert {k: v for k, v in summary.items() if k not in ("sl", "slp")} == {
+            k: v for k, v in expected.items() if k not in ("sl", "slp")
         }
 
     def test_large_path_matches_oracles(self):

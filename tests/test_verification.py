@@ -240,6 +240,21 @@ class TestBijectivityReport:
         assert report.injective and report.ok
         assert report.sl_transport_ok and report.dinv_transport_ok
 
+    @pytest.mark.parametrize("broken", ("skew_length", "dinv"))
+    def test_transports_fail_independently(self, monkeypatch, broken):
+        # sl is compared with the image's coarea and dinv with its area:
+        # one statistic off by one breaks its own transport alone
+        original = getattr(verification, broken)
+        monkeypatch.setattr(verification, broken, lambda p: original(p) + 1)
+        verification._path_statistics.cache_clear()
+        try:
+            report = rd.bijectivity_report(5, 8)
+        finally:
+            verification._path_statistics.cache_clear()  # drop the broken table
+        assert report.injective and not report.ok
+        assert report.sl_transport_ok is (broken != "skew_length")
+        assert report.dinv_transport_ok is (broken != "dinv")
+
     def test_trivial_family(self):
         report = rd.bijectivity_report(1, 6)
         assert report.path_count == 1 and report.ok

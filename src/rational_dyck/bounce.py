@@ -263,7 +263,8 @@ def search_delta_traces(path: DyckPath):
                 candidate = _path_from_cycle(a, b, g)
             except (WrongStepCounts, BelowDiagonal):
                 continue
-            if candidate is not None and delta(candidate) == d and _sends(candidate, q):
+            # the round trip first: a refused candidate never builds delta's views
+            if candidate is not None and _sends(candidate, q) and delta(candidate) == d:
                 return g, candidate, d, nxt
         return None
 

@@ -40,6 +40,9 @@ from .verification import (
     sl_rank_generating,
 )
 
+# the checks of `dyck verify`, in the order of its --check choices
+_VERIFY_CHECKS = ("counts", "zeta-bijective", "qcatalan", "qt-symmetry", "unique-pair")
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
@@ -201,11 +204,7 @@ def _verify_pair(pair, checks, rank_variant):
 
 
 def _cmd_verify(args) -> int:
-    checks = (
-        {"counts", "zeta-bijective", "qcatalan", "qt-symmetry", "unique-pair"}
-        if args.check == "all"
-        else {args.check}
-    )
+    checks = set(_VERIFY_CHECKS) if args.check == "all" else {args.check}
     pairs = list(_coprime_pairs(args.max_sum))
     results = [_verify_pair(p, checks, args.rank_variant) for p in pairs]
     violations = []
@@ -263,11 +262,7 @@ def build_parser() -> _Parser:
     p_inv.set_defaults(fn=_cmd_invert)
 
     p_ver = sub.add_parser("verify", help="run exhaustive desk-scale checks")
-    p_ver.add_argument(
-        "--check",
-        default="all",
-        choices=("counts", "zeta-bijective", "qcatalan", "qt-symmetry", "unique-pair", "all"),
-    )
+    p_ver.add_argument("--check", default="all", choices=(*_VERIFY_CHECKS, "all"))
     p_ver.add_argument("--max-sum", type=int, default=10, help="check all coprime a+b <= N")
     p_ver.add_argument("--rank-variant", default="core", choices=("core", "path"))
     p_ver.add_argument("--json", action="store_true")

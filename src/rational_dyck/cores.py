@@ -14,7 +14,7 @@ import math
 from bisect import bisect_left
 
 from .errors import NotACore, NotCoprime
-from .paths import DyckPath, Partition, _Value, box_value, path_from_hooks
+from .paths import DyckPath, Partition, _Value, _check_dimensions, box_value, path_from_hooks
 
 __all__ = [
     "HookFilling",
@@ -44,10 +44,7 @@ class HookFilling(_Value):
     __match_args__ = ("a", "b")
 
     def __init__(self, a: int, b: int):
-        if type(a) is not int or type(b) is not int:
-            raise ValueError("dimensions must be integers")
-        if a < 1 or b < 1:
-            raise ValueError("dimensions must be positive")
+        _check_dimensions(a, b)
         if math.gcd(a, b) != 1:
             raise NotCoprime(f"gcd({a}, {b}) != 1")
         self.__dict__.update(a=a, b=b)
@@ -68,8 +65,7 @@ class CorePartition(_Value):
     __match_args__ = ("parts", "a", "b")
 
     def __init__(self, parts: tuple[int, ...], a: int, b: int):
-        if type(a) is not int or type(b) is not int:
-            raise ValueError("dimensions must be integers")
+        _check_dimensions(a, b)
         if math.gcd(a, b) != 1:
             raise NotCoprime(f"gcd({a}, {b}) != 1")
         parts = Partition(parts).parts  # validated, so zeros trail

@@ -273,15 +273,20 @@ def zeta_inverse_detailed(q: DyckPath) -> InversionResult:
     When a = 1 or b = 1, Q is its own preimage and the label is ``table``.
     Otherwise the level scan runs, its answer is round-tripped through
     zeta, and the label is ``levels``; an image without a preimage raises
-    NoPreimage with the number of nodes the scan visited.
+    NoPreimage with the number of nodes the scan visited.  The scan's
+    links fix P's levels in Q's order, so an answer that is not a path,
+    or not a preimage, is the scan's own fault: InternalInvariantError.
     """
     if q.a == 1 or q.b == 1:
         return InversionResult(q, "table")
-    path, nodes = _preimage_by_levels(q)
+    try:
+        path, nodes = _preimage_by_levels(q)
+    except (BelowDiagonal, WrongStepCounts) as exc:
+        raise InternalInvariantError(f"level scan spelled a non-path for {q}: {exc}") from exc
     if path is None:
         raise NoPreimage(f"level scan found no preimage of {q} ({nodes} nodes)")
     if not _sends(path, q):
-        raise NoPreimage(f"level scan produced a non-preimage for {q}")
+        raise InternalInvariantError(f"level scan produced a non-preimage for {q}")
     return InversionResult(path, "levels")
 
 

@@ -52,6 +52,28 @@ from .errors import (
     WrongStepCounts,
 )
 
+__all__ = [
+    "DyckPath",
+    "Partition",
+    "Permutation",
+    "make_path",
+    "lowest_path",
+    "full_path",
+    "path_from_bounded_partition",
+    "path_from_hooks",
+    "enumerate_paths",
+    "rational_catalan_number",
+    "standardize",
+    "sigma",
+    "tau",
+    "gamma",
+    "conjugate",
+    "flip",
+    "reverse",
+    "star_product",
+    "predecessor",
+]
+
 NORTH = "N"
 EAST = "E"
 
@@ -121,6 +143,15 @@ class _Value:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _check_dimensions(a, b) -> None:
+    """The rule on grid dimensions shared by paths, fillings and cores:
+    ValueError unless a and b are positive ints (a bool is not one)."""
+    if type(a) is not int or type(b) is not int:
+        raise ValueError("dimensions must be integers")
+    if a < 1 or b < 1:
+        raise ValueError("dimensions must be positive")
 
 
 def box_value(a: int, b: int, col: int, row: int) -> int:
@@ -297,10 +328,7 @@ class DyckPath(_Value):
     __match_args__ = ("a", "b", "steps")
 
     def __init__(self, a: int, b: int, steps: str):
-        if type(a) is not int or type(b) is not int:
-            raise ValueError("dimensions must be integers")
-        if a < 1 or b < 1:
-            raise ValueError("dimensions must be positive")
+        _check_dimensions(a, b)
         if not isinstance(steps, str):
             raise ValueError("steps must be a string")
         if steps.strip(NORTH + EAST):
@@ -524,32 +552,37 @@ def _path_from_cycle(a: int, b: int, g) -> DyckPath | None:
     return DyckPath(a, b, _descent_word(cycle))
 
 
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+@lru_cache(maxsize=_TABLE_CACHE_SIZE, typed=True)  # a cached (1, b) never answers (True, b)
 def enumerate_paths(a: int, b: int) -> tuple[DyckPath, ...]:
-    """All (a,b)-Dyck paths in lexicographic step order with N < E."""
+    """All (a,b)-Dyck paths in lexicographic step order with N < E.
+
+    A path is its north columns c_0 <= ... <= c_(a-1) with c_y <= yb/a,
+    and N < E orders the words as it orders these columns.  So they are
+    counted like an odometer: the last column below its bound goes up by
+    one, and every later column drops to it.  No recursion, so no depth
+    limit.  prefixes[y] is the word up to row y's north step, and a turn
+    rebuilds only the rows that moved.
+    """
+    _check_dimensions(a, b)
     if math.gcd(a, b) != 1:
         raise NotCoprime(f"gcd({a}, {b}) != 1")
-    out: list[DyckPath] = []
-    word: list[str] = []
-
-    def extend(x: int, y: int) -> None:
-        if len(word) == a + b:
-            out.append(DyckPath(a, b, "".join(word)))
-            return
-        if y < a:
-            word.append(NORTH)
-            extend(x, y + 1)
-            word.pop()
-        if x < b and a * (x + 1) <= b * y:
-            word.append(EAST)
-            extend(x + 1, y)
-            word.pop()
-
-    extend(0, 0)
-    # extend's closure holds extend itself: drop the name to break that
-    # cycle, so the paths go with their cache entry, not at the next gc
-    del extend
-    return tuple(out)
+    bounds = [y * b // a for y in range(a)]
+    cols = [0] * a
+    prefixes = [NORTH * (y + 1) for y in range(a)]
+    out = []
+    while True:
+        out.append(DyckPath(a, b, prefixes[-1] + EAST * (b - cols[-1])))
+        y = a - 1
+        while y and cols[y] == bounds[y]:
+            y -= 1
+        if not y:  # column 0 is bounded by 0
+            return tuple(out)
+        col = cols[y] + 1
+        prefix = prefixes[y - 1] + EAST * (col - cols[y - 1])
+        for row in range(y, a):
+            cols[row] = col
+            prefix += NORTH
+            prefixes[row] = prefix
 
 
 def rational_catalan_number(a: int, b: int) -> int:

@@ -8,6 +8,8 @@ from .errors import UnsupportedOverlay
 from .maps import interval_grid, laser_filling
 from .paths import DyckPath, _Value
 
+__all__ = ["RenderSpec", "render", "render_ascii", "render_svg"]
+
 _FILLINGS = ("hooks", "row-lengths", "lasers")  # overlays that write a value per box
 OVERLAYS = (*_FILLINGS, "levels", "bounce", "intervals")
 

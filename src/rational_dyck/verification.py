@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
-from itertools import chain
 from operator import add
 
 from .errors import (
@@ -224,9 +223,9 @@ class QTPolynomial(_Value):
     def __init__(self, terms: tuple[tuple[tuple[int, int], int], ...]):
         sums: dict[tuple[int, int], int] = {}
         for (i, j), c in terms:
+            if not type(i) is type(j) is type(c) is int:  # checked before a sum hides a bool
+                raise ValueError(f"powers and coefficients must be integers: {terms}")
             sums[i, j] = sums.get((i, j), 0) + c
-        if not set(map(type, chain(*sums, sums.values()))) <= {int}:
-            raise ValueError(f"powers and coefficients must be integers: {terms}")
         self.__dict__.update(terms=tuple(sorted((k, c) for k, c in sums.items() if c)))
 
     @classmethod

@@ -7,7 +7,7 @@ import json
 import pytest
 
 import rational_dyck as rd
-from rational_dyck import cli, verification
+from rational_dyck import cli, inverse, verification
 from rational_dyck.bounce import fuss_delta_trace
 from rational_dyck.cli import main
 from rational_dyck.errors import NotACycle
@@ -177,6 +177,12 @@ class TestInvert:
             assert code == 0
             singles.append(json.loads(one))
         assert json.loads(out) == singles
+
+    def test_a_level_scan_fault_is_exit_3(self, capsys, monkeypatch, running):
+        # a wrong answer from the scan is a bug, not bad input (exit 1)
+        monkeypatch.setattr(inverse, "_preimage_by_levels", lambda q: (running, 14))
+        code, out, err = run(capsys, "invert", "--a", "5", "--b", "8", "--path", "N" * 5 + "E" * 8)
+        assert (code, out) == (3, "") and "non-preimage" in err
 
 
 class TestVerify:

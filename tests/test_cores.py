@@ -122,6 +122,11 @@ class TestAnderson:
         with pytest.raises(ValueError, match="dimensions must be integers"):
             CorePartition.from_json({"a": True, "b": 3, "parts": []})
 
+    @pytest.mark.parametrize("a, b", [(0, 1), (-3, 1), (1, 0), (2, -3)])
+    def test_dimensions_must_be_positive(self, a, b):
+        with pytest.raises(ValueError, match="dimensions must be positive"):
+            CorePartition((), a, b)
+
 
 class TestHooksFromLeadingHooks:
     def test_against_the_box_scan(self):

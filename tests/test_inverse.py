@@ -12,6 +12,7 @@ import rational_dyck as rd
 from rational_dyck import bounce, cli, inverse, maps
 from rational_dyck.bounce import search_delta_traces
 from rational_dyck.errors import (
+    BelowDiagonal,
     DimensionTooSmall,
     InconsistentPair,
     InternalInvariantError,
@@ -227,9 +228,19 @@ class TestZetaInverseDispatcher:
             rd.zeta_inverse_detailed(rd.zeta(running))
 
     def test_a_scan_answer_that_fails_the_round_trip_is_refused(self, monkeypatch, running):
+        # the scan fixes P's levels in Q's order, so a wrong answer is a bug
         monkeypatch.setattr(inverse, "_preimage_by_levels", lambda q: (running, 14))
-        with pytest.raises(NoPreimage, match="non-preimage"):
+        with pytest.raises(InternalInvariantError, match="non-preimage"):
             rd.zeta_inverse_detailed(rd.full_path(5, 8))
+
+    def test_a_scan_walk_that_spells_no_path_is_a_bug(self, monkeypatch):
+        def misspelled(q):  # the walk reads Q's letters in the wrong order
+            return rd.DyckPath(q.a, q.b, q.steps[::-1]), 14
+
+        monkeypatch.setattr(inverse, "_preimage_by_levels", misspelled)
+        with pytest.raises(InternalInvariantError, match="non-path") as caught:
+            rd.zeta_inverse_detailed(rd.full_path(5, 8))
+        assert isinstance(caught.value.__cause__, BelowDiagonal)
 
     def test_single_path_families_keep_the_table_label(self):
         for q in (rd.lowest_path(1, 4), rd.lowest_path(5, 1)):

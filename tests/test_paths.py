@@ -509,6 +509,24 @@ class TestEnumeration:
         with pytest.raises(NotCoprime):
             rd.enumerate_paths(2, 4)
 
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [(0, 1, "positive"), (-3, 1, "positive"), (2.0, 3, "integers"), (True, 2, "integers")],
+    )
+    def test_dimensions_checked_like_a_path(self, a, b, message):
+        rd.enumerate_paths(1, 2)  # a cached (1, 2) must not answer for (True, 2)
+        with pytest.raises(ValueError, match=f"dimensions must be {message}"):
+            rd.enumerate_paths(a, b)
+
+    def test_thin_pairs_deeper_than_the_recursion_limit(self):
+        # a + b well past the interpreter's default limit of 1,000 frames
+        (only,) = rd.enumerate_paths(1, 1200)
+        assert only == rd.full_path(1, 1200)
+        paths = rd.enumerate_paths(2, 1999)
+        assert len(paths) == rd.rational_catalan_number(2, 1999) == 1000
+        # the north step of row 1 moves one column east per path
+        assert [p.north_columns() for p in paths] == [(0, c) for c in range(1000)]
+
     def test_an_evicted_pair_is_freed_without_the_collector(self):
         rd.enumerate_paths.cache_clear()
         enabled = gc.isenabled()

@@ -1,11 +1,14 @@
 """The value types: dataclass-style repr, equality, hash and immutability,
-copies and pickles, and an import that loads no heavy stdlib module."""
+copies and pickles; an import that loads no heavy stdlib module, and a
+package namespace that is exactly what its modules declare."""
 
 from __future__ import annotations
 
 import copy
+import importlib
 import os
 import pickle
+import pkgutil
 import subprocess
 import sys
 
@@ -183,3 +186,23 @@ def test_import_loads_no_heavy_stdlib_module():
     package, cli = (set(line.split()) for line in out.splitlines())
     assert "rational_dyck.cli" in cli
     assert not package & set(heavy) and not cli & set(heavy)
+
+
+def test_the_package_exports_exactly_what_its_modules_declare():
+    modules = {
+        info.name: importlib.import_module(f"rational_dyck.{info.name}")
+        for info in pkgutil.iter_modules(rd.__path__)
+    }
+    declared = [name for module in modules.values() for name in getattr(module, "__all__", ())]
+    assert len(declared) == len(set(declared)), "two modules declare one name"
+    public = {name for name in vars(rd) if not name.startswith("_")}
+    submodules = {name for name in public if getattr(rd, name) is modules.get(name)}
+    assert public - submodules == {*declared, "DyckError"}
+    assert rd.__version__ == "0.1.0"
+    for name, module in modules.items():
+        for exported in getattr(module, "__all__", ()):
+            assert getattr(rd, exported) is getattr(module, exported), (name, exported)
+    # the function, not the module of the same name, is the package's `render`
+    assert rd.render is modules["render"].render
+    # the names the package once left out of its own list
+    assert {"a_columns", "fuss_delta_trace", "search_delta_traces"} <= public

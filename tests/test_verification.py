@@ -177,6 +177,20 @@ class TestQTSymmetry:
         with pytest.raises(ValueError):
             QTPolynomial((((0.5, 0), 1),))
 
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            (((0, 0), "x"),),  # would raise TypeError from the sum
+            (((0, 0), True),),  # would sum to the int 1
+            (((0, 0), True), ((0, 0), -1)),  # would cancel and vanish
+            (((True, 0), 1),),
+            (((0, False), 1),),
+        ],
+    )
+    def test_entries_checked_before_they_are_summed(self, terms):
+        with pytest.raises(ValueError, match="must be integers"):
+            QTPolynomial(terms)
+
     def test_specialization(self):
         for a, b in [(3, 4), (5, 2)]:
             poly = rd.qt_catalan(a, b)

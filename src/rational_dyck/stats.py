@@ -4,9 +4,9 @@ Skew length is exposed through all of its equivalent computations (core
 side, peak/valley row lengths, skew inversions, flip skew inversions); the
 laser route lives with the laser filling.  All arithmetic is exact.
 
-The statistics of `statistics_summary` are read off the path's levels and
-north columns, with no box loop and no Partition.  Let c_y be the column
-of the north step in row y.
+The statistics of `statistics_summary` are read off the path's word and
+levels, with no box loop and no Partition.  Let c_y be the column of the
+north step in row y.
 
 - area = (a-1)(b-1)/2 - coarea, where coarea is the sum of the c_y.  Box
   (x, y) lies above the diagonal when its southeast corner does,
@@ -15,12 +15,17 @@ of the north step in row y.
   b - 1 together: (a-1)(b-1)/2 in all.  The path passes (c_y, y), so
   c_y <= floor(y*b/a), and its c_y boxes left of the north step are
   the ones of row y above the path.
+- coarea is read off the north levels: row y's north step starts at level
+  y*b - c_y*a, so they sum to b*a(a-1)/2 - a*coarea.
 - rank = a less the number of c_y equal to 0, the nonzero rows of the
-  bounded partition; the core rank equals the area.
+  bounded partition; those rows are the word's leading run of N, so rank
+  is a less its length.  The core rank equals the area.
 - skew inversions bisect each north level into the east levels.  Both
   views are the path's cached, sorted north and east levels, which it
   picks out through a byte mask of its word, so no Python call runs per
-  step.
+  step.  The summary runs dinv first, whose pass sorts the east levels
+  anyway and leaves them as the path's east view, so the east levels are
+  sorted once.
 - delta counts the reading-word levels below a + b.  The reading word
   holds the start level of every step, so the count is one bisection into
   each of the same two views.
@@ -30,16 +35,16 @@ of the north step in row y.
   start levels, so the box counts exactly when L(e) - (a+b) < L(n) < L(e):
   a window on levels, counted in one left-to-right pass.  dinv = slp is a
   theorem (zeta sends dinv to area and sl to coarea), and reading dinv off
-  slp would save this pass, about half of the summary's time at a+b near
-  300; but then `dyck stats` would print one number derived from another,
-  and `verify`'s dinv transport would restate its sl transport.  So dinv
-  keeps its own count.
+  slp would save this pass, about two thirds of the summary's time at
+  a+b near 300; but then `dyck stats` would print one number derived from
+  another, and `verify`'s dinv transport would restate its sl transport.
+  So dinv keeps its own count.
 
 On one seeded path each at a+b = 150 / 450 / 1,500 / 4,500 (b about 2a),
-`statistics_summary` took 96 / 320 / 1,259 / 5,010 µs (best of five, the
+`statistics_summary` took 76 / 238 / 968 / 3,623 µs (best of five, the
 median of four such runs) on a 2-vCPU host under Python 3.11, against
-130 / 397 / 1,553 / 5,857 µs in the same runs when the views were picked
-out by a Python call per step.
+82 / 291 / 1,087 / 4,141 µs in the same runs when the east levels were
+sorted twice and coarea and rank read the north columns.
 """
 
 from __future__ import annotations
@@ -48,7 +53,8 @@ from bisect import bisect_left, bisect_right, insort
 from itertools import repeat
 
 from .cores import row_length_filling
-from .paths import DyckPath, EAST, NORTH
+from .errors import InternalInvariantError
+from .paths import DyckPath, EAST, NORTH, _hand_over_east_levels
 
 __all__ = [
     "area",
@@ -73,14 +79,23 @@ def area(path: DyckPath) -> int:
 
 
 def coarea(path: DyckPath) -> int:
-    """Number of boxes above the path: the sum of its north columns."""
-    return sum(path.north_columns())
+    """Number of boxes above the path: the sum of its north columns c_y.
+
+    Row y's north step starts at level y*b - c_y*a, so the sum of the north
+    levels is b*a(a-1)/2 - a*coarea.
+    """
+    a = path.a
+    boxes, rest = divmod(path.b * (a * (a - 1) // 2) - sum(path.north_levels()), a)
+    if rest:
+        raise InternalInvariantError(f"north levels of {path.steps} sum to b*a(a-1)/2 less no multiple of {a}")
+    return boxes
 
 
 def path_rank(path: DyckPath) -> int:
-    """Number of nonzero rows of the bounded partition, which are the
-    nonzero north columns."""
-    return path.a - path.north_columns().count(0)
+    """Number of nonzero rows of the bounded partition: the rows whose north
+    step comes after an east step, all but the word's leading run of N."""
+    steps = path.steps
+    return path.a - (len(steps) - len(steps.lstrip(NORTH)))
 
 
 rank = path_rank
@@ -155,6 +170,7 @@ def dinv(path: DyckPath) -> int:
             insort(seen, level)
         else:
             count += bisect_right(seen, level + window) - bisect_right(seen, level)
+    _hand_over_east_levels(path, seen)
     return count
 
 
@@ -173,6 +189,7 @@ def delta(path: DyckPath) -> int:
 def statistics_summary(path: DyckPath) -> dict[str, int]:
     """All statistics in the documented JSON key order."""
     half = (path.a - 1) * (path.b - 1) // 2
+    dv = dinv(path)  # first: its pass hands the sorted east levels on
     co = coarea(path)
     sl = skew_length(path)
     return {
@@ -181,6 +198,6 @@ def statistics_summary(path: DyckPath) -> dict[str, int]:
         "rank": rank(path),
         "sl": sl,
         "slp": half - sl,
-        "dinv": dinv(path),
+        "dinv": dv,
         "delta": delta(path),
     }

@@ -347,7 +347,7 @@ def bijectivity_report(a: int, b: int, *, unique_pair_scan: bool = False) -> Bij
         if fibre:
             collisions.append((str(fibre[0]), str(p)))
         fibre.append(p)
-        co = coarea(q)  # area(q) is half - co: one sum of q's north columns
+        co = coarea(q)  # area(q) is half - co: one sum of q's north levels
         if sl != co:
             sl_ok = False
         if dinv(p) != half - co:

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 
 import rational_dyck as rd
 from rational_dyck import stats
+from rational_dyck.errors import InternalInvariantError
 from rational_dyck.paths import NORTH
 
 from conftest import (
@@ -44,6 +46,21 @@ class TestAreaFamily:
     def test_core_rank_is_core_row_count(self):
         for p in all_paths(9):
             assert rd.core_rank(p) == rd.anderson(p).rows
+
+    def test_coarea_and_rank_against_the_bounded_partition(self):
+        # coarea comes from the north levels and rank from the leading run
+        # of N; the bounded partition is built from the north columns
+        assert {(1, 13), (13, 1)} <= set(coprime_pairs(14))  # a = 1 and b = 1 families
+        for p in all_paths(14):
+            bounded = p.bounded_partition()
+            assert rd.coarea(p) == bounded.size
+            assert rd.rank(p) == len(bounded.trimmed())
+
+    def test_a_north_view_off_the_lattice_is_a_bug(self):
+        p = rd.make_path(5, 8, "NNNENEEENEEEE")
+        object.__setattr__(p, "_north_levels", (19, 16, 12, 8, 1))  # 0 moved to 1
+        with pytest.raises(InternalInvariantError, match="multiple of 5"):
+            rd.coarea(p)
 
 
 def rank_and_delta_by_walk(p):
@@ -219,3 +236,40 @@ class TestSummary:
         summary = rd.statistics_summary(p)
         assert summary == expected
         assert list(summary) == list(expected)
+
+
+class TestEastViewHandOver:
+    """dinv's pass sorts the east levels, and a path with no east view yet
+    keeps them as that view, so the summary sorts them once."""
+
+    @staticmethod
+    def fresh_pairs():
+        """Two fresh copies of every path with a+b <= 14 and of seeded
+        (121,173) and (173,121) paths: no view of theirs is built yet."""
+        seeded = (
+            cycle_lemma_path(random.Random(f"hand-over/{a}/{b}/{i}"), a, b)
+            for a, b in ((121, 173), (173, 121))
+            for i in range(4)
+        )
+        for p in (*all_paths(14), *seeded):
+            yield rd.DyckPath(p.a, p.b, p.steps), rd.DyckPath(p.a, p.b, p.steps)
+
+    def test_dinv_leaves_the_view_the_path_would_build(self):
+        for handed, own in self.fresh_pairs():
+            rd.dinv(handed)
+            assert "_east_levels" in vars(handed)  # handed over, not built on the read
+            assert handed.east_levels() == own.east_levels()
+
+    def test_dinv_with_the_view_built_before_or_after(self):
+        for before, after in self.fresh_pairs():
+            view = before.east_levels()
+            assert rd.dinv(before) == rd.dinv(after)
+            assert before.east_levels() is view  # a built view is kept
+            assert after.east_levels() == view
+
+    def test_summary_with_every_view_read_first(self):
+        for fresh, read in self.fresh_pairs():
+            for view in (read.levels, read.north_levels, read.east_levels, read.north_columns):
+                view()
+            expected = rd.statistics_summary(read)
+            assert list(rd.statistics_summary(fresh).items()) == list(expected.items())

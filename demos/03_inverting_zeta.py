@@ -1,9 +1,9 @@
 """Recovering a path from its zeta image.
 
-Shows the pair inverse (which needs both images), then the level scan,
-the one algorithm of zeta_inverse, and the paper's closed forms, which
-stay callable as cross-checks: the square case, the bounce-pinned chain
-for b = a*k + 1, and the memoized delta recursion.
+Shows the pair inverse (which needs both images), then value iteration,
+which zeta_inverse runs first, and the paper's closed forms, which stay
+callable as cross-checks: the square case, the bounce-pinned chain for
+b = a*k + 1, and the memoized delta recursion, zeta_inverse's fallback.
 Run:  python demos/03_inverting_zeta.py
 """
 
@@ -24,7 +24,7 @@ print()
 
 print("inverting one image:")
 result = rd.zeta_inverse_detailed(Q)
-print(f"  zeta_inverse ran the {result.strategy!r} scan: {result.path}")
+print(f"  zeta_inverse answered by {result.strategy!r}: {result.path}")
 [(_, deltas)], _ = search_delta_traces(Q)
 print("  delta trace of the predecessor chain:", deltas)
 print()

@@ -10,10 +10,10 @@ a bijection, so the first d of a window that verifies is the answer.  Its
 only memo, of the images solved, lasts one call; no chain step is cached.
 Both inverses end by decoding a one-line tuple with the cycle decoder of
 iota, whose DyckPath check rejects a candidate that is not a path.
-Neither is a hot path: ``zeta_inverse`` runs the level scan of
-``inverse``.  ``zeta_inverse_fuss`` and ``search_delta_traces``, which
-also reports the delta trace it decoded, are cross-checks that the tests
-call directly.
+Neither is a hot path: ``zeta_inverse`` runs the value iteration of
+``inverse`` and calls ``search_delta_traces``, which also reports the
+delta trace it decoded, only when the iteration does not settle.  It and
+``zeta_inverse_fuss`` are cross-checks that the tests call directly.
 """
 
 from __future__ import annotations

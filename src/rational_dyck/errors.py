@@ -72,7 +72,8 @@ class InconsistentPair(DyckError):
 
 
 class NoPreimage(DyckError):
-    """The level scan of zeta_inverse found no preimage under zeta."""
+    """zeta_inverse found no preimage under zeta: value iteration did not
+    settle, and its fallback, the delta search, found none."""
 
 
 class DimensionTooSmall(DyckError):

@@ -11,24 +11,26 @@ zeta and eta, and zeta_inverse its answer through zeta; each round trip
 compares the swept word with the known image's steps and builds the
 image only when they differ.
 
-Knowing Q alone, P is found by the level scan, the one algorithm of
-zeta_inverse: it searches the letters of eta(P) one by one against Q's
-level order, in the manner of Xin's search algorithm for the sweep map
-and the Thomas-Williams inverse.  The paper's closed forms stay callable
-as cross-checks that the tests hold against the scan: the square case is
-iota(Q, reverse(Q)), the level-1 star recursion is zeta_inverse_level1,
-and the Fuss chain and the delta recursion are zeta_inverse_fuss and
-search_delta_traces in ``bounce``.  The justified and valley families
-close the module.  Each closed form builds its shape as one count per
-row or column, read off a path's north columns or the level points, and
-never a set of boxes.
+Knowing Q alone, zeta_inverse finds P by value iteration on P's sorted
+levels and labels the answer ``levels``; Q is its own preimage when a = 1
+or b = 1 (``table``), and an iteration that does not settle falls back to
+the paper's delta recursion, search_delta_traces in ``bounce``
+(``search``).  The iteration works on levels as the Thomas-Williams
+inverse of sweep maps does; whether it is that inverse is not worked out.
+The paper's other closed forms stay callable as cross-checks that the
+tests hold against zeta_inverse: the square case is iota(Q, reverse(Q)),
+the level-1 star recursion is zeta_inverse_level1, and the Fuss chain is
+zeta_inverse_fuss in ``bounce``.  The justified and valley families close
+the module.  Each closed form builds its shape as one count per row or
+column, read off a path's north columns or the level points, and never a
+set of boxes.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from itertools import accumulate
+from operator import add
 
 from .errors import (
     BelowDiagonal,
@@ -45,6 +47,7 @@ from .errors import (
     TooManyBoxes,
     WrongStepCounts,
 )
+from .bounce import search_delta_traces
 from .maps import _sends, eta
 from .paths import (
     DyckPath,
@@ -155,139 +158,68 @@ class InversionResult(_Value):
         self.__dict__.update(path=path, strategy=strategy)
 
 
-def _preimage_by_levels(q: DyckPath) -> tuple[DyckPath | None, int]:
-    """The zeta preimage of Q by a scan of its level order, and the nodes
-    the scan visited; None when Q has no preimage.
+def _preimage_by_iteration(q: DyckPath) -> DyckPath | None:
+    """The zeta preimage of Q by value iteration, or None when the levels
+    do not settle within (a+b)^2 rounds.
 
-    Position i of Q is the step of P with the i-th lowest start level
-    lambda_i, and lambda_0 = 0.  Sorting keeps the order among the
-    successors of north steps (lambda + b) and among those of east steps
-    (lambda - a), so the successor map of P is fixed by one bit per
-    position: whether the step before it is a north or an east step.  Read
-    from the top, these bits are the letters of eta(P).  Scanning i upward,
-    a north bit links i after the next unused north of Q, which must lie
-    before i, and an east bit after the next unused east of Q, which must
-    lie after i.
-
-    Each link joins two segments of P whose levels are known relative to
-    one member.  It is refused when it would put two positions p < q of
-    the joined segment less than q - p levels apart (the levels in between
-    are distinct integers), which is checked for each member of the smaller
-    segment against its neighbours in the larger, or when it closes a cycle
-    shorter than a + b.  Links are undone on backtracking, and the scan
-    backtracks as soon as the next unused east of Q lies at or before i,
-    since no later position can take it.
+    Position i of Q is the step of P with the i-th lowest start level, and
+    the end levels of P's steps are its start levels again.  So P's sorted
+    levels are a fixed point of the update that moves each level up b where
+    Q has a north step and down a where it has an east step, then sorts.
+    The update starts from 0..a+b-1.  Both moves add b mod a+b, and they
+    sum to a*b - b*a = 0, so the levels stay a complete residue system with
+    a fixed sum and never need a shift back to 0.  A settled set is carried
+    onto itself, and its cycles are closed walks of k norths and m easts
+    with k*b = m*a, so by coprimality there is one (a+b)-cycle.  Read from
+    its lowest level it spells a path, through the cycle decoder, whose
+    steps sorted by start level are Q's.  That the update settles is
+    unproven; it has settled on every image tried.
     """
-    a, b, word = q.a, q.b, q.steps
+    a, b = q.a, q.b
     n = a + b
-    norths = [i for i, s in enumerate(word) if s == NORTH]
-    easts = [i for i, s in enumerate(word) if s == EAST]
-    after = [-1] * n  # successor in P of each position of Q
-    root = list(range(n))  # a member of the position's segment
-    rel = [0] * n  # level of the position minus the level of its root
-    members = [[p] for p in range(n)]  # a root's segment, by position
-
-    def link(src: int, dst: int, rise: int):
-        """Put dst right after src in P; the undo record, or None if refused."""
-        s, d = root[src], root[dst]
-        if s == d:  # closes the cycle
-            if len(members[s]) < n or rel[dst] != rel[src] + rise:
-                return None
-            after[src] = dst
-            return src, None, None, 0, None
-        shift = rel[src] + rise - rel[dst]  # moves d's levels into s's frame
-        if len(members[s]) < len(members[d]):
-            small, big, shift = s, d, -shift
-        else:
-            small, big = d, s
-        big_members = members[big]
-        size = len(big_members)
-        for p in members[small]:
-            level = rel[p] + shift
-            k = bisect_left(big_members, p)
-            if k and level - rel[big_members[k - 1]] < p - big_members[k - 1]:
-                return None
-            if k < size and rel[big_members[k]] - level < big_members[k] - p:
-                return None
-        for p in members[small]:
-            rel[p] += shift
-            root[p] = big
-        members[big] = sorted(big_members + members[small])
-        after[src] = dst
-        return src, small, big, shift, big_members
-
-    def unlink(record) -> None:
-        src, small, big, shift, big_members = record
-        after[src] = -1
-        if small is None:
-            return
-        for p in members[small]:
-            rel[p] -= shift
-            root[p] = small
-        members[big] = big_members
-
-    tried = [0] * (n + 1)  # bits tried at each position: 0 none, 1 north, 2 both
-    undo: list = [None] * n
-    used_n = used_e = 0
-    i = 0
-    nodes = 1
-    while i < n:
-        record = None
-        if used_e == b or easts[used_e] > i:
-            while record is None and tried[i] < 2:
-                tried[i] += 1
-                if tried[i] == 1:
-                    if used_n < a and norths[used_n] < i:
-                        record = link(norths[used_n], i, b)
-                elif used_e < b:
-                    record = link(easts[used_e], i, -a)
-        if record is not None:
-            if tried[i] == 1:
-                used_n += 1
-            else:
-                used_e += 1
-            undo[i] = record
-            i += 1
-            tried[i] = 0
-            nodes += 1
-            continue
-        i -= 1
-        if i < 0:
-            return None, nodes
-        unlink(undo[i])
-        if tried[i] == 1:
-            used_n -= 1
-        else:
-            used_e -= 1
-    steps = []
-    p = 0
-    for _ in range(n):
-        steps.append(word[p])
-        p = after[p]
-    return DyckPath(a, b, "".join(steps)), nodes
+    rise = [b if s == NORTH else -a for s in q.steps]
+    levels = list(range(n))
+    for _ in range(n * n):
+        moved = sorted(map(add, levels, rise))
+        if moved == levels:
+            position = {v: i for i, v in enumerate(levels)}
+            path = _path_from_cycle(a, b, [position[v + r] + 1 for v, r in zip(levels, rise)])
+            if path is None:
+                raise InternalInvariantError(f"settled levels of {q} close more than one cycle")
+            return path
+        levels = moved
+    return None
 
 
 def zeta_inverse_detailed(q: DyckPath) -> InversionResult:
     """Find P with zeta(P) = Q, and the label of the route taken.
 
     When a = 1 or b = 1, Q is its own preimage and the label is ``table``.
-    Otherwise the level scan runs, its answer is round-tripped through
-    zeta, and the label is ``levels``; an image without a preimage raises
-    NoPreimage with the number of nodes the scan visited.  The scan's
-    links fix P's levels in Q's order, so an answer that is not a path,
-    or not a preimage, is the scan's own fault: InternalInvariantError.
+    Otherwise value iteration runs, its answer is round-tripped through
+    zeta, and the label is ``levels``.  A settled iteration fixes P's
+    levels in Q's order, so an answer that is not a path, or not a
+    preimage, is its own fault: InternalInvariantError.  Only a run that
+    does not settle falls back to the delta recursion of
+    ``search_delta_traces``, labelled ``search``; an image it cannot
+    invert either raises NoPreimage with the decodes the search made.
     """
     if q.a == 1 or q.b == 1:
         return InversionResult(q, "table")
     try:
-        path, nodes = _preimage_by_levels(q)
+        path = _preimage_by_iteration(q)
     except (BelowDiagonal, WrongStepCounts) as exc:
-        raise InternalInvariantError(f"level scan spelled a non-path for {q}: {exc}") from exc
-    if path is None:
-        raise NoPreimage(f"level scan found no preimage of {q} ({nodes} nodes)")
-    if not _sends(path, q):
-        raise InternalInvariantError(f"level scan produced a non-preimage for {q}")
-    return InversionResult(path, "levels")
+        raise InternalInvariantError(f"value iteration spelled a non-path for {q}: {exc}") from exc
+    if path is not None:
+        if not _sends(path, q):
+            raise InternalInvariantError(f"value iteration produced a non-preimage for {q}")
+        return InversionResult(path, "levels")
+    found, attempts = search_delta_traces(q)
+    if not found:
+        raise NoPreimage(
+            f"no preimage of {q}: value iteration did not settle, "
+            f"and the delta search found none ({attempts} decodes)"
+        )
+    return InversionResult(found[0][0], "search")
 
 
 def zeta_inverse(q: DyckPath) -> DyckPath:

@@ -126,7 +126,7 @@ class TestInvert:
         assert isinstance(record["deltas"], list)
 
     def test_trace_is_the_search_trace(self, capsys, tmp_path):
-        # the level scan reports no deltas, so --trace walks the chain down
+        # value iteration reports no deltas, so --trace walks the chain down
         # from the preimage; the delta search decodes from that trace
         images = [rd.zeta(p) for ab in ((5, 8), (8, 5)) for p in rd.enumerate_paths(*ab)]
         spec_file = tmp_path / "images.txt"
@@ -179,8 +179,8 @@ class TestInvert:
         assert json.loads(out) == singles
 
     def test_a_level_scan_fault_is_exit_3(self, capsys, monkeypatch, running):
-        # a wrong answer from the scan is a bug, not bad input (exit 1)
-        monkeypatch.setattr(inverse, "_preimage_by_levels", lambda q: (running, 14))
+        # a wrong answer from value iteration is a bug, not bad input (exit 1)
+        monkeypatch.setattr(inverse, "_preimage_by_iteration", lambda q: running)
         code, out, err = run(capsys, "invert", "--a", "5", "--b", "8", "--path", "N" * 5 + "E" * 8)
         assert (code, out) == (3, "") and "non-preimage" in err
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import rational_dyck as rd
 from rational_dyck import bounce, cli, inverse, maps
@@ -128,7 +128,7 @@ class TestRoundTripsKeepBugs:
         with pytest.raises(InternalInvariantError):
             rd.iota(images[0], images[1])
 
-    # auto is zeta_inverse, the level scan; search and fuss are the chain
+    # auto is zeta_inverse, value iteration; search and fuss are the chain
     # inverses, called directly
     @pytest.mark.parametrize("strategy", ("auto", "search", "fuss"))
     def test_zeta_inverse(self, images, strategy):
@@ -197,7 +197,7 @@ class TestZetaInverseDispatcher:
 
     def test_forced_strategy_failure(self, running):
         # a (5,8) image missing the level-1 point: the level-1 closed form
-        # refuses it, and the level scan still inverts it
+        # refuses it, and value iteration still inverts it
         q = rd.zeta(running)
         assert not q.visits(*level_point(5, 8, 1))
         with pytest.raises(Level1NotVisited):
@@ -216,31 +216,43 @@ class TestZetaInverseDispatcher:
         def broken(q):
             raise error
 
-        monkeypatch.setattr(inverse, "_preimage_by_levels", broken)
+        monkeypatch.setattr(inverse, "_preimage_by_iteration", broken)
         with pytest.raises(type(error)):
             rd.zeta_inverse_detailed(rd.full_path(4, 5))
 
+    def test_an_unsettled_iteration_falls_back_to_the_search(self, monkeypatch, running):
+        # only an iteration that does not settle hands Q to the delta search
+        monkeypatch.setattr(inverse, "_preimage_by_iteration", lambda q: None)
+        result = rd.zeta_inverse_detailed(rd.zeta(running))
+        assert result == inverse.InversionResult(running, "search")
+
     def test_auto_raises_the_search_failure_without_a_table(self, monkeypatch, running):
-        # the level scan is the only route: its failure is raised with the
-        # nodes it visited, and nothing falls back to another inverse
-        monkeypatch.setattr(inverse, "_preimage_by_levels", lambda q: (None, 7))
-        with pytest.raises(NoPreimage, match=r"\(7 nodes\)"):
+        # an unsettled iteration and a failed search leave no preimage
+        monkeypatch.setattr(inverse, "_preimage_by_iteration", lambda q: None)
+        monkeypatch.setattr(inverse, "search_delta_traces", lambda q: ([], 7))
+        with pytest.raises(NoPreimage, match=r"\(7 decodes\)"):
             rd.zeta_inverse_detailed(rd.zeta(running))
 
     def test_a_scan_answer_that_fails_the_round_trip_is_refused(self, monkeypatch, running):
-        # the scan fixes P's levels in Q's order, so a wrong answer is a bug
-        monkeypatch.setattr(inverse, "_preimage_by_levels", lambda q: (running, 14))
+        # settled levels fix P's levels in Q's order, so a wrong answer is a bug
+        monkeypatch.setattr(inverse, "_preimage_by_iteration", lambda q: running)
         with pytest.raises(InternalInvariantError, match="non-preimage"):
             rd.zeta_inverse_detailed(rd.full_path(5, 8))
 
     def test_a_scan_walk_that_spells_no_path_is_a_bug(self, monkeypatch):
         def misspelled(q):  # the walk reads Q's letters in the wrong order
-            return rd.DyckPath(q.a, q.b, q.steps[::-1]), 14
+            return rd.DyckPath(q.a, q.b, q.steps[::-1])
 
-        monkeypatch.setattr(inverse, "_preimage_by_levels", misspelled)
+        monkeypatch.setattr(inverse, "_preimage_by_iteration", misspelled)
         with pytest.raises(InternalInvariantError, match="non-path") as caught:
             rd.zeta_inverse_detailed(rd.full_path(5, 8))
         assert isinstance(caught.value.__cause__, BelowDiagonal)
+
+    def test_settled_levels_of_more_than_one_cycle_are_a_bug(self, monkeypatch):
+        # coprimality leaves a settled set one cycle, so a split is a bug
+        monkeypatch.setattr(inverse, "_path_from_cycle", lambda a, b, g: None)
+        with pytest.raises(InternalInvariantError, match="more than one cycle"):
+            rd.zeta_inverse_detailed(rd.full_path(5, 8))
 
     def test_single_path_families_keep_the_table_label(self):
         for q in (rd.lowest_path(1, 4), rd.lowest_path(5, 1)):
@@ -265,15 +277,19 @@ class TestZetaInverseDispatcher:
         assert result == inverse.InversionResult(rd.lowest_path(4, 5), "levels")
 
 
-class TestLevelScan:
+class TestValueIteration:
     def test_equals_the_table(self):
+        # the label pins that the delta search never runs here
         for a, b in coprime_pairs(13):
+            label = "table" if 1 in (a, b) else "levels"
             for p in rd.enumerate_paths(a, b):
                 q = rd.zeta(p)
-                assert rd.zeta_inverse(q) == p
+                assert rd.zeta_inverse_detailed(q) == inverse.InversionResult(p, label)
 
     @settings(deadline=None)
-    @given(cycle_lemma_paths(max_sum=40))
+    @given(cycle_lemma_paths(max_sum=120))
+    @example(cycle_lemma_path(random.Random("chi/121/173"), 121, 173))
+    @example(cycle_lemma_path(random.Random("chi/173/121"), 173, 121))
     def test_round_trip_and_chi_at_random(self, p):
         q = rd.zeta(p)
         assert rd.zeta_inverse(q) == p
@@ -283,11 +299,9 @@ class TestLevelScan:
 
     @pytest.mark.parametrize("a, b", ((120, 241), (60, 61)))
     def test_auto_inverts_fuss_and_square_images_at_scale(self, a, b):
-        # these never backtrack: the scan visits a + b + 1 nodes
         p = cycle_lemma_path(random.Random(f"levels/{a}/{b}"), a, b)
         q = rd.zeta(p)
         assert rd.zeta_inverse_detailed(q) == inverse.InversionResult(p, "levels")
-        assert inverse._preimage_by_levels(q) == (p, a + b + 1)
 
 
 # Seeded uniform paths beyond exhaustive enumeration; (17,13) has b < a and

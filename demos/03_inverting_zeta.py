@@ -1,9 +1,9 @@
 """Recovering a path from its zeta image.
 
 Shows the pair inverse (which needs both images), then value iteration,
-which zeta_inverse runs first, and the paper's closed forms, which stay
-callable as cross-checks: the square case, the bounce-pinned chain for
-b = a*k + 1, and the memoized delta recursion, zeta_inverse's fallback.
+which zeta_inverse runs and which is proven to end, and the paper's
+constructions, which stay callable as cross-checks: the square case, the
+bounce-pinned chain for b = a*k + 1, and the memoized delta recursion.
 Run:  python demos/03_inverting_zeta.py
 """
 

@@ -11,9 +11,9 @@ only memo, of the images solved, lasts one call; no chain step is cached.
 Both inverses end by decoding a one-line tuple with the cycle decoder of
 iota, whose DyckPath check rejects a candidate that is not a path.
 Neither is a hot path: ``zeta_inverse`` runs the value iteration of
-``inverse`` and calls ``search_delta_traces``, which also reports the
-delta trace it decoded, only when the iteration does not settle.  It and
-``zeta_inverse_fuss`` are cross-checks that the tests call directly.
+``inverse``, which ends by proof and calls nothing here.
+``search_delta_traces``, which also reports the delta trace it decoded,
+and ``zeta_inverse_fuss`` are cross-checks that the tests call directly.
 """
 
 from __future__ import annotations

@@ -72,8 +72,8 @@ class InconsistentPair(DyckError):
 
 
 class NoPreimage(DyckError):
-    """zeta_inverse found no preimage under zeta: value iteration did not
-    settle, and its fallback, the delta search, found none."""
+    """zeta_inverse proved that Q has no preimage under zeta: value
+    iteration climbed to a level above a*b, which no path reaches."""
 
 
 class DimensionTooSmall(DyckError):

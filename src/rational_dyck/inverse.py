@@ -13,13 +13,15 @@ image only when they differ.
 
 Knowing Q alone, zeta_inverse finds P by value iteration on P's sorted
 levels and labels the answer ``levels``; Q is its own preimage when a = 1
-or b = 1 (``table``), and an iteration that does not settle falls back to
-the paper's delta recursion, search_delta_traces in ``bounce``
-(``search``).  The iteration works on levels as the Thomas-Williams
-inverse of sweep maps does; whether it is that inverse is not worked out.
-The paper's other closed forms stay callable as cross-checks that the
-tests hold against zeta_inverse: the square case is iota(Q, reverse(Q)),
-the level-1 star recursion is zeta_inverse_level1, and the Fuss chain is
+or b = 1 (``table``).  Plain rounds that have not settled within (a+b)^2
+give way to a monotone climb on the same levels, which is proven to end:
+at a preimage, or with a top level above a*b, which proves there is none.
+The iteration works on levels as the Thomas-Williams inverse of sweep
+maps does; whether it is that inverse is not worked out.  The paper's
+closed forms and its delta recursion stay callable as cross-checks that
+the tests hold against zeta_inverse: the square case is iota(Q,
+reverse(Q)), the level-1 star recursion is zeta_inverse_level1, and the
+delta recursion and the Fuss chain are search_delta_traces and
 zeta_inverse_fuss in ``bounce``.  The justified and valley families close
 the module.  Each closed form builds its shape as one count per row or
 column, read off a path's north columns or the level points, and never a
@@ -29,7 +31,7 @@ set of boxes.
 from __future__ import annotations
 
 import math
-from itertools import accumulate
+from itertools import accumulate, count
 from operator import add
 
 from .errors import (
@@ -47,7 +49,6 @@ from .errors import (
     TooManyBoxes,
     WrongStepCounts,
 )
-from .bounce import search_delta_traces
 from .maps import _sends, eta
 from .paths import (
     DyckPath,
@@ -158,28 +159,50 @@ class InversionResult(_Value):
         self.__dict__.update(path=path, strategy=strategy)
 
 
+def _plain_rounds(n: int) -> int:
+    """Rounds of plain iteration before the climb starts."""
+    return n * n
+
+
 def _preimage_by_iteration(q: DyckPath) -> DyckPath | None:
-    """The zeta preimage of Q by value iteration, or None when the levels
-    do not settle within (a+b)^2 rounds.
+    """The zeta preimage of Q by value iteration, or None when Q has none.
 
     Position i of Q is the step of P with the i-th lowest start level, and
     the end levels of P's steps are its start levels again.  So P's sorted
-    levels are a fixed point of the update that moves each level up b where
-    Q has a north step and down a where it has an east step, then sorts.
-    The update starts from 0..a+b-1.  Both moves add b mod a+b, and they
-    sum to a*b - b*a = 0, so the levels stay a complete residue system with
-    a fixed sum and never need a shift back to 0.  A settled set is carried
-    onto itself, and its cycles are closed walks of k norths and m easts
-    with k*b = m*a, so by coprimality there is one (a+b)-cycle.  Read from
-    its lowest level it spells a path, through the cycle decoder, whose
-    steps sorted by start level are Q's.  That the update settles is
-    unproven; it has settled on every image tried.
+    levels are a fixed point of the update T that moves each level up b
+    where Q has a north step and down a where it has an east step, then
+    sorts.  The update starts from 0..a+b-1.  Both moves add b mod a+b, and
+    they sum to a*b - b*a = 0, so the levels stay a complete residue system
+    with a fixed sum and never need a shift back to 0.  A fixed point is
+    carried onto itself, and its cycles are closed walks of k norths and m
+    easts with k*b = m*a, so by coprimality there is one (a+b)-cycle, whose
+    levels are then a complete residue system too.  Read from its lowest
+    level it spells a path, through the cycle decoder, whose steps sorted
+    by start level are Q's.
+
+    The plain rounds x <- T(x) are not known to settle, so after (a+b)^2 of
+    them the loop climbs instead, x <- max(x, T(x)) entry by entry, and it
+    ends by this argument:
+    1. T is monotone entry by entry, because order statistics are monotone,
+       and it keeps the sum, because the moves sum to 0.
+    2. If P is a preimage, its sorted start levels L* are a fixed point,
+       and as distinct non-negative integers L* >= (0, ..., a+b-1).  So
+       every plain iterate is <= T^k(L*) = L*.
+    3. The climb never decreases, and x <= L* gives max(x, T(x)) <=
+       max(L*, T(L*)) = L*.  If it stops moving, T(x) <= x with equal
+       sums, so T(x) = x: a fixed point, which spells a preimage as above.
+       Otherwise each round raises the sum by at least 1.
+    4. Every start level of an (a,b)-path is at most a*b.  So a climbed
+       top level above a*b proves that Q has no preimage, and the sum can
+       rise only until some level passes a*b: the loop ends within
+       (a+b)^2 + (a+b)*a*b rounds.
     """
     a, b = q.a, q.b
     n = a + b
     rise = [b if s == NORTH else -a for s in q.steps]
     levels = list(range(n))
-    for _ in range(n * n):
+    plain, top = _plain_rounds(n), a * b
+    for done in count():
         moved = sorted(map(add, levels, rise))
         if moved == levels:
             position = {v: i for i, v in enumerate(levels)}
@@ -187,8 +210,11 @@ def _preimage_by_iteration(q: DyckPath) -> DyckPath | None:
             if path is None:
                 raise InternalInvariantError(f"settled levels of {q} close more than one cycle")
             return path
+        if done >= plain:
+            moved = list(map(max, levels, moved))
+            if moved[-1] > top:
+                return None
         levels = moved
-    return None
 
 
 def zeta_inverse_detailed(q: DyckPath) -> InversionResult:
@@ -198,10 +224,8 @@ def zeta_inverse_detailed(q: DyckPath) -> InversionResult:
     Otherwise value iteration runs, its answer is round-tripped through
     zeta, and the label is ``levels``.  A settled iteration fixes P's
     levels in Q's order, so an answer that is not a path, or not a
-    preimage, is its own fault: InternalInvariantError.  Only a run that
-    does not settle falls back to the delta recursion of
-    ``search_delta_traces``, labelled ``search``; an image it cannot
-    invert either raises NoPreimage with the decodes the search made.
+    preimage, is its own fault: InternalInvariantError.  An iteration
+    that returns None has proved that no preimage exists: NoPreimage.
     """
     if q.a == 1 or q.b == 1:
         return InversionResult(q, "table")
@@ -209,17 +233,11 @@ def zeta_inverse_detailed(q: DyckPath) -> InversionResult:
         path = _preimage_by_iteration(q)
     except (BelowDiagonal, WrongStepCounts) as exc:
         raise InternalInvariantError(f"value iteration spelled a non-path for {q}: {exc}") from exc
-    if path is not None:
-        if not _sends(path, q):
-            raise InternalInvariantError(f"value iteration produced a non-preimage for {q}")
-        return InversionResult(path, "levels")
-    found, attempts = search_delta_traces(q)
-    if not found:
-        raise NoPreimage(
-            f"no preimage of {q}: value iteration did not settle, "
-            f"and the delta search found none ({attempts} decodes)"
-        )
-    return InversionResult(found[0][0], "search")
+    if path is None:
+        raise NoPreimage(f"no preimage of {q}: its levels climbed above {q.a * q.b}")
+    if not _sends(path, q):
+        raise InternalInvariantError(f"value iteration produced a non-preimage for {q}")
+    return InversionResult(path, "levels")
 
 
 def zeta_inverse(q: DyckPath) -> DyckPath:

@@ -42,9 +42,7 @@ north step in row y.
 
 On one seeded path each at a+b = 150 / 450 / 1,500 / 4,500 (b about 2a),
 `statistics_summary` took 76 / 238 / 968 / 3,623 µs (best of five, the
-median of four such runs) on a 2-vCPU host under Python 3.11, against
-82 / 291 / 1,087 / 4,141 µs in the same runs when the east levels were
-sorted twice and coarea and rank read the north columns.
+median of four such runs) on a 2-vCPU host under Python 3.11.
 """
 
 from __future__ import annotations

@@ -38,6 +38,7 @@ from .paths import (
     _TABLE_CACHE_SIZE,
     DyckPath,
     _Value,
+    _check_dimensions,
     enumerate_paths,
     rational_catalan_number,
 )
@@ -179,6 +180,7 @@ def gaussian_binomial(n: int, k: int) -> QPolynomial:
 
 def rational_q_catalan(a: int, b: int) -> QPolynomial:
     """qbinom(a+b, a) / [a+b]_q, exact when gcd(a, b) = 1."""
+    _check_dimensions(a, b)
     if math.gcd(a, b) != 1:
         raise NotCoprime(f"gcd({a}, {b}) != 1")
     return gaussian_binomial(a + b, a).divide_exact(q_bracket(a + b))

@@ -3,7 +3,10 @@ against, chi, and the special families."""
 
 from __future__ import annotations
 
+import math
 import random
+from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -220,17 +223,10 @@ class TestZetaInverseDispatcher:
         with pytest.raises(type(error)):
             rd.zeta_inverse_detailed(rd.full_path(4, 5))
 
-    def test_an_unsettled_iteration_falls_back_to_the_search(self, monkeypatch, running):
-        # only an iteration that does not settle hands Q to the delta search
+    def test_an_iteration_that_finds_none_raises_no_preimage(self, monkeypatch, running):
+        # None is the iteration's proof that Q has no preimage; nothing else runs
         monkeypatch.setattr(inverse, "_preimage_by_iteration", lambda q: None)
-        result = rd.zeta_inverse_detailed(rd.zeta(running))
-        assert result == inverse.InversionResult(running, "search")
-
-    def test_auto_raises_the_search_failure_without_a_table(self, monkeypatch, running):
-        # an unsettled iteration and a failed search leave no preimage
-        monkeypatch.setattr(inverse, "_preimage_by_iteration", lambda q: None)
-        monkeypatch.setattr(inverse, "search_delta_traces", lambda q: ([], 7))
-        with pytest.raises(NoPreimage, match=r"\(7 decodes\)"):
+        with pytest.raises(NoPreimage, match="climbed above 40"):
             rd.zeta_inverse_detailed(rd.zeta(running))
 
     def test_a_scan_answer_that_fails_the_round_trip_is_refused(self, monkeypatch, running):
@@ -279,7 +275,7 @@ class TestZetaInverseDispatcher:
 
 class TestValueIteration:
     def test_equals_the_table(self):
-        # the label pins that the delta search never runs here
+        # the label pins the route: the iteration, or Q itself when a or b is 1
         for a, b in coprime_pairs(13):
             label = "table" if 1 in (a, b) else "levels"
             for p in rd.enumerate_paths(a, b):
@@ -302,6 +298,53 @@ class TestValueIteration:
         p = cycle_lemma_path(random.Random(f"levels/{a}/{b}"), a, b)
         q = rd.zeta(p)
         assert rd.zeta_inverse_detailed(q) == inverse.InversionResult(p, "levels")
+
+
+def probe_images():
+    """The twelve seeded probe images at a+b = 59 or 61 with 1/2 <= b/a <= 2,
+    of which the delta recursion inverts only four within 30 s."""
+    rng, images = random.Random(5), []
+    while len(images) < 12:
+        n = rng.choice((59, 61))
+        a = rng.randrange(2, n - 1)
+        b = n - a
+        if math.gcd(a, b) == 1 and a <= 2 * b and b <= 2 * a:
+            images.append(cycle_lemma_path(random.Random(rng.randrange(10**6)), a, b))
+    return images
+
+
+class TestTheClimb:
+    """Both halves of the proof that the iteration ends, with the climb
+    forced from round 0: every image comes back as its own preimage, and
+    every word that is not a Dyck path gets None."""
+
+    @pytest.fixture
+    def climb(self, monkeypatch):
+        monkeypatch.setattr(inverse, "_plain_rounds", lambda n: 0)
+
+    def test_inverts_every_small_image(self, climb):
+        for a, b in coprime_pairs(12):
+            for p in rd.enumerate_paths(a, b):
+                assert inverse._preimage_by_iteration(rd.zeta(p)) == p
+
+    @pytest.mark.parametrize("p", probe_images(), ids=str)
+    def test_inverts_the_probe_images(self, climb, p):
+        assert inverse._preimage_by_iteration(rd.zeta(p)) == p
+
+    @pytest.mark.parametrize("forced", (True, False), ids=("climb", "plain-first"))
+    def test_refuses_every_word_that_is_not_a_path(self, monkeypatch, forced):
+        if forced:
+            monkeypatch.setattr(inverse, "_plain_rounds", lambda n: 0)
+        refused = 0
+        for a, b in coprime_pairs(10):
+            paths = {p.steps for p in rd.enumerate_paths(a, b)}
+            for norths in combinations(range(a + b), a):
+                word = "".join(NORTH if i in norths else EAST for i in range(a + b))
+                if word not in paths:
+                    word_only = SimpleNamespace(a=a, b=b, steps=word)
+                    assert inverse._preimage_by_iteration(word_only) is None
+                    refused += 1
+        assert refused == 803
 
 
 # Seeded uniform paths beyond exhaustive enumeration; (17,13) has b < a and

@@ -9,6 +9,7 @@ import importlib
 import pickle
 import pkgutil
 import random
+import re
 import weakref
 from collections import Counter
 from itertools import combinations, combinations_with_replacement, permutations, product
@@ -322,6 +323,11 @@ class TestPermutations:
         assert rd.gamma(running).one_line == (3, 1, 7, 2, 10, 4, 12, 5, 13, 6, 8, 9, 11)
         assert rd.gamma(running).cycle_from(1) == (1, 3, 7, 12, 9, 13, 11, 8, 5, 10, 6, 4, 2)
 
+    @pytest.mark.parametrize("cycle", [(1, 5), (0, 2), (2, 3, 2), (1.0, 2), (True, 2)])
+    def test_from_cycle_rejects_entries_outside_or_repeated(self, cycle):
+        with pytest.raises(ValueError, match=re.escape(f"cycle {cycle} ")):
+            Permutation.from_cycle(cycle, n=3)
+
     def test_descents_match_east_steps(self, running):
         assert rd.sigma(running).right_cyclic_descents() == (4, 6, 7, 8, 10, 11, 12, 13)
 
@@ -511,12 +517,20 @@ class TestEnumeration:
 
     @pytest.mark.parametrize(
         "a, b, message",
-        [(0, 1, "positive"), (-3, 1, "positive"), (2.0, 3, "integers"), (True, 2, "integers")],
+        [
+            (0, 1, "positive"),
+            (-3, 1, "positive"),
+            (2, -1, "positive"),
+            (2.0, 3, "integers"),
+            (True, 2, "integers"),
+        ],
     )
     def test_dimensions_checked_like_a_path(self, a, b, message):
         rd.enumerate_paths(1, 2)  # a cached (1, 2) must not answer for (True, 2)
         with pytest.raises(ValueError, match=f"dimensions must be {message}"):
             rd.enumerate_paths(a, b)
+        with pytest.raises(ValueError, match=f"dimensions must be {message}"):
+            rd.rational_catalan_number(a, b)
 
     def test_thin_pairs_deeper_than_the_recursion_limit(self):
         # a + b well past the interpreter's default limit of 1,000 frames

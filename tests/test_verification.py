@@ -137,6 +137,14 @@ class TestRationalQCatalan:
         with pytest.raises(NotCoprime):
             rd.rational_q_catalan(2, 4)
 
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [(0, 1, "positive"), (2, -1, "positive"), (2.0, 3, "integers"), (True, 2, "integers")],
+    )
+    def test_dimensions_checked_like_a_path(self, a, b, message):
+        with pytest.raises(ValueError, match=f"dimensions must be {message}"):
+            rd.rational_q_catalan(a, b)
+
     def test_inexact_division_guard_fires_for_non_coprime(self):
         # bypass the coprimality gate: qbinom(6,2)/[6]_q has a remainder
         with pytest.raises(InexactDivision):

@@ -13,9 +13,13 @@ image only when they differ.
 
 Knowing Q alone, zeta_inverse finds P by value iteration on P's sorted
 levels and labels the answer ``levels``; Q is its own preimage when a = 1
-or b = 1 (``table``).  Plain rounds that have not settled within (a+b)^2
-give way to a monotone climb on the same levels, which is proven to end:
-at a preimage, or with a top level above a*b, which proves there is none.
+or b = 1 (``table``).  Settled levels spell P by residue: each step adds
+b mod a+b to its level, so the step l above the lowest level is
+l * b^-1 mod a+b steps into P, and no walk along the cycle is needed; a
+wrong spelling still fails DyckPath's check or the round trip.  Plain
+rounds that have not settled within (a+b)^2 give way to a monotone climb
+on the same levels, which is proven to end: at a preimage, or with a top
+level above a*b, which proves there is none.
 The iteration works on levels as the Thomas-Williams inverse of sweep
 maps does; whether it is that inverse is not worked out.  The paper's
 closed forms and its delta recursion stay callable as cross-checks that
@@ -31,8 +35,8 @@ set of boxes.
 from __future__ import annotations
 
 import math
-from itertools import accumulate, count
-from operator import add
+from itertools import accumulate, count, repeat
+from operator import add, mod, mul, sub
 
 from .errors import (
     BelowDiagonal,
@@ -177,8 +181,12 @@ def _preimage_by_iteration(q: DyckPath) -> DyckPath | None:
     carried onto itself, and its cycles are closed walks of k norths and m
     easts with k*b = m*a, so by coprimality there is one (a+b)-cycle, whose
     levels are then a complete residue system too.  Read from its lowest
-    level it spells a path, through the cycle decoder, whose steps sorted
-    by start level are Q's.
+    level it spells a path whose steps sorted by start level are Q's, and
+    as every step adds b mod a+b, the step whose level is l above the
+    lowest is l * b^-1 mod a+b steps into that path: Q's letters go
+    straight to their places, with no walk along the cycle.  A wrong
+    spelling is still caught, by DyckPath as a non-path or by
+    zeta_inverse_detailed's round trip as a non-preimage.
 
     The plain rounds x <- T(x) are not known to settle, so after (a+b)^2 of
     them the loop climbs instead, x <- max(x, T(x)) entry by entry, and it
@@ -199,17 +207,16 @@ def _preimage_by_iteration(q: DyckPath) -> DyckPath | None:
     """
     a, b = q.a, q.b
     n = a + b
-    rise = [b if s == NORTH else -a for s in q.steps]
+    rise = list(map({NORTH: b, EAST: -a}.__getitem__, q.steps))
     levels = list(range(n))
     plain, top = _plain_rounds(n), a * b
     for done in count():
         moved = sorted(map(add, levels, rise))
         if moved == levels:
-            position = {v: i for i, v in enumerate(levels)}
-            path = _path_from_cycle(a, b, [position[v + r] + 1 for v, r in zip(levels, rise)])
-            if path is None:
-                raise InternalInvariantError(f"settled levels of {q} close more than one cycle")
-            return path
+            above = map(sub, levels, repeat(levels[0]))
+            into = map(mod, map(mul, above, repeat(pow(b, -1, n))), repeat(n))
+            spelled = dict(zip(into, q.steps))
+            return DyckPath(a, b, "".join(map(spelled.__getitem__, range(n))))
         if done >= plain:
             moved = list(map(max, levels, moved))
             if moved[-1] > top:

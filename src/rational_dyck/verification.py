@@ -1,9 +1,13 @@
 """Exact q- and q,t-polynomial arithmetic and the conjecture checkers.
 
-Everything is integer arithmetic: Gaussian binomials come from the
-standard Pascal recurrence, and dividing by [a+b]_q is long division with
-an explicit zero-remainder check.  The checkers enumerate paths outright
-and report findings as data rather than raising.
+Everything is integer arithmetic.  The rational q-Catalan polynomial
+comes from the product formula: multiplying by 1 - q^m is one shifted
+subtraction, and dividing by it exactly is a prefix sum along each
+residue class mod m, whose remainder is checked to be zero.  Gaussian
+binomials by the standard Pascal recurrence and long division by
+[a+b]_q stay public as the route the tests hold it against.  The
+checkers enumerate paths outright and report findings as data rather
+than raising.
 
 The statistics of each path are computed once per pair: a private table
 keyed by (a, b), bounded like `enumerate_paths`, holds every path's skew
@@ -22,7 +26,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
-from operator import add
+from itertools import accumulate
+from operator import add, sub
 
 from .errors import (
     InconsistentPair,
@@ -178,12 +183,40 @@ def gaussian_binomial(n: int, k: int) -> QPolynomial:
     return QPolynomial(tuple(row[k]))
 
 
+def _times_one_minus(coeffs: list[int], m: int) -> list[int]:
+    """The coefficients of the polynomial times 1 - q^m."""
+    out = coeffs + [0] * m
+    out[m:] = map(sub, out[m:], coeffs)
+    return out
+
+
+def _over_one_minus(coeffs: list[int], m: int) -> list[int]:
+    """The exact quotient by 1 - q^m: a prefix sum along each residue class
+    mod m, whose top m entries are the remainder and must vanish."""
+    out = list(coeffs)
+    for r in range(m):
+        out[r::m] = accumulate(out[r::m])
+    if any(out[-m:]):
+        raise InexactDivision(f"a degree-{len(coeffs) - 1} polynomial not divisible by 1 - q^{m}")
+    return out[:-m]
+
+
 def rational_q_catalan(a: int, b: int) -> QPolynomial:
-    """qbinom(a+b, a) / [a+b]_q, exact when gcd(a, b) = 1."""
+    """qbinom(a+b, a) / [a+b]_q, exact when gcd(a, b) = 1.
+
+    Built by the product formula: with n = a+b and k = min(a, b), qbinom(n,
+    k) is the product over i = 1..k of (1 - q^(n-k+i)) / (1 - q^i), each
+    partial product a polynomial, and [n]_q = (1 - q^n) / (1 - q).  Every
+    division is exact and checked.
+    """
     _check_dimensions(a, b)
     if math.gcd(a, b) != 1:
         raise NotCoprime(f"gcd({a}, {b}) != 1")
-    return gaussian_binomial(a + b, a).divide_exact(q_bracket(a + b))
+    n, k = a + b, min(a, b)
+    coeffs = [1]
+    for i in range(1, k + 1):
+        coeffs = _over_one_minus(_times_one_minus(coeffs, n - k + i), i)
+    return QPolynomial(tuple(_over_one_minus(_times_one_minus(coeffs, 1), n)))
 
 
 _RANKS = {"core": core_rank, "path": path_rank}
@@ -250,8 +283,12 @@ def qt_catalan(a: int, b: int, *, rank_variant: str = "core") -> QTPolynomial:
 
 
 def qt_symmetry_check(a: int, b: int, *, rank_variant: str = "core") -> bool:
-    poly = qt_catalan(a, b, rank_variant=rank_variant)
-    return poly == poly.swapped()
+    """Whether qt_catalan is symmetric in q and t: its exponent pairs,
+    counted, equal their swaps counted."""
+    sls, ranks = _sl_and_rank(a, b, rank_variant)
+    half = (a - 1) * (b - 1) // 2
+    cos = [half - sl for sl in sls]
+    return Counter(zip(ranks, cos)) == Counter(zip(cos, ranks))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import random
 from itertools import combinations
+from operator import add
 from types import SimpleNamespace
 
 import pytest
@@ -32,7 +33,7 @@ from rational_dyck.errors import (
     TooManyBoxes,
 )
 from rational_dyck.inverse import level_point
-from rational_dyck.paths import EAST, NORTH
+from rational_dyck.paths import EAST, NORTH, _path_from_cycle
 
 from conftest import (
     chi_kth_valley_by_boxes,
@@ -244,10 +245,14 @@ class TestZetaInverseDispatcher:
             rd.zeta_inverse_detailed(rd.full_path(5, 8))
         assert isinstance(caught.value.__cause__, BelowDiagonal)
 
-    def test_settled_levels_of_more_than_one_cycle_are_a_bug(self, monkeypatch):
-        # coprimality leaves a settled set one cycle, so a split is a bug
-        monkeypatch.setattr(inverse, "_path_from_cycle", lambda a, b, g: None)
-        with pytest.raises(InternalInvariantError, match="more than one cycle"):
+    def test_a_misspelled_settlement_is_refused_by_the_round_trip(self, monkeypatch):
+        # the settled levels spell the lowest path; a speller that builds a
+        # valid path, but the wrong one, is caught as a bug
+        def misspelled(a, b, word):
+            return rd.full_path(a, b)
+
+        monkeypatch.setattr(inverse, "DyckPath", misspelled)
+        with pytest.raises(InternalInvariantError, match="non-preimage"):
             rd.zeta_inverse_detailed(rd.full_path(5, 8))
 
     def test_single_path_families_keep_the_table_label(self):
@@ -281,6 +286,22 @@ class TestValueIteration:
             for p in rd.enumerate_paths(a, b):
                 q = rd.zeta(p)
                 assert rd.zeta_inverse_detailed(q) == inverse.InversionResult(p, label)
+
+    def test_residue_spelling_equals_the_cycle_decode(self):
+        # the oracle settles the plain rounds itself, then walks the
+        # successor cycle from the lowest level and reads its descents
+        for a, b in coprime_pairs(14, min_dim=2):
+            rise = {NORTH: b, EAST: -a}
+            for p in rd.enumerate_paths(a, b):
+                q = rd.zeta(p)
+                steps = [rise[s] for s in q.steps]
+                levels = list(range(a + b))
+                while (moved := sorted(map(add, levels, steps))) != levels:
+                    levels = moved
+                position = {v: i for i, v in enumerate(levels)}
+                successors = [position[v + r] + 1 for v, r in zip(levels, steps)]
+                decoded = _path_from_cycle(a, b, successors)
+                assert inverse._preimage_by_iteration(q) == decoded == p
 
     @settings(deadline=None)
     @given(cycle_lemma_paths(max_sum=120))
@@ -316,23 +337,43 @@ def probe_images():
 class TestTheClimb:
     """Both halves of the proof that the iteration ends, with the climb
     forced from round 0: every image comes back as its own preimage, and
-    every word that is not a Dyck path gets None."""
+    every word that is not a Dyck path gets None.  Each round sorts once,
+    so a patched sorted counts the rounds, and a call that runs past the
+    proven bound (a+b)^2 + (a+b)*a*b fails instead of hanging."""
 
     @pytest.fixture
     def climb(self, monkeypatch):
         monkeypatch.setattr(inverse, "_plain_rounds", lambda n: 0)
 
-    def test_inverts_every_small_image(self, climb):
+    @pytest.fixture
+    def iterate(self, monkeypatch):
+        rounds = {}
+
+        def counted(iterable):
+            rounds["done"] += 1
+            if rounds["done"] > rounds["bound"]:
+                pytest.fail(f"the iteration ran past its {rounds['bound']} rounds")
+            return sorted(iterable)
+
+        def iterate(q):
+            n = q.a + q.b
+            rounds.update(done=0, bound=n * n + n * q.a * q.b)
+            return inverse._preimage_by_iteration(q)
+
+        monkeypatch.setattr(inverse, "sorted", counted, raising=False)
+        return iterate
+
+    def test_inverts_every_small_image(self, climb, iterate):
         for a, b in coprime_pairs(12):
             for p in rd.enumerate_paths(a, b):
-                assert inverse._preimage_by_iteration(rd.zeta(p)) == p
+                assert iterate(rd.zeta(p)) == p
 
     @pytest.mark.parametrize("p", probe_images(), ids=str)
-    def test_inverts_the_probe_images(self, climb, p):
-        assert inverse._preimage_by_iteration(rd.zeta(p)) == p
+    def test_inverts_the_probe_images(self, climb, iterate, p):
+        assert iterate(rd.zeta(p)) == p
 
     @pytest.mark.parametrize("forced", (True, False), ids=("climb", "plain-first"))
-    def test_refuses_every_word_that_is_not_a_path(self, monkeypatch, forced):
+    def test_refuses_every_word_that_is_not_a_path(self, monkeypatch, iterate, forced):
         if forced:
             monkeypatch.setattr(inverse, "_plain_rounds", lambda n: 0)
         refused = 0
@@ -342,7 +383,7 @@ class TestTheClimb:
                 word = "".join(NORTH if i in norths else EAST for i in range(a + b))
                 if word not in paths:
                     word_only = SimpleNamespace(a=a, b=b, steps=word)
-                    assert inverse._preimage_by_iteration(word_only) is None
+                    assert iterate(word_only) is None
                     refused += 1
         assert refused == 803
 

@@ -56,6 +56,31 @@ class TestAreaFamily:
             assert rd.coarea(p) == bounded.size
             assert rd.rank(p) == len(bounded.trimmed())
 
+    def test_coarea_builds_no_north_view(self):
+        # a sum needs no order: a fresh path is summed unsorted and keeps
+        # nothing, and a path with a north view is summed off it
+        for p in all_paths(14):
+            fresh = rd.DyckPath(p.a, p.b, p.steps)
+            size = p.bounded_partition().size
+            assert rd.coarea(fresh) == size
+            assert "_north_levels" not in vars(fresh)
+            fresh.north_levels()
+            assert rd.coarea(fresh) == size
+
+    def test_summary_sorts_the_north_levels_once(self, monkeypatch):
+        # skew length runs before coarea, which then reads its north view
+        # and never picks the levels out of the word again
+        p = cycle_lemma_path(random.Random(7), 121, 173)
+        expected = rd.statistics_summary(p)
+        fresh = rd.DyckPath(p.a, p.b, p.steps)
+        view = vars(rd.DyckPath)["_north_levels"]
+        builds = []
+        build = view.func
+        monkeypatch.setattr(view, "func", lambda path: builds.append(path) or build(path))
+        monkeypatch.setattr(stats, "compress", None)
+        assert rd.statistics_summary(fresh) == expected
+        assert builds == [fresh]
+
     def test_a_north_view_off_the_lattice_is_a_bug(self):
         p = rd.make_path(5, 8, "NNNENEEENEEEE")
         object.__setattr__(p, "_north_levels", (19, 16, 12, 8, 1))  # 0 moved to 1

@@ -150,6 +150,18 @@ class TestRationalQCatalan:
         with pytest.raises(InexactDivision):
             rd.gaussian_binomial(6, 2).divide_exact(rd.q_bracket(6))
 
+    def test_product_formula_equals_the_pascal_route(self):
+        for a, b in coprime_pairs(24):
+            pascal = rd.gaussian_binomial(a + b, a).divide_exact(rd.q_bracket(a + b))
+            assert rd.rational_q_catalan(a, b) == pascal
+            assert rd.rational_q_catalan(b, a) == pascal
+
+    def test_product_formula_checks_each_division(self):
+        # 1 + q^2 over 1 - q^2 leaves the remainder 2q^2, in the top entries
+        assert verification._over_one_minus([1, 0, -1], 2) == [1]
+        with pytest.raises(InexactDivision, match="1 - q\\^2"):
+            verification._over_one_minus([1, 0, 1], 2)
+
 
 class TestSkewRankConjecture:
     def test_g_23(self):
@@ -207,6 +219,17 @@ class TestQTSymmetry:
     def test_symmetry_exhaustive(self):
         for a, b in coprime_pairs(12):
             assert rd.qt_symmetry_check(a, b)
+
+    @pytest.mark.parametrize("variant", ("core", "path"))
+    def test_check_agrees_with_the_swapped_polynomial(self, variant):
+        verdicts = set()
+        for a, b in coprime_pairs(14):
+            poly = rd.qt_catalan(a, b, rank_variant=variant)
+            verdict = rd.qt_symmetry_check(a, b, rank_variant=variant)
+            assert verdict == (poly == poly.swapped())
+            verdicts.add(verdict)
+        # the path rank breaks the symmetry on some pairs, so both verdicts are tried
+        assert verdicts == ({True} if variant == "core" else {True, False})
 
     def test_exponent_multiset_swap(self):
         for a, b in [(3, 5), (4, 5)]:

@@ -204,6 +204,8 @@ def _verify_pair(pair, checks, rank_variant):
 
 
 def _cmd_verify(args) -> int:
+    if args.max_sum < 3:  # (1,2) and (2,1) are the first pairs; (1,1) is never checked
+        raise _UsageError(f"--max-sum must be at least 3, got {args.max_sum}")
     checks = set(_VERIFY_CHECKS) if args.check == "all" else {args.check}
     pairs = list(_coprime_pairs(args.max_sum))
     results = [_verify_pair(p, checks, args.rank_variant) for p in pairs]
@@ -263,7 +265,7 @@ def build_parser() -> _Parser:
 
     p_ver = sub.add_parser("verify", help="run exhaustive desk-scale checks")
     p_ver.add_argument("--check", default="all", choices=(*_VERIFY_CHECKS, "all"))
-    p_ver.add_argument("--max-sum", type=int, default=10, help="check all coprime a+b <= N")
+    p_ver.add_argument("--max-sum", type=int, default=10, help="check all coprime a+b <= N, from a+b = 3")
     p_ver.add_argument("--rank-variant", default="core", choices=("core", "path"))
     p_ver.add_argument("--json", action="store_true")
     p_ver.set_defaults(fn=_cmd_verify)

@@ -3,7 +3,11 @@
 zeta sweeps a line of slope a/b across the path from the diagonal towards
 the northwest; eta sweeps from the far corner back southeast.  The sweep,
 which sorts the steps by level, is the canonical construction: it is
-`zeta` and `eta` themselves, in O((a+b) log(a+b)).  The paper proves it equal to
+`zeta` and `eta` themselves, in O((a+b) log(a+b)).  Both read one sort,
+the path's kept sweep view (its points in rising order of level): zeta
+takes the step that starts at each point, eta the step that ends there,
+reversed, so a path sorted for one map or round trip is not sorted again
+for the other.  The paper proves it equal to
 three others, computed from the core (boundary-box counts), from a laser
 filling and from an interval-intersection grid.  Those are kept as
 genuinely separate code paths: `cross_check` builds each once, reads it by
@@ -104,12 +108,12 @@ def _swept_word(path: DyckPath, eta: bool = False) -> str:
     """zeta's word: the steps sorted by the level of their start point,
     rising.  eta's: sorted by the level of their end point, falling, which
     sorts the reverse reading word into a southwest path from (b, a), read
-    back northeast.  The levels are distinct, so the sort is on ints."""
-    levels = path.levels()[1:] if eta else path.levels()  # zeta drops the final 0
-    step_at = dict(zip(levels, path.steps))
-    if len(step_at) != path.length:
-        raise InternalInvariantError(f"repeated level in the levels of {path}")
-    return "".join(map(step_at.__getitem__, sorted(step_at, reverse=eta)))
+    back northeast.  Both read the path's sweep, its points sorted by
+    level: step p starts at point p, and step p-1 ends there."""
+    steps = path.steps
+    if not eta:
+        return "".join(map(steps.__getitem__, path._sweep))
+    return "".join(map((steps[-1] + steps[:-1]).__getitem__, path._sweep))[::-1]
 
 
 def _sends(path: DyckPath, q: DyckPath, eta: bool = False) -> bool:

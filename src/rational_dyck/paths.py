@@ -26,6 +26,9 @@ word made by `bytes.translate`, so no Python call runs per step.  On a
 host under Python 3.11.
 `stats.dinv` sorts the east levels in its own pass, and hands them to a
 path that has no east view yet, so that view is not sorted a second time.
+The sweep view lists the points 0..a+b-1 in rising order of level; zeta
+and eta both read their words off it, so each path is sorted once for
+both maps and for every round trip through them.
 
 The package's value types are plain immutable classes on `_Value`, which
 gives the equality, hash and repr of a frozen dataclass without importing
@@ -429,6 +432,12 @@ class DyckPath(_Value):
     def _east_levels(self) -> tuple[int, ...]:
         easts = compress(self._levels, self.steps.encode().translate(_EAST_MASK))
         return tuple(sorted(easts, reverse=True))
+
+    @_view
+    def _sweep(self) -> tuple[int, ...]:
+        """The points 0..a+b-1 in rising order of level, the order both
+        sweep maps read the steps in."""
+        return tuple(sorted(range(self.a + self.b), key=self._levels.__getitem__))
 
     @_view
     def _north_columns(self) -> tuple[int, ...]:

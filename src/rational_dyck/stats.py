@@ -44,8 +44,9 @@ north step in row y.
   So dinv keeps its own count.
 
 On one seeded path each at a+b = 150 / 450 / 1,500 / 4,500 (b about 2a),
-`statistics_summary` took 76 / 238 / 968 / 3,623 µs (best of five, the
-median of four such runs) on a 2-vCPU host under Python 3.11.
+`statistics_summary` took 39 / 150 / 605 / 2,392 µs (best of 40, a fresh
+path each call, the median of three such runs) on a 2-vCPU host under
+Python 3.11.
 """
 
 from __future__ import annotations

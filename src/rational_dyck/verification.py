@@ -16,9 +16,11 @@ length and its rank under both variants, in enumeration order.
 counts sl + rank and `qt_catalan` counts (rank, (a-1)(b-1)/2 - sl).  The
 table is keyed by the pair, never by a path, and only the last pair's is
 kept.  On a 2-vCPU host, `dyck verify --check all` runs every coprime pair
-with a+b <= 18 in 1.4 s and 24 MB peak RSS, a+b <= 20 in 5.3 s and 31 MB,
-and a+b <= 22 in 18 s and 57 MB; the largest pairs alone, (11,9) and
-(13,9), peak at 33 and 62 MB.
+with a+b <= 18 in 1.0 s and 20 MB peak RSS, a+b <= 20 in 3.6 s and 30 MB,
+and a+b <= 22 in 13 s and 55 MB (medians of five runs); the largest pairs
+alone, (11,9) and (13,9), peak at 30 and 56 MB.  The enumerated paths
+keep the sweep view that zeta and eta read, about 2 MB of the peak at
+a+b <= 20 and 5 MB at a+b <= 22.
 """
 
 from __future__ import annotations

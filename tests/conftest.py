@@ -53,6 +53,15 @@ def running() -> DyckPath:
     return make_path(5, 8, "NNNENEEENEEEE")
 
 
+@pytest.fixture
+def sweep_builds(monkeypatch) -> list[DyckPath]:
+    """The paths whose sweep view is built, in order, while the test runs."""
+    view = vars(DyckPath)["_sweep"]
+    builds, build = [], view.func
+    monkeypatch.setattr(view, "func", lambda path: builds.append(path) or build(path))
+    return builds
+
+
 def coprime_pairs(max_sum: int, min_dim: int = 1):
     """All (a, b) with gcd 1, a + b <= max_sum and both dims >= min_dim."""
     out = []

@@ -190,6 +190,17 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--check", "counts", "--max-sum", "8")
         assert code == 0 and "(2,3) ok" in out
 
+    @pytest.mark.parametrize("max_sum", ("2", "0", "-4"))
+    def test_max_sum_below_3_is_a_usage_error(self, capsys, max_sum):
+        # the pairs start at a+b = 3, so a smaller bound would check none
+        for extra in ((), ("--json",)):
+            code, out, err = run(capsys, "verify", "--max-sum", max_sum, *extra)
+            assert (code, out) == (1, "") and "--max-sum" in err
+
+    def test_max_sum_3_checks_the_first_pairs(self, capsys):
+        code, out, _ = run(capsys, "verify", "--max-sum", "3")
+        assert (code, out) == (0, "(1,2) ok\n(2,1) ok\n")
+
     def test_all_checks_json(self, capsys):
         code, out, _ = run(capsys, "verify", "--check", "all", "--max-sum", "7", "--json")
         record = json.loads(out)

@@ -107,6 +107,14 @@ class TestIota:
             "ok": 30, NotACycle: 697, InconsistentPair: 167, NotADyckPath: 6
         }
 
+    def test_round_trips_sort_the_decoded_path_once(self, sweep_builds):
+        # the zeta and the eta round trip read one sweep of the decoded path
+        p = cycle_lemma_path(random.Random(7), 121, 173)
+        q, r = rd.zeta(p), rd.eta(p)
+        sweep_builds.clear()
+        decoded = rd.iota(q, r)
+        assert sweep_builds == [decoded] and decoded == p
+
     def test_admissible_pair_area_matches(self):
         for a, b in coprime_pairs(9):
             for p in rd.enumerate_paths(a, b):
@@ -408,6 +416,14 @@ class TestChi:
         q = rd.zeta(running)
         assert rd.chi(q) == rd.eta(running)
         assert rd.chi(q) == rd.zeta(rd.conjugate(running))
+
+    def test_chi_sorts_the_preimage_once(self, sweep_builds):
+        # eta reads the sweep that zeta_inverse's round trip built
+        p = cycle_lemma_path(random.Random(7), 121, 173)
+        q = rd.zeta(p)
+        sweep_builds.clear()
+        assert rd.chi(q) == rd.eta(p)
+        assert len(sweep_builds) == 1 and sweep_builds[0] == p
 
     def test_involution_and_area_preserving(self):
         for a, b in coprime_pairs(9):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import importlib
 import random
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -158,14 +157,27 @@ class TestCanonicalSweep:
         with pytest.raises(KeyError):
             method(running)
 
-    @pytest.mark.parametrize("method", (zeta_via_sweep, eta_via_sweep))
-    def test_repeated_level_is_a_bug(self, method):
-        # start levels 0, 1, 1, 2, 2 and end levels 1, 1, 2, 2, 0 each repeat:
-        # keyed by level, two steps would share a key and one would be lost
-        stub = SimpleNamespace(a=2, b=3, steps="NENEE", length=5)
-        stub.levels = lambda: (0, 1, 1, 2, 2, 0)
-        with pytest.raises(InternalInvariantError, match="repeated level"):
-            method(stub)
+    def test_sweep_is_the_points_sorted_by_level(self):
+        # the two sweeps by their definitions: zeta sorts the steps by start
+        # level, rising, and eta by end level, falling
+        seeded = [
+            cycle_lemma_path(random.Random(f"sweep/{a}/{b}/{i}"), a, b)
+            for a, b in ((121, 173), (173, 121))
+            for i in range(3)
+        ]
+        every = [p for a, b in coprime_pairs(14) for p in rd.enumerate_paths(a, b)]
+        for p in every + seeded:
+            levels = p.levels()
+            assert p._sweep == tuple(sorted(range(p.length), key=lambda i: levels[i]))
+            starts = sorted(zip(levels[:-1], p.steps))
+            ends = sorted(zip(levels[1:], p.steps), reverse=True)
+            assert rd.zeta(p).steps == "".join(step for _, step in starts)
+            assert rd.eta(p).steps == "".join(step for _, step in ends)
+
+    def test_zeta_and_eta_sort_a_path_once(self, sweep_builds):
+        p = cycle_lemma_path(random.Random(7), 121, 173)
+        rd.zeta(p), rd.eta(p)
+        assert sweep_builds == [p]
 
 
 # Seeded uniform paths far beyond exhaustive enumeration: only the sweep, at

@@ -10,11 +10,10 @@ no function here walks the boxes.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 
-from .errors import NotACore, NotCoprime
-from .paths import DyckPath, Partition, _Value, _check_dimensions, box_value, path_from_hooks
+from .errors import NotACore
+from .paths import DyckPath, Partition, _Value, _check_coprime, box_value, path_from_hooks
 
 __all__ = [
     "HookFilling",
@@ -44,9 +43,7 @@ class HookFilling(_Value):
     __match_args__ = ("a", "b")
 
     def __init__(self, a: int, b: int):
-        _check_dimensions(a, b)
-        if math.gcd(a, b) != 1:
-            raise NotCoprime(f"gcd({a}, {b}) != 1")
+        _check_coprime(a, b)
         self.__dict__.update(a=a, b=b)
 
     def value(self, col: int, row: int) -> int:
@@ -65,9 +62,7 @@ class CorePartition(_Value):
     __match_args__ = ("parts", "a", "b")
 
     def __init__(self, parts: tuple[int, ...], a: int, b: int):
-        _check_dimensions(a, b)
-        if math.gcd(a, b) != 1:
-            raise NotCoprime(f"gcd({a}, {b}) != 1")
+        _check_coprime(a, b)
         parts = Partition(parts).parts  # validated, so zeros trail
         parts = parts[: len(parts) - parts.count(0)]
         last = len(parts) - 1

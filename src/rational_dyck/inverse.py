@@ -34,7 +34,6 @@ set of boxes.
 
 from __future__ import annotations
 
-import math
 from itertools import accumulate, count, repeat
 from operator import add, mod, mul, sub
 
@@ -48,7 +47,6 @@ from .errors import (
     NoPreimage,
     NotACycle,
     NotADyckPath,
-    NotCoprime,
     NotSquareCase,
     TooManyBoxes,
     WrongStepCounts,
@@ -61,6 +59,7 @@ from .paths import (
     Partition,
     Permutation,
     _Value,
+    _check_coprime,
     _path_from_cycle,
     full_path,
     path_from_bounded_partition,
@@ -292,10 +291,9 @@ def square_gamma_shaded(q: DyckPath) -> Permutation:
 def split_dims(a: int, b: int) -> tuple[int, int, int, int]:
     """The unique (a', b', a'', b'') with a'b - b'a = 1 and b''a - a''b = 1,
     splitting (a, b) as (a'+a'', b'+b'')."""
+    _check_coprime(a, b)
     if a < 2 or b < 2:
         raise DimensionTooSmall(f"({a}, {b}) does not split")
-    if math.gcd(a, b) != 1:
-        raise NotCoprime(f"gcd({a}, {b}) != 1")
     a1 = pow(b, -1, a)
     b1 = (a1 * b - 1) // a
     a2, b2 = a - a1, b - b1
@@ -307,6 +305,7 @@ def split_dims(a: int, b: int) -> tuple[int, int, int, int]:
 
 def level_point(a: int, b: int, level: int) -> tuple[int, int]:
     """The unique grid lattice point with y*b - x*a equal to the level."""
+    _check_coprime(a, b)
     for y in range(a + 1):
         num = y * b - level
         if num >= 0 and num % a == 0 and num // a <= b:
@@ -373,6 +372,7 @@ def chi_level1(q: DyckPath) -> DyckPath:
 
 
 def _valley_points(a: int, b: int, k: int) -> list[tuple[int, int]]:
+    _check_coprime(a, b)
     if not 0 <= k < min(a, b):
         raise InvalidValleyIndex(f"need 0 <= k < {min(a, b)}, got {k}")
     return [level_point(a, b, level) for level in range(1, k + 1)]
@@ -420,6 +420,7 @@ def justified(a: int, b: int, n: int) -> tuple[Partition, Partition, DyckPath]:
     """Left-justified and up-justified n-box partitions, and the path P^n
     carrying the n smallest positive hooks; chi maps the first path family
     to the second, and zeta sends P^n to the left-justified path."""
+    _check_coprime(a, b)
     limit = (a - 1) * (b - 1) // 2
     if not 0 <= n <= limit:
         raise TooManyBoxes(f"need 0 <= n <= {limit}, got {n}")

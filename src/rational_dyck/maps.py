@@ -270,8 +270,8 @@ class IntervalGrid(_Value):
 
 
 def interval_grid(path: DyckPath) -> IntervalGrid:
-    norths = sorted(path.north_levels())
-    easts = sorted(path.east_levels())
+    norths = path.north_levels()[::-1]
+    easts = path.east_levels()[::-1]
     n_ints = tuple((n, n + path.b) for n in norths)
     e_ints = tuple((e - path.a, e) for e in easts)
     shaded = tuple(

@@ -19,13 +19,12 @@ word and check nothing that DyckPath or Partition checks.
 A path owns its level data: it keeps the levels y*b - x*a that the diagonal
 check walks, and builds each other view on first use and keeps it, so a
 view lives as long as the path does.  Equality and hashing stay on the word.
-The north and east levels, sorted, are the views the statistics read most:
-`compress` picks them out of the levels through a 0/1 byte mask of the
-word made by `bytes.translate`, so no Python call runs per step.  On a
-(101,199)-path that builds the north view in about 11 µs, on a 2-vCPU
-host under Python 3.11.
-`stats.dinv` sorts the east levels in its own pass, and hands them to a
-path that has no east view yet, so that view is not sorted a second time.
+Only this module sets an attribute on a path.  The north and east levels
+are not views: `_start_levels` picks them out of the levels through a 0/1
+byte mask of the word made by `bytes.translate`, so no Python call runs
+per step, and `north_levels()` and `east_levels()` sort them on each call,
+like `points()`.  The statistics read them unsorted or sort them in their
+own pass (see `stats`), so a path keeps no sorted copy of its levels.
 The sweep view lists the points 0..a+b-1 in rising order of level; zeta
 and eta both read their words off it, so each path is sorted once for
 both maps and for every round trip through them.
@@ -83,8 +82,7 @@ EAST = "E"
 
 # 0/1 byte tables for bytes.translate: an ASCII-encoded word becomes the
 # mask of its north (or east) steps, which compress reads in C
-_NORTH_MASK = bytes.maketrans(b"NE", b"\1\0")
-_EAST_MASK = bytes.maketrans(b"NE", b"\0\1")
+_MASKS = {NORTH: bytes.maketrans(b"NE", b"\1\0"), EAST: bytes.maketrans(b"NE", b"\0\1")}
 
 # Bound of every module cache.  Each is keyed by an (a, b) pair and holds a
 # table whose paths keep their cached views.  A sweep finishes one pair
@@ -156,6 +154,14 @@ def _check_dimensions(a, b) -> None:
         raise ValueError("dimensions must be integers")
     if a < 1 or b < 1:
         raise ValueError("dimensions must be positive")
+
+
+def _check_coprime(a, b) -> None:
+    """_check_dimensions, then NotCoprime unless gcd(a, b) = 1: the rule of
+    every entry point that takes a grid but no path."""
+    _check_dimensions(a, b)
+    if math.gcd(a, b) != 1:
+        raise NotCoprime(f"gcd({a}, {b}) != 1")
 
 
 def box_value(a: int, b: int, col: int, row: int) -> int:
@@ -264,7 +270,10 @@ class Permutation(_Value):
         return len(self.one_line)
 
     def __call__(self, i: int) -> int:
-        return self.one_line[i - 1]
+        """The image of i; ValueError unless i is in 1..n, as in from_cycle."""
+        if 0 < i <= len(self.one_line):
+            return self.one_line[i - 1]
+        raise ValueError(f"{i} is not in 1..{len(self.one_line)}")
 
     @classmethod
     def from_cycle(cls, cycle, n: int | None = None) -> "Permutation":
@@ -398,11 +407,11 @@ class DyckPath(_Value):
 
     def north_levels(self) -> tuple[int, ...]:
         """Levels of points starting north steps, in decreasing order."""
-        return self._north_levels
+        return tuple(sorted(_start_levels(self, NORTH), reverse=True))
 
     def east_levels(self) -> tuple[int, ...]:
         """Levels of points starting east steps, in decreasing order."""
-        return self._east_levels
+        return tuple(sorted(_start_levels(self, EAST), reverse=True))
 
     def north_columns(self) -> tuple[int, ...]:
         """Column of the north step in each row, bottom row first."""
@@ -422,16 +431,6 @@ class DyckPath(_Value):
         These are the first-column hook lengths of the corresponding core.
         """
         return self._positive_hooks
-
-    @_view
-    def _north_levels(self) -> tuple[int, ...]:
-        norths = compress(self._levels, self.steps.encode().translate(_NORTH_MASK))
-        return tuple(sorted(norths, reverse=True))
-
-    @_view
-    def _east_levels(self) -> tuple[int, ...]:
-        easts = compress(self._levels, self.steps.encode().translate(_EAST_MASK))
-        return tuple(sorted(easts, reverse=True))
 
     @_view
     def _sweep(self) -> tuple[int, ...]:
@@ -464,13 +463,9 @@ class DyckPath(_Value):
         return cls(data["a"], data["b"], data["steps"])
 
 
-def _hand_over_east_levels(path: DyckPath, rising: list[int]) -> None:
-    """Keep `rising`, the path's east levels sorted rising, as its east view
-    unless it has built that view already, so a pass that sorted them spares
-    the view its own sort.  Reverses `rising`."""
-    if "_east_levels" not in path.__dict__:
-        rising.reverse()
-        _setattr(path, "_east_levels", tuple(rising))
+def _start_levels(path: DyckPath, step: str) -> Iterator[int]:
+    """Levels of the points that start `step` steps, in path order."""
+    return compress(path._levels, path.steps.encode().translate(_MASKS[step]))
 
 
 def make_path(a: int, b: int, steps: str) -> DyckPath:
@@ -587,9 +582,7 @@ def enumerate_paths(a: int, b: int) -> tuple[DyckPath, ...]:
     limit.  prefixes[y] is the word up to row y's north step, and a turn
     rebuilds only the rows that moved.
     """
-    _check_dimensions(a, b)
-    if math.gcd(a, b) != 1:
-        raise NotCoprime(f"gcd({a}, {b}) != 1")
+    _check_coprime(a, b)
     bounds = [y * b // a for y in range(a)]
     cols = [0] * a
     prefixes = [NORTH * (y + 1) for y in range(a)]
@@ -611,9 +604,7 @@ def enumerate_paths(a: int, b: int) -> tuple[DyckPath, ...]:
 
 def rational_catalan_number(a: int, b: int) -> int:
     """(1/(a+b)) * C(a+b, a), exact."""
-    _check_dimensions(a, b)
-    if math.gcd(a, b) != 1:
-        raise NotCoprime(f"gcd({a}, {b}) != 1")
+    _check_coprime(a, b)
     binom = math.comb(a + b, a)
     if binom % (a + b) != 0:
         raise InternalInvariantError(f"C({a + b}, {a}) is not divisible by {a + b}")

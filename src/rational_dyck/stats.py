@@ -17,21 +17,16 @@ north step in row y.
   the ones of row y above the path.
 - coarea is read off the north levels: row y's north step starts at level
   y*b - c_y*a, so they sum to b*a(a-1)/2 - a*coarea.  A sum needs no
-  sort, so coarea builds no view; the summary runs skew length first,
-  whose sorted north view coarea then reads, so the north levels are
-  sorted once.
+  order, so coarea sums the north levels as they are picked out of the
+  word, and sorts nothing.
 - rank = a less the number of c_y equal to 0, the nonzero rows of the
   bounded partition; those rows are the word's leading run of N, so rank
   is a less its length.  The core rank equals the area.
-- skew inversions bisect each north level into the east levels.  Both
-  views are the path's cached, sorted north and east levels, which it
-  picks out through a byte mask of its word, so no Python call runs per
-  step.  The summary runs dinv first, whose pass sorts the east levels
-  anyway and leaves them as the path's east view, so the east levels are
-  sorted once.
-- delta counts the reading-word levels below a + b.  The reading word
-  holds the start level of every step, so the count is one bisection into
-  each of the same two views.
+- skew inversions bisect each north level, in any order, into the east
+  levels sorted rising: one sort.  Both are picked out of the levels
+  through a byte mask of the word, so no Python call runs per step.
+- delta counts the reading-word levels below a + b, one comparison per
+  level and no sort.
 - dinv is defined on the boxes above the path, but each such box pairs an
   east step e with a later north step n, its arm and leg being the E and N
   steps strictly between them.  Then L(n) - L(e) = leg*b - arm*a - a on
@@ -41,10 +36,14 @@ north step in row y.
   slp would save this pass, about two thirds of the summary's time at
   a+b near 300; but then `dyck stats` would print one number derived from
   another, and `verify`'s dinv transport would restate its sl transport.
-  So dinv keeps its own count.
+  So dinv keeps its own count.  Its pass keeps the east levels sorted
+  anyway: the summary bisects into that list for sl, so it sorts only
+  inside the pass, and it picks the north levels out once for sl and
+  coarea.  The path keeps none of these lists, so no statistic depends on
+  which ran before it.
 
 On one seeded path each at a+b = 150 / 450 / 1,500 / 4,500 (b about 2a),
-`statistics_summary` took 39 / 150 / 605 / 2,392 µs (best of 40, a fresh
+`statistics_summary` took 42 / 159 / 621 / 2,431 µs (best of 40, a fresh
 path each call, the median of three such runs) on a 2-vCPU host under
 Python 3.11.
 """
@@ -52,11 +51,11 @@ Python 3.11.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from itertools import compress, repeat
+from itertools import repeat
 
 from .cores import row_length_filling
 from .errors import InternalInvariantError
-from .paths import _NORTH_MASK, DyckPath, EAST, NORTH, _hand_over_east_levels
+from .paths import DyckPath, EAST, NORTH, _start_levels
 
 __all__ = [
     "area",
@@ -84,14 +83,15 @@ def coarea(path: DyckPath) -> int:
     """Number of boxes above the path: the sum of its north columns c_y.
 
     Row y's north step starts at level y*b - c_y*a, so the sum of the north
-    levels is b*a(a-1)/2 - a*coarea.  The sum needs no order: it reads the
-    path's north view when it has one, and otherwise picks the north
-    levels out of the word unsorted, and keeps nothing.
+    levels is b*a(a-1)/2 - a*coarea.  The sum needs no order, so the levels
+    are summed as they are picked out of the word.
     """
+    return _coarea(path, _start_levels(path, NORTH))
+
+
+def _coarea(path: DyckPath, norths) -> int:
+    """coarea off the path's north levels, in any order."""
     a = path.a
-    norths = path.__dict__.get("_north_levels")
-    if norths is None:
-        norths = compress(path.levels(), path.steps.encode().translate(_NORTH_MASK))
     boxes, rest = divmod(path.b * (a * (a - 1) // 2) - sum(norths), a)
     if rest:
         raise InternalInvariantError(f"north levels of {path.steps} sum to b*a(a-1)/2 less no multiple of {a}")
@@ -114,12 +114,14 @@ def core_rank(path: DyckPath) -> int:
 
 
 def skew_inversions(path: DyckPath) -> int:
-    """Pairs (i, j) of north and east levels with n_i > e_j.
+    """Pairs (i, j) of north and east levels with n_i > e_j."""
+    return _skew_inversions(_start_levels(path, NORTH), sorted(_start_levels(path, EAST)))
 
-    Each north level is bisected into the east levels, sorted rising.
-    """
-    easts = path.east_levels()[::-1]
-    return sum(map(bisect_left, repeat(easts), path.north_levels()))
+
+def _skew_inversions(norths, easts: list[int]) -> int:
+    """Each north level, in any order, bisected into the east levels, sorted
+    rising."""
+    return sum(map(bisect_left, repeat(easts), norths))
 
 
 def flip_skew_inversions(path: DyckPath) -> int:
@@ -128,9 +130,9 @@ def flip_skew_inversions(path: DyckPath) -> int:
     Each east level less a+b is bisected into the north levels, sorted
     rising.
     """
-    norths = path.north_levels()[::-1]
+    norths = sorted(_start_levels(path, NORTH))
     top = path.a + path.b
-    return sum(bisect_left(norths, e - top) for e in path.east_levels())
+    return sum(bisect_left(norths, e - top) for e in _start_levels(path, EAST))
 
 
 def skew_length_peaks_valleys(path: DyckPath) -> int:
@@ -169,6 +171,11 @@ def dinv(path: DyckPath) -> int:
     the levels of the east steps seen so far sorted, and counts, at each
     north step, those in the window (L(n), L(n) + a+b].
     """
+    return _dinv_pass(path)[0]
+
+
+def _dinv_pass(path: DyckPath) -> tuple[int, list[int]]:
+    """dinv, and the east levels sorted rising, which its pass sorts anyway."""
     window = path.a + path.b
     seen: list[int] = []
     count = 0
@@ -177,28 +184,23 @@ def dinv(path: DyckPath) -> int:
             insort(seen, level)
         else:
             count += bisect_right(seen, level + window) - bisect_right(seen, level)
-    _hand_over_east_levels(path, seen)
-    return count
+    return count, seen
 
 
 def delta(path: DyckPath) -> int:
-    """Number of reading-word levels strictly below a + b.
-
-    The reading word holds the start level of every step, so it is the
-    north levels and the east levels together: one bisection into each.
-    """
+    """Number of reading-word levels strictly below a + b."""
     top = path.a + path.b
-    return bisect_left(path.north_levels()[::-1], top) + bisect_left(
-        path.east_levels()[::-1], top
-    )
+    return sum(1 for level in path.reading_word() if level < top)
 
 
 def statistics_summary(path: DyckPath) -> dict[str, int]:
-    """All statistics in the documented JSON key order."""
+    """All statistics in the documented JSON key order; sl and coarea share
+    one pick of the north levels, and sl bisects them into dinv's sort."""
     half = (path.a - 1) * (path.b - 1) // 2
-    dv = dinv(path)  # first: its pass hands the sorted east levels on
-    sl = skew_length(path)  # before coarea, which then reads its north view
-    co = coarea(path)
+    dv, easts = _dinv_pass(path)
+    norths = tuple(_start_levels(path, NORTH))
+    sl = _skew_inversions(norths, easts)
+    co = _coarea(path, norths)
     return {
         "area": half - co,
         "coarea": co,

@@ -16,16 +16,15 @@ length and its rank under both variants, in enumeration order.
 counts sl + rank and `qt_catalan` counts (rank, (a-1)(b-1)/2 - sl).  The
 table is keyed by the pair, never by a path, and only the last pair's is
 kept.  On a 2-vCPU host, `dyck verify --check all` runs every coprime pair
-with a+b <= 18 in 1.0 s and 20 MB peak RSS, a+b <= 20 in 3.6 s and 30 MB,
-and a+b <= 22 in 13 s and 55 MB (medians of five runs); the largest pairs
-alone, (11,9) and (13,9), peak at 30 and 56 MB.  The enumerated paths
-keep the sweep view that zeta and eta read, about 2 MB of the peak at
-a+b <= 20 and 5 MB at a+b <= 22.
+with a+b <= 18 in 0.9 s and 20 MB peak RSS, a+b <= 20 in 3.8 s and 26 MB,
+and a+b <= 22 in 10 s and 46 MB (medians of three runs); the largest pairs
+alone, (11,9) and (13,9), peak at 26 and 44 MB.  The enumerated paths
+keep the sweep view that zeta and eta read and no other view: the
+statistics sort into lists that each call drops.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate
@@ -37,7 +36,6 @@ from .errors import (
     InternalInvariantError,
     NotACycle,
     NotADyckPath,
-    NotCoprime,
 )
 from .inverse import iota
 from .maps import eta, zeta
@@ -45,7 +43,7 @@ from .paths import (
     _TABLE_CACHE_SIZE,
     DyckPath,
     _Value,
-    _check_dimensions,
+    _check_coprime,
     enumerate_paths,
     rational_catalan_number,
 )
@@ -211,9 +209,7 @@ def rational_q_catalan(a: int, b: int) -> QPolynomial:
     partial product a polynomial, and [n]_q = (1 - q^n) / (1 - q).  Every
     division is exact and checked.
     """
-    _check_dimensions(a, b)
-    if math.gcd(a, b) != 1:
-        raise NotCoprime(f"gcd({a}, {b}) != 1")
+    _check_coprime(a, b)
     n, k = a + b, min(a, b)
     coeffs = [1]
     for i in range(1, k + 1):

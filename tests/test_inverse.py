@@ -479,6 +479,42 @@ class TestSplitDims:
             rd.split_dims(4, 6)
 
 
+CLOSED_FORMS = {  # each entry point that takes a grid but no path
+    "split_dims": rd.split_dims,
+    "level_point": lambda a, b: level_point(a, b, 1),
+    "kth_valley_path": lambda a, b: rd.kth_valley_path(a, b, 1),
+    "chi_kth_valley": lambda a, b: rd.chi_kth_valley(a, b, 1),
+    "justified": lambda a, b: rd.justified(a, b, 0),
+}
+
+
+class TestClosedFormDimensions:
+    @pytest.mark.parametrize("name", CLOSED_FORMS)
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            (0, 5, "positive"),
+            (-3, 2, "positive"),
+            (2, -1, "positive"),
+            (2.0, 3, "integers"),
+            (True, 3, "integers"),
+        ],
+    )
+    def test_dimensions_checked_like_a_path(self, name, a, b, message):
+        with pytest.raises(ValueError, match=f"dimensions must be {message}"):
+            CLOSED_FORMS[name](a, b)
+
+    @pytest.mark.parametrize("name", CLOSED_FORMS)
+    def test_not_coprime(self, name):
+        with pytest.raises(NotCoprime):
+            CLOSED_FORMS[name](4, 6)
+
+    @pytest.mark.parametrize("a, b", [(1, 2), (2, 1), (1, 1)])
+    def test_a_coprime_pair_below_2_does_not_split(self, a, b):
+        with pytest.raises(DimensionTooSmall):
+            rd.split_dims(a, b)
+
+
 class TestLevel1:
     def test_level_point(self):
         assert level_point(5, 8, 1) == (3, 2)

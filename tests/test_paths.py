@@ -284,7 +284,7 @@ class TestViewSemantics:
                         return func(obj)
 
                     monkeypatch.setattr(view, "func", counted)
-        path_views = "_north_levels _east_levels _north_columns _east_rows _positive_hooks"
+        path_views = "_north_columns _east_rows _positive_hooks"
         twins = [rd.DyckPath(5, 8, "NNNENEEENEEEE") for _ in range(2)]
         for p in twins + twins:
             read_views(p)
@@ -327,6 +327,17 @@ class TestPermutations:
     def test_from_cycle_rejects_entries_outside_or_repeated(self, cycle):
         with pytest.raises(ValueError, match=re.escape(f"cycle {cycle} ")):
             Permutation.from_cycle(cycle, n=3)
+
+    def test_entries_outside_1_to_n_are_refused(self, running):
+        # like from_cycle: 0 read the last entry, and a cycle from 0 never
+        # closed; both calls are tried in that order so neither can hang
+        g = rd.gamma(running)
+        for i in (0, -1, g.n + 1):
+            with pytest.raises(ValueError, match=re.escape(f"{i} is not in 1..13")):
+                g(i)
+            with pytest.raises(ValueError, match=re.escape(f"{i} is not in 1..13")):
+                g.cycle_from(i)
+        assert (g(1), g(g.n)) == (3, 11)
 
     def test_descents_match_east_steps(self, running):
         assert rd.sigma(running).right_cyclic_descents() == (4, 6, 7, 8, 10, 11, 12, 13)

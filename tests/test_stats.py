@@ -22,6 +22,10 @@ from conftest import (
 )
 
 
+# the attributes a path holds before any view is built
+FIELDS = {"a", "b", "steps", "_levels"}
+
+
 def all_paths(max_sum):
     for a, b in coprime_pairs(max_sum):
         yield from rd.enumerate_paths(a, b)
@@ -57,33 +61,22 @@ class TestAreaFamily:
             assert rd.rank(p) == len(bounded.trimmed())
 
     def test_coarea_builds_no_north_view(self):
-        # a sum needs no order: a fresh path is summed unsorted and keeps
-        # nothing, and a path with a north view is summed off it
+        # a sum needs no order: coarea sums the north levels unsorted, and
+        # neither it nor a read of the sorted north levels keeps anything
         for p in all_paths(14):
             fresh = rd.DyckPath(p.a, p.b, p.steps)
             size = p.bounded_partition().size
             assert rd.coarea(fresh) == size
-            assert "_north_levels" not in vars(fresh)
+            assert vars(fresh).keys() == FIELDS
             fresh.north_levels()
             assert rd.coarea(fresh) == size
-
-    def test_summary_sorts_the_north_levels_once(self, monkeypatch):
-        # skew length runs before coarea, which then reads its north view
-        # and never picks the levels out of the word again
-        p = cycle_lemma_path(random.Random(7), 121, 173)
-        expected = rd.statistics_summary(p)
-        fresh = rd.DyckPath(p.a, p.b, p.steps)
-        view = vars(rd.DyckPath)["_north_levels"]
-        builds = []
-        build = view.func
-        monkeypatch.setattr(view, "func", lambda path: builds.append(path) or build(path))
-        monkeypatch.setattr(stats, "compress", None)
-        assert rd.statistics_summary(fresh) == expected
-        assert builds == [fresh]
+            assert vars(fresh).keys() == FIELDS
 
     def test_a_north_view_off_the_lattice_is_a_bug(self):
+        # the north levels sum to b*a(a-1)/2 less a multiple of a: corrupt
+        # the level that starts the first north step
         p = rd.make_path(5, 8, "NNNENEEENEEEE")
-        object.__setattr__(p, "_north_levels", (19, 16, 12, 8, 1))  # 0 moved to 1
+        object.__setattr__(p, "_levels", (1, *p.levels()[1:]))  # 0 moved to 1
         with pytest.raises(InternalInvariantError, match="multiple of 5"):
             rd.coarea(p)
 
@@ -237,8 +230,8 @@ class TestSummary:
         # in the skew inversions moves sl and slp and leaves dinv
         p = cycle_lemma_path(random.Random(7), 121, 173)
         expected = rd.statistics_summary(p)
-        skew_inversions = stats.skew_inversions
-        monkeypatch.setattr(stats, "skew_inversions", lambda path: skew_inversions(path) + 1)
+        skew_inversions = stats._skew_inversions
+        monkeypatch.setattr(stats, "_skew_inversions", lambda *levels: skew_inversions(*levels) + 1)
         summary = rd.statistics_summary(p)
         assert summary["sl"] == expected["sl"] + 1 and summary["slp"] == expected["slp"] - 1
         assert {k: v for k, v in summary.items() if k not in ("sl", "slp")} == {
@@ -263,38 +256,27 @@ class TestSummary:
         assert list(summary) == list(expected)
 
 
-class TestEastViewHandOver:
-    """dinv's pass sorts the east levels, and a path with no east view yet
-    keeps them as that view, so the summary sorts them once."""
-
-    @staticmethod
-    def fresh_pairs():
-        """Two fresh copies of every path with a+b <= 14 and of seeded
-        (121,173) and (173,121) paths: no view of theirs is built yet."""
+    def test_summary_keeps_nothing_on_the_path(self):
+        # the summary shares dinv's sort of the east levels and one pick of
+        # the north levels, but no list outlives the call: the path holds
+        # its fields and levels only, and each statistic equals the one
+        # computed alone
         seeded = (
-            cycle_lemma_path(random.Random(f"hand-over/{a}/{b}/{i}"), a, b)
+            cycle_lemma_path(random.Random(f"summary/{a}/{b}/{i}"), a, b)
             for a, b in ((121, 173), (173, 121))
             for i in range(4)
         )
         for p in (*all_paths(14), *seeded):
-            yield rd.DyckPath(p.a, p.b, p.steps), rd.DyckPath(p.a, p.b, p.steps)
-
-    def test_dinv_leaves_the_view_the_path_would_build(self):
-        for handed, own in self.fresh_pairs():
-            rd.dinv(handed)
-            assert "_east_levels" in vars(handed)  # handed over, not built on the read
-            assert handed.east_levels() == own.east_levels()
-
-    def test_dinv_with_the_view_built_before_or_after(self):
-        for before, after in self.fresh_pairs():
-            view = before.east_levels()
-            assert rd.dinv(before) == rd.dinv(after)
-            assert before.east_levels() is view  # a built view is kept
-            assert after.east_levels() == view
-
-    def test_summary_with_every_view_read_first(self):
-        for fresh, read in self.fresh_pairs():
-            for view in (read.levels, read.north_levels, read.east_levels, read.north_columns):
-                view()
-            expected = rd.statistics_summary(read)
-            assert list(rd.statistics_summary(fresh).items()) == list(expected.items())
+            fresh = rd.DyckPath(p.a, p.b, p.steps)
+            summary = rd.statistics_summary(fresh)
+            assert vars(fresh).keys() == FIELDS
+            alone = {
+                "area": rd.area(p),
+                "coarea": rd.coarea(p),
+                "rank": rd.rank(p),
+                "sl": rd.skew_length(p),
+                "slp": rd.co_skew_length(p),
+                "dinv": rd.dinv(p),
+                "delta": rd.delta(p),
+            }
+            assert list(summary.items()) == list(alone.items())

@@ -317,6 +317,18 @@ class TestBijectivityReport:
             oracle = pair_uniqueness_by_scan(dict.fromkeys(map(rd.zeta, paths)), paths)
             assert list(report.pair_uniqueness.items()) == list(oracle.items())
 
+    def test_unique_pair_scan_leaves_only_the_sweep_on_the_paths(self):
+        # the statistics sort into lists that each call drops: a path of the
+        # pair's cached table keeps the sweep that zeta and eta read, and no
+        # other view
+        kept = {"a", "b", "steps", "_levels", "_sweep"}
+        for a, b in coprime_pairs(13):
+            paths = rd.enumerate_paths(a, b)
+            rd.bijectivity_report(a, b, unique_pair_scan=True)
+            assert rd.enumerate_paths(a, b) is paths
+            for p in paths:
+                assert vars(p).keys() == kept, p
+
     @pytest.mark.parametrize("a,b", [(3, 4), (4, 5), (3, 8), (4, 7), (5, 7)])
     def test_unique_pair_scan_matches_all_pairs_when_zeta_collides(self, monkeypatch, a, b):
         # conjugating the odd-area paths first merges fibres and can

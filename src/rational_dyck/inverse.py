@@ -373,8 +373,8 @@ def chi_level1(q: DyckPath) -> DyckPath:
 
 def _valley_points(a: int, b: int, k: int) -> list[tuple[int, int]]:
     _check_coprime(a, b)
-    if not 0 <= k < min(a, b):
-        raise InvalidValleyIndex(f"need 0 <= k < {min(a, b)}, got {k}")
+    if type(k) is not int or not 0 <= k < min(a, b):
+        raise InvalidValleyIndex(f"need an int 0 <= k < {min(a, b)}, got {k!r}")
     return [level_point(a, b, level) for level in range(1, k + 1)]
 
 
@@ -422,8 +422,8 @@ def justified(a: int, b: int, n: int) -> tuple[Partition, Partition, DyckPath]:
     to the second, and zeta sends P^n to the left-justified path."""
     _check_coprime(a, b)
     limit = (a - 1) * (b - 1) // 2
-    if not 0 <= n <= limit:
-        raise TooManyBoxes(f"need 0 <= n <= {limit}, got {n}")
+    if type(n) is not int or not 0 <= n <= limit:
+        raise TooManyBoxes(f"need an int 0 <= n <= {limit}, got {n!r}")
 
     # column c holds a - ceil((c+1)a/b) boxes above the diagonal, at its
     # top, and row y holds (yb - 1)//a, at its left

@@ -270,8 +270,8 @@ class Permutation(_Value):
         return len(self.one_line)
 
     def __call__(self, i: int) -> int:
-        """The image of i; ValueError unless i is in 1..n, as in from_cycle."""
-        if 0 < i <= len(self.one_line):
+        """The image of i; ValueError unless i is an int in 1..n, as in from_cycle."""
+        if type(i) is int and 0 < i <= len(self.one_line):
             return self.one_line[i - 1]
         raise ValueError(f"{i} is not in 1..{len(self.one_line)}")
 

@@ -15,11 +15,12 @@ length and its rank under both variants, in enumeration order.
 `bijectivity_report` reads the skew lengths off it, `sl_rank_generating`
 counts sl + rank and `qt_catalan` counts (rank, (a-1)(b-1)/2 - sl).  The
 table is keyed by the pair, never by a path, and only the last pair's is
-kept.  On a 2-vCPU host, `dyck verify --check all` runs every coprime pair
-with a+b <= 18 in 0.9 s and 20 MB peak RSS, a+b <= 20 in 3.8 s and 26 MB,
-and a+b <= 22 in 10 s and 46 MB (medians of three runs); the largest pairs
-alone, (11,9) and (13,9), peak at 26 and 44 MB.  The enumerated paths
-keep the sweep view that zeta and eta read and no other view: the
+kept.  `bijectivity_report` keeps image words, never image paths.  On a
+2-vCPU host, `dyck verify --check all` runs every coprime pair with
+a+b <= 18 in 0.9 s and 20 MB peak RSS, a+b <= 20 in 3.2 s and 26 MB, and
+a+b <= 22 in 10 s and 41 MB (medians of three to six runs); the largest
+pairs alone, (11,9) and (13,9), peak at 22 and 34 MB.  The enumerated
+paths keep the sweep view that zeta and eta read and no other view: the
 statistics sort into lists that each call drops.
 """
 
@@ -41,7 +42,6 @@ from .inverse import iota
 from .maps import eta, zeta
 from .paths import (
     _TABLE_CACHE_SIZE,
-    DyckPath,
     _Value,
     _check_coprime,
     enumerate_paths,
@@ -360,11 +360,13 @@ def bijectivity_report(a: int, b: int, *, unique_pair_scan: bool = False) -> Bij
     """Scan zeta over every path: injectivity, statistic transport, and
     optionally the per-image count of partners R accepted by iota.
 
-    The partners of an image Q are sought only among eta(P) over its fibre
-    {P : zeta(P) = Q}: iota round-trips its result P'' through zeta and
-    eta, and the enumeration (checked complete against the Catalan count)
-    contains P'', so every R that iota accepts is eta of a path in Q's
-    fibre, and the counts equal those of a scan over all pairs (Q, R).
+    One pass over the paths keeps the word of the first path sent to each
+    image word, never an image path.  A partner R of an image Q decodes
+    under iota to the one path P'' with images (Q, R), and the enumeration
+    (checked complete against the Catalan count) holds P''; so counting
+    the paths P with iota(zeta(P), eta(P)) == P counts each partner of
+    each image once, and the counts equal those of a scan over all pairs
+    (Q, R), even where fibres merge.
     """
     paths = enumerate_paths(a, b)
     if len(paths) != rational_catalan_number(a, b):
@@ -374,41 +376,35 @@ def bijectivity_report(a: int, b: int, *, unique_pair_scan: bool = False) -> Bij
         )
     sls, _ = _path_statistics(a, b)
     half = (a - 1) * (b - 1) // 2
-    fibres: dict[DyckPath, list[DyckPath]] = {}
+    first: dict[str, str] = {}
     collisions = []
+    uniqueness: dict[str, int] | None = {} if unique_pair_scan else None
     sl_ok = True
     dinv_ok = True
     for p, sl in zip(paths, sls):
         q = zeta(p)
-        fibre = fibres.setdefault(q, [])
-        if fibre:
-            collisions.append((str(fibre[0]), str(p)))
-        fibre.append(p)
+        if q.steps in first:
+            collisions.append((first[q.steps], p.steps))
+        else:
+            first[q.steps] = p.steps
         co = coarea(q)  # area(q) is half - co: one sum of q's north levels
         if sl != co:
             sl_ok = False
         if dinv(p) != half - co:
             dinv_ok = False
-
-    uniqueness = None
-    if unique_pair_scan:
-        uniqueness = {}
-        for q, fibre in fibres.items():
-            count = 0
-            for r in {eta(p) for p in fibre}:
-                try:
-                    iota(q, r)
-                except (NotACycle, NotADyckPath, InconsistentPair):
-                    continue  # r is not a partner of q
-                count += 1
-            uniqueness[str(q)] = count
+        if uniqueness is not None:
+            try:
+                found = iota(q, eta(p)) == p
+            except (NotACycle, NotADyckPath, InconsistentPair):
+                found = False  # eta(p) is not a partner of q
+            uniqueness[q.steps] = uniqueness.get(q.steps, 0) + found
 
     return BijectivityReport(
         a=a,
         b=b,
         path_count=len(paths),
-        image_count=len(fibres),
-        injective=len(fibres) == len(paths),
+        image_count=len(first),
+        injective=len(first) == len(paths),
         sl_transport_ok=sl_ok,
         dinv_transport_ok=dinv_ok,
         collisions=tuple(collisions),

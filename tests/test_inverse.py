@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from itertools import combinations
 from operator import add
 from types import SimpleNamespace
@@ -659,6 +660,13 @@ class TestKthValley:
                 with pytest.raises(InvalidValleyIndex):
                     rd.chi_kth_valley(a, b, k)
 
+    @pytest.mark.parametrize("k", [1.0, True])
+    def test_k_that_is_not_an_int(self, k):
+        # 1.0 failed inside range and True passed as 1
+        for fn in (rd.kth_valley_path, rd.chi_kth_valley):
+            with pytest.raises(InvalidValleyIndex, match=re.escape(f"got {k!r}")):
+                fn(3, 5, k)
+
 
 class TestJustified:
     def test_running_example(self):
@@ -687,3 +695,9 @@ class TestJustified:
     def test_too_many(self):
         with pytest.raises(TooManyBoxes):
             rd.justified(5, 8, 15)
+
+    @pytest.mark.parametrize("n", [1.0, True])
+    def test_n_that_is_not_an_int(self, n):
+        # 1.0 failed as a partition part and True passed as 1
+        with pytest.raises(TooManyBoxes, match=re.escape(f"got {n!r}")):
+            rd.justified(3, 5, n)

@@ -339,6 +339,14 @@ class TestPermutations:
                 g.cycle_from(i)
         assert (g(1), g(g.n)) == (3, 11)
 
+    @pytest.mark.parametrize("i", [True, 1.0])
+    def test_entries_that_are_not_ints_are_refused(self, running, i):
+        # True == 1 would start a cycle that from_cycle refuses
+        g = rd.gamma(running)
+        for call in (g, g.cycle_from):
+            with pytest.raises(ValueError, match=re.escape(f"{i} is not in 1..13")):
+                call(i)
+
     def test_descents_match_east_steps(self, running):
         assert rd.sigma(running).right_cyclic_descents() == (4, 6, 7, 8, 10, 11, 12, 13)
 

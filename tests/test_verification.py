@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
+import weakref
 from collections import Counter
 
 import pytest
@@ -344,8 +345,32 @@ class TestBijectivityReport:
         paths = rd.enumerate_paths(a, b)
         report = rd.bijectivity_report(a, b, unique_pair_scan=True)
         oracle = pair_uniqueness_by_scan(dict.fromkeys(map(colliding, paths)), paths)
-        assert report.collisions and not report.ok
+        first, collisions = {}, []
+        for p in paths:
+            earlier = first.setdefault(colliding(p), p)
+            if earlier is not p:
+                collisions.append((str(earlier), str(p)))
+        assert collisions and not report.ok
+        assert report.collisions == tuple(collisions)
         assert list(report.pair_uniqueness.items()) == list(oracle.items())
+
+    @pytest.mark.parametrize("unique_pair_scan", (False, True))
+    def test_scan_keeps_no_image_path_alive(self, monkeypatch, unique_pair_scan):
+        # the scan keeps image words, not image paths: the image being
+        # built and the last one are the most alive at any time
+        alive = weakref.WeakSet()
+        most = 0
+
+        def watched(p):
+            nonlocal most
+            q = rd.zeta(p)
+            alive.add(q)
+            most = max(most, len(alive))
+            return q
+
+        monkeypatch.setattr(verification, "zeta", watched)
+        assert rd.bijectivity_report(9, 7, unique_pair_scan=unique_pair_scan).ok
+        assert 0 < most <= 2
 
     def test_unique_pair_scan_builds_four_paths_per_path(self, monkeypatch):
         # enumeration, zeta, eta and iota's decode; iota's round trip

@@ -306,6 +306,8 @@ def split_dims(a: int, b: int) -> tuple[int, int, int, int]:
 def level_point(a: int, b: int, level: int) -> tuple[int, int]:
     """The unique grid lattice point with y*b - x*a equal to the level."""
     _check_coprime(a, b)
+    if type(level) is not int:
+        raise ValueError(f"level must be an int, got {level!r}")
     for y in range(a + 1):
         num = y * b - level
         if num >= 0 and num % a == 0 and num // a <= b:

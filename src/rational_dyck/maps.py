@@ -7,7 +7,10 @@ which sorts the steps by level, is the canonical construction: it is
 the path's kept sweep view (its points in rising order of level): zeta
 takes the step that starts at each point, eta the step that ends there,
 reversed, so a path sorted for one map or round trip is not sorted again
-for the other.  The paper proves it equal to
+for the other.  Each call reads its letters through one `itemgetter` over
+the sweep, built for that call, so no Python call runs per letter; the
+path keeps the sweep as a plain tuple and not the itemgetter, which the
+garbage collector would track on every path.  The paper proves it equal to
 three others, computed from the core (boundary-box counts), from a laser
 filling and from an interval-intersection grid.  Those are kept as
 genuinely separate code paths: `cross_check` builds each once, reads it by
@@ -28,6 +31,7 @@ known image's steps, and builds the image only when they differ.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from operator import itemgetter
 
 from .cores import CorePartition, _hooks_below, a_rows, anderson
 from .errors import DyckError, InternalInvariantError, MethodDisagreement
@@ -109,11 +113,17 @@ def _swept_word(path: DyckPath, eta: bool = False) -> str:
     rising.  eta's: sorted by the level of their end point, falling, which
     sorts the reverse reading word into a southwest path from (b, a), read
     back northeast.  Both read the path's sweep, its points sorted by
-    level: step p starts at point p, and step p-1 ends there."""
+    level: step p starts at point p, and step p-1 ends there.
+
+    One itemgetter over the sweep picks every letter in C.  It is built on
+    each call and not kept: the sweep stays a plain tuple of ints, which
+    the garbage collector stops tracking, where a kept itemgetter stays
+    tracked on every path and lengthens the collector's passes."""
     steps = path.steps
+    pick = itemgetter(*path._sweep)  # a+b >= 2 indices, so pick returns a tuple
     if not eta:
-        return "".join(map(steps.__getitem__, path._sweep))
-    return "".join(map((steps[-1] + steps[:-1]).__getitem__, path._sweep))[::-1]
+        return "".join(pick(steps))
+    return "".join(pick(steps[-1] + steps[:-1]))[::-1]
 
 
 def _sends(path: DyckPath, q: DyckPath, eta: bool = False) -> bool:

@@ -27,7 +27,8 @@ like `points()`.  The statistics read them unsorted or sort them in their
 own pass (see `stats`), so a path keeps no sorted copy of its levels.
 The sweep view lists the points 0..a+b-1 in rising order of level; zeta
 and eta both read their words off it, so each path is sorted once for
-both maps and for every round trip through them.
+both maps and for every round trip through them.  `_drop_sweep` lets a
+scan over a cached table drop each path's sweep once it is done with it.
 
 The package's value types are plain immutable classes on `_Value`, which
 gives the equality, hash and repr of a frozen dataclass without importing
@@ -95,6 +96,7 @@ _TABLE_CACHE_SIZE = 1
 # to the instance's __dict__, it keeps the attributes in the compact layout
 # that CPython reads fastest.
 _setattr = object.__setattr__
+_delattr = object.__delattr__
 
 
 class _view:
@@ -461,6 +463,15 @@ class DyckPath(_Value):
     @classmethod
     def from_json(cls, data: dict) -> "DyckPath":
         return cls(data["a"], data["b"], data["steps"])
+
+
+def _drop_sweep(path: DyckPath) -> None:
+    """Drop the path's sweep view, if it was built: for a scan that is done
+    with a path's maps but leaves the path in a cached table."""
+    try:
+        _delattr(path, "_sweep")
+    except AttributeError:  # never built
+        pass
 
 
 def _start_levels(path: DyckPath, step: str) -> Iterator[int]:

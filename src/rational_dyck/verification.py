@@ -17,11 +17,12 @@ counts sl + rank and `qt_catalan` counts (rank, (a-1)(b-1)/2 - sl).  The
 table is keyed by the pair, never by a path, and only the last pair's is
 kept.  `bijectivity_report` keeps image words, never image paths.  On a
 2-vCPU host, `dyck verify --check all` runs every coprime pair with
-a+b <= 18 in 0.9 s and 20 MB peak RSS, a+b <= 20 in 3.2 s and 26 MB, and
-a+b <= 22 in 10 s and 41 MB (medians of three to six runs); the largest
-pairs alone, (11,9) and (13,9), peak at 22 and 34 MB.  The enumerated
-paths keep the sweep view that zeta and eta read and no other view: the
-statistics sort into lists that each call drops.
+a+b <= 18 in 0.7 s and 19.5 MB peak RSS, a+b <= 20 in 3.2 s and 24 MB,
+and a+b <= 22 in 9.3 s and 38 MB (medians of three to six runs); the
+largest pairs alone, (11,9) and (13,9), peak at 20 and 29 MB.  The enumerated
+paths keep no view: `bijectivity_report` drops each path's sweep once
+its checks are done, and the statistics sort into lists that each call
+drops.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .paths import (
     _TABLE_CACHE_SIZE,
     _Value,
     _check_coprime,
+    _drop_sweep,
     enumerate_paths,
     rational_catalan_number,
 )
@@ -86,6 +88,8 @@ class QPolynomial(_Value):
 
     @classmethod
     def monomial(cls, power: int, coeff: int = 1) -> "QPolynomial":
+        if type(power) is not int:
+            raise ValueError(f"power must be an integer: {power!r}")
         if power < 0:
             raise ValueError(f"negative power {power}")
         return cls((0,) * power + (coeff,))
@@ -158,6 +162,8 @@ class QPolynomial(_Value):
 
 def q_bracket(n: int) -> QPolynomial:
     """[n]_q = 1 + q + ... + q^(n-1), zero for n = 0."""
+    if type(n) is not int:
+        raise ValueError(f"bracket index must be an integer: {n!r}")
     if n < 0:
         raise ValueError(f"negative bracket [{n}]_q")
     return QPolynomial((1,) * n)
@@ -169,6 +175,8 @@ def gaussian_binomial(n: int, k: int) -> QPolynomial:
     Each pass sets row[j] to row[j-1] + q^j * row[j], from the right, so
     that row[j-1] is still the previous pass's.
     """
+    if type(n) is not int or type(k) is not int:
+        raise ValueError(f"n and k must be integers: {n!r}, {k!r}")
     if not 0 <= k <= n:
         return QPolynomial.zero()
     row: list[list[int]] = [[1]] + [[] for _ in range(k)]
@@ -398,6 +406,7 @@ def bijectivity_report(a: int, b: int, *, unique_pair_scan: bool = False) -> Bij
             except (NotACycle, NotADyckPath, InconsistentPair):
                 found = False  # eta(p) is not a partner of q
             uniqueness[q.steps] = uniqueness.get(q.steps, 0) + found
+        _drop_sweep(p)  # the cached table keeps p, and nothing reads its sweep again
 
     return BijectivityReport(
         a=a,

@@ -521,6 +521,12 @@ class TestLevel1:
         assert level_point(5, 8, 1) == (3, 2)
         assert level_point(5, 8, 27) == (1, 4)
 
+    @pytest.mark.parametrize("level", [5.0, True])
+    def test_level_that_is_not_an_int(self, level):
+        # 5.0 gave (0.0, 1), and True the point of level 1
+        with pytest.raises(ValueError, match="level must be an int"):
+            level_point(3, 5, level)
+
     def test_lowest_visits_level1(self):
         for a, b in coprime_pairs(12, min_dim=2):
             x, y = level_point(a, b, 1)

@@ -70,6 +70,14 @@ class TestQPolynomial:
         with pytest.raises(ValueError):
             QPolynomial.monomial(-1, 5)
 
+    @pytest.mark.parametrize("n", [True, 2.0])
+    def test_bracket_and_monomial_need_an_int(self, n):
+        # a bool is not one: True passed as 1 before
+        with pytest.raises(ValueError, match="must be an integer"):
+            rd.q_bracket(n)
+        with pytest.raises(ValueError, match="must be an integer"):
+            QPolynomial.monomial(n)
+
     def test_exact_division(self):
         p = QPolynomial((1, 0, 1))  # 1 + q^2
         product = p * rd.q_bracket(5)
@@ -110,6 +118,11 @@ class TestGaussianBinomial:
         for n in range(21):
             for k in range(-1, n + 2):
                 assert rd.gaussian_binomial(n, k) == gaussian_binomial_by_polynomials(n, k)
+
+    @pytest.mark.parametrize("n, k", [(True, 1), (3, True), (3.0, 1), (3, 1.0)])
+    def test_n_and_k_must_be_ints(self, n, k):
+        with pytest.raises(ValueError, match="must be integers"):
+            rd.gaussian_binomial(n, k)
 
     def test_specializes_to_binomial(self):
         for n in range(1, 10):
@@ -318,11 +331,11 @@ class TestBijectivityReport:
             oracle = pair_uniqueness_by_scan(dict.fromkeys(map(rd.zeta, paths)), paths)
             assert list(report.pair_uniqueness.items()) == list(oracle.items())
 
-    def test_unique_pair_scan_leaves_only_the_sweep_on_the_paths(self):
-        # the statistics sort into lists that each call drops: a path of the
-        # pair's cached table keeps the sweep that zeta and eta read, and no
-        # other view
-        kept = {"a", "b", "steps", "_levels", "_sweep"}
+    def test_unique_pair_scan_leaves_no_view_on_the_paths(self):
+        # the statistics sort into lists that each call drops, and the scan
+        # drops each path's sweep once zeta, eta and iota are done with it:
+        # a path of the pair's cached table keeps no view
+        kept = {"a", "b", "steps", "_levels"}
         for a, b in coprime_pairs(13):
             paths = rd.enumerate_paths(a, b)
             rd.bijectivity_report(a, b, unique_pair_scan=True)

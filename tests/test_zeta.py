@@ -174,6 +174,20 @@ class TestCanonicalSweep:
             assert rd.zeta(p).steps == "".join(step for _, step in starts)
             assert rd.eta(p).steps == "".join(step for _, step in ends)
 
+    def test_maps_keep_only_the_sweep_as_a_plain_tuple(self):
+        # the letters are picked through an itemgetter built per call: a
+        # kept one would be one more object on every path for the garbage
+        # collector to track
+        kept = {"a", "b", "steps", "_levels", "_sweep"}
+        seeded = cycle_lemma_path(random.Random("kept/121/173"), 121, 173)
+        every = [p for a, b in coprime_pairs(10) for p in rd.enumerate_paths(a, b)]
+        assert {(1, 1), (1, 2)} <= {(p.a, p.b) for p in every}
+        for p in every + [seeded]:
+            p = rd.make_path(p.a, p.b, p.steps)  # fresh, so no view is built yet
+            rd.zeta(p), rd.eta(p)
+            assert vars(p).keys() == kept, p
+            assert type(p._sweep) is tuple, p
+
     def test_zeta_and_eta_sort_a_path_once(self, sweep_builds):
         p = cycle_lemma_path(random.Random(7), 121, 173)
         rd.zeta(p), rd.eta(p)

@@ -86,8 +86,8 @@ def zeta_predecessor(path: DyckPath, delta_value: int) -> DyckPath:
     is rotated left once.
     """
     n = path.length
-    if not 1 <= delta_value <= n:
-        raise ValueError(f"delta must be in 1..{n}, got {delta_value}")
+    if type(delta_value) is not int or not 1 <= delta_value <= n:
+        raise ValueError(f"delta must be an int in 1..{n}, got {delta_value!r}")
     prefix = list(path.steps[:delta_value])
     try:
         first_east = prefix.index(EAST)

@@ -207,19 +207,19 @@ def _cmd_verify(args) -> int:
     if args.max_sum < 3:  # (1,2) and (2,1) are the first pairs; (1,1) is never checked
         raise _UsageError(f"--max-sum must be at least 3, got {args.max_sum}")
     checks = set(_VERIFY_CHECKS) if args.check == "all" else {args.check}
-    pairs = list(_coprime_pairs(args.max_sum))
-    results = [_verify_pair(p, checks, args.rank_variant) for p in pairs]
+    pairs = 0
     violations = []
-    for a, b, failures in results:
+    for pair in _coprime_pairs(args.max_sum):
+        a, b, failures = _verify_pair(pair, checks, args.rank_variant)
+        pairs += 1
         violations.extend(failures)
-        if not args.json:
-            status = "FAIL" if failures else "ok"
-            print(f"({a},{b}) {status}")
+        if not args.json:  # each pair's line as it finishes, so a long run shows progress
+            print(f"({a},{b}) {'FAIL' if failures else 'ok'}", flush=True)
     if violations:
         print(json.dumps({"violations": violations}))
         return EXIT_VIOLATION
     if args.json:
-        print(json.dumps({"pairs": len(pairs), "checks": sorted(checks), "violations": []}))
+        print(json.dumps({"pairs": pairs, "checks": sorted(checks), "violations": []}))
     return EXIT_OK
 
 

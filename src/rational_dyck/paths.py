@@ -486,11 +486,13 @@ def make_path(a: int, b: int, steps: str) -> DyckPath:
 
 def lowest_path(a: int, b: int) -> DyckPath:
     """The area-0 path hugging the diagonal."""
+    _check_dimensions(a, b)
     return _path_from_north_columns(a, b, (j * b // a for j in range(a)))
 
 
 def full_path(a: int, b: int) -> DyckPath:
     """N^a E^b, the path containing every box above the diagonal."""
+    _check_dimensions(a, b)
     return DyckPath(a, b, NORTH * a + EAST * b)
 
 
@@ -505,6 +507,7 @@ def path_from_bounded_partition(a: int, b: int, parts) -> DyckPath:
     """The path whose bounded partition is the given one.  Partition.padded
     rejects more than a rows, and DyckPath a row that crosses the diagonal
     (BelowDiagonal) or is longer than b (WrongStepCounts)."""
+    _check_dimensions(a, b)
     if not isinstance(parts, Partition):
         parts = Partition(parts)
     return _path_from_north_columns(a, b, parts.padded(a).parts[::-1])
@@ -513,6 +516,7 @@ def path_from_bounded_partition(a: int, b: int, parts) -> DyckPath:
 def path_from_hooks(a: int, b: int, hooks) -> DyckPath:
     """The path whose set of positive hooks is exactly `hooks`; ValueError
     for any other set of integers."""
+    _check_dimensions(a, b)
     wanted = frozenset(hooks)
     if not set(map(type, wanted)) <= {int} or min(wanted, default=1) < 1:
         raise ValueError("hooks must be positive integers")

@@ -40,7 +40,10 @@ north step in row y.
   anyway: the summary bisects into that list for sl, so it sorts only
   inside the pass, and it picks the north levels out once for sl and
   coarea.  The path keeps none of these lists, so no statistic depends on
-  which ran before it.
+  which ran before it.  The pass and the pick are one private helper
+  that returns sl, coarea and dinv as plain values; `dyck verify`'s
+  battery shares it, calling it once per path for the pair's table of
+  statistics in `verification`, with no dict to build.
 
 On one seeded path each at a+b = 150 / 450 / 1,500 / 4,500 (b about 2a),
 `statistics_summary` took 42 / 159 / 621 / 2,431 µs (best of 40, a fresh
@@ -193,14 +196,23 @@ def delta(path: DyckPath) -> int:
     return sum(1 for level in path.reading_word() if level < top)
 
 
-def statistics_summary(path: DyckPath) -> dict[str, int]:
-    """All statistics in the documented JSON key order; sl and coarea share
-    one pick of the north levels, and sl bisects them into dinv's sort."""
-    half = (path.a - 1) * (path.b - 1) // 2
+def _sl_coarea_dinv(path: DyckPath) -> tuple[int, int, int]:
+    """sl, coarea and dinv off one dinv pass and one pick of the north
+    levels: sl and coarea share the pick, and sl bisects it into the pass's
+    sorted east levels.  Plain values, no dict, for the verify battery."""
     dv, easts = _dinv_pass(path)
-    norths = tuple(_start_levels(path, NORTH))
-    sl = _skew_inversions(norths, easts)
-    co = _coarea(path, norths)
+    # a list: a short tuple built from an iterator ends on a per-size free
+    # list that such builds never reuse, which cost `verify --max-sum 18`
+    # 1.2 MB of peak RSS
+    norths = list(_start_levels(path, NORTH))
+    return _skew_inversions(norths, easts), _coarea(path, norths), dv
+
+
+def statistics_summary(path: DyckPath) -> dict[str, int]:
+    """All statistics in the documented JSON key order; sl, coarea and dinv
+    come from one shared pass."""
+    half = (path.a - 1) * (path.b - 1) // 2
+    sl, co, dv = _sl_coarea_dinv(path)
     return {
         "area": half - co,
         "coarea": co,

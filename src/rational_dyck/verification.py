@@ -11,15 +11,21 @@ than raising.
 
 The statistics of each path are computed once per pair: a private table
 keyed by (a, b), bounded like `enumerate_paths`, holds every path's skew
-length and its rank under both variants, in enumeration order.
-`bijectivity_report` reads the skew lengths off it, `sl_rank_generating`
-counts sl + rank and `qt_catalan` counts (rank, (a-1)(b-1)/2 - sl).  The
+length, its rank under both variants and its dinv, in enumeration order.
+It is built by `statistics_summary`'s one pass, the helper in `stats`
+that returns plain values: one dinv pass, whose sorted east levels the
+skew inversions bisect into, and one pick of the north levels, which
+gives both sl and the coarea, so the core rank (the area).
+`bijectivity_report` reads the skew lengths and dinv off it and compares
+them with each image's coarea and area, `sl_rank_generating` counts
+sl + rank and `qt_catalan` counts (rank, (a-1)(b-1)/2 - sl).  The
 table is keyed by the pair, never by a path, and only the last pair's is
 kept.  `bijectivity_report` keeps image words, never image paths.  On a
-2-vCPU host, `dyck verify --check all` runs every coprime pair with
-a+b <= 18 in 0.7 s and 19.5 MB peak RSS, a+b <= 20 in 3.2 s and 24 MB,
-and a+b <= 22 in 9.3 s and 38 MB (medians of three to six runs); the
-largest pairs alone, (11,9) and (13,9), peak at 20 and 29 MB.  The enumerated
+2-vCPU host under Python 3.11, `dyck verify --check all` runs every
+coprime pair with a+b <= 18 in 0.7 s and 19.5 MB peak RSS, a+b <= 20 in
+2.8 s and 24 MB, and a+b <= 22 in 8.1 s and 38 MB (medians of five
+runs); the largest pairs alone, (11,9) and (13,9), peak at 20 and
+30 MB.  The enumerated
 paths keep no view: `bijectivity_report` drops each path's sweep once
 its checks are done, and the statistics sort into lists that each call
 drops.
@@ -49,7 +55,7 @@ from .paths import (
     enumerate_paths,
     rational_catalan_number,
 )
-from .stats import coarea, core_rank, dinv, path_rank, skew_length
+from .stats import _sl_coarea_dinv, coarea, path_rank
 
 __all__ = [
     "QPolynomial",
@@ -225,26 +231,33 @@ def rational_q_catalan(a: int, b: int) -> QPolynomial:
     return QPolynomial(tuple(_over_one_minus(_times_one_minus(coeffs, 1), n)))
 
 
-_RANKS = {"core": core_rank, "path": path_rank}
+_RANK_VARIANTS = ("core", "path")
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _path_statistics(a: int, b: int) -> tuple[tuple[int, ...], dict[str, tuple[int, ...]]]:
-    """The skew length of every (a,b)-path, in enumeration order, and its
-    rank under each variant: the one pass of statistics that the checks of
-    a pair share.  Always called as `_path_statistics(a, b)`, so that each
-    pair has one cache key."""
+def _path_statistics(a: int, b: int) -> tuple[list[int], dict[str, list[int]], list[int]]:
+    """The skew length of every (a,b)-path, in enumeration order, its rank
+    under each variant (the core rank is the area) and its dinv: the one
+    pass of statistics that the checks of a pair share, off
+    `statistics_summary`'s helper.  The columns are the lists they are
+    built in, since a tuple copy would double them at the peak; the checks
+    only read them.  Always called as `_path_statistics(a, b)`, so that
+    each pair has one cache key."""
     paths = enumerate_paths(a, b)
-    return (
-        tuple(map(skew_length, paths)),
-        {variant: tuple(map(fn, paths)) for variant, fn in _RANKS.items()},
-    )
+    half = (a - 1) * (b - 1) // 2
+    sls, areas, dinvs = [], [], []
+    for path in paths:  # each triple is dropped at once: no table of triples
+        sl, co, dv = _sl_coarea_dinv(path)
+        sls.append(sl)
+        areas.append(half - co)
+        dinvs.append(dv)
+    return sls, {"core": areas, "path": list(map(path_rank, paths))}, dinvs
 
 
-def _sl_and_rank(a: int, b: int, rank_variant: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    if rank_variant not in _RANKS:
-        raise ValueError(f"rank_variant must be one of {sorted(_RANKS)}: {rank_variant!r}")
-    sls, ranks = _path_statistics(a, b)
+def _sl_and_rank(a: int, b: int, rank_variant: str) -> tuple[list[int], list[int]]:
+    if rank_variant not in _RANK_VARIANTS:
+        raise ValueError(f"rank_variant must be one of {sorted(_RANK_VARIANTS)}: {rank_variant!r}")
+    sls, ranks, _ = _path_statistics(a, b)
     return sls, ranks[rank_variant]
 
 
@@ -382,14 +395,14 @@ def bijectivity_report(a: int, b: int, *, unique_pair_scan: bool = False) -> Bij
             f"enumerated {len(paths)} ({a},{b})-paths, expected "
             f"{rational_catalan_number(a, b)}"
         )
-    sls, _ = _path_statistics(a, b)
+    sls, _, dinvs = _path_statistics(a, b)
     half = (a - 1) * (b - 1) // 2
     first: dict[str, str] = {}
     collisions = []
     uniqueness: dict[str, int] | None = {} if unique_pair_scan else None
     sl_ok = True
     dinv_ok = True
-    for p, sl in zip(paths, sls):
+    for p, sl, dv in zip(paths, sls, dinvs):
         q = zeta(p)
         if q.steps in first:
             collisions.append((first[q.steps], p.steps))
@@ -398,7 +411,7 @@ def bijectivity_report(a: int, b: int, *, unique_pair_scan: bool = False) -> Bij
         co = coarea(q)  # area(q) is half - co: one sum of q's north levels
         if sl != co:
             sl_ok = False
-        if dinv(p) != half - co:
+        if dv != half - co:
             dinv_ok = False
         if uniqueness is not None:
             try:

@@ -102,6 +102,12 @@ class TestZetaPredecessor:
         with pytest.raises(ValueError):
             rd.zeta_predecessor(q, 6)
 
+    @pytest.mark.parametrize("delta_value", (True, 2.0))
+    def test_delta_that_is_not_an_int(self, delta_value):
+        # True would run as 1 and 2.0 would slice; both are refused up front
+        with pytest.raises(ValueError, match="delta must be an int"):
+            rd.zeta_predecessor(rd.full_path(2, 3), delta_value)
+
 
 class TestInitialBounce:
     def test_needs_a_at_least_two(self):

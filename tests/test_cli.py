@@ -10,7 +10,7 @@ import rational_dyck as rd
 from rational_dyck import cli, inverse, verification
 from rational_dyck.bounce import fuss_delta_trace
 from rational_dyck.cli import main
-from rational_dyck.errors import NotACycle
+from rational_dyck.errors import InternalInvariantError, NotACycle
 
 from conftest import coprime_pairs, search_preimage
 
@@ -201,6 +201,21 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--max-sum", "3")
         assert (code, out) == (0, "(1,2) ok\n(2,1) ok\n")
 
+    def test_each_pair_prints_as_it_finishes(self, capsys, monkeypatch):
+        # a bug on the third pair leaves the first two pairs' lines on stdout
+        done = []
+        check = cli._verify_pair
+
+        def third_pair_breaks(pair, checks, rank_variant):
+            if len(done) == 2:
+                raise InternalInvariantError("demo")
+            done.append(pair)
+            return check(pair, checks, rank_variant)
+
+        monkeypatch.setattr(cli, "_verify_pair", third_pair_breaks)
+        code, out, err = run(capsys, "verify", "--max-sum", "5")
+        assert (code, out) == (3, "(1,2) ok\n(2,1) ok\n") and "demo" in err
+
     def test_all_checks_json(self, capsys):
         code, out, _ = run(capsys, "verify", "--check", "all", "--max-sum", "7", "--json")
         record = json.loads(out)
@@ -279,10 +294,23 @@ class TestVerifyWitnesses:
         "stat,flag", [("coarea", "sl_transport_ok"), ("dinv", "dinv_transport_ok")]
     )
     def test_zeta_bijective(self, capsys, monkeypatch, stat, flag):
-        true_stat = getattr(verification, stat)
-        monkeypatch.setattr(verification, stat, lambda p: true_stat(p) + 1)
-        violations = self.verify(capsys, "zeta-bijective")
-        reports = [rd.bijectivity_report(a, b) for a, b in self.PAIRS]
+        if stat == "coarea":  # the image's, summed in the scan
+            true_coarea = verification.coarea
+            monkeypatch.setattr(verification, "coarea", lambda p: true_coarea(p) + 1)
+        else:  # the path's, read off the pair's table
+            true_pass = verification._sl_coarea_dinv
+
+            def dinv_off_by_one(p):
+                sl, co, dv = true_pass(p)
+                return sl, co, dv + 1
+
+            monkeypatch.setattr(verification, "_sl_coarea_dinv", dinv_off_by_one)
+        verification._path_statistics.cache_clear()
+        try:
+            violations = self.verify(capsys, "zeta-bijective")
+            reports = [rd.bijectivity_report(a, b) for a, b in self.PAIRS]
+        finally:
+            verification._path_statistics.cache_clear()  # drop a broken table
         assert violations == [{"check": "zeta-bijective", **r.to_json()} for r in reports]
         assert all(not r.ok and not getattr(r, flag) and r.injective for r in reports)
 

@@ -551,6 +551,23 @@ class TestEnumeration:
         with pytest.raises(ValueError, match=f"dimensions must be {message}"):
             rd.rational_catalan_number(a, b)
 
+    @pytest.mark.parametrize("a, b", [(2.0, 3), (3, 2.0)], ids=["float-a", "float-b"])
+    @pytest.mark.parametrize(
+        "build, rest",
+        [
+            pytest.param(name, rest, id=name)
+            for name, rest in [
+                ("full_path", ()),
+                ("lowest_path", ()),
+                ("path_from_bounded_partition", ((),)),
+                ("path_from_hooks", ((),)),
+            ]
+        ],
+    )
+    def test_builders_check_dimensions_like_a_path(self, build, rest, a, b):
+        with pytest.raises(ValueError, match="dimensions must be integers"):
+            getattr(rd, build)(a, b, *rest)
+
     def test_thin_pairs_deeper_than_the_recursion_limit(self):
         # a + b well past the interpreter's default limit of 1,000 frames
         (only,) = rd.enumerate_paths(1, 1200)

@@ -272,24 +272,39 @@ class TestRankVariant:
 
 
 class TestStatisticsOncePerPair:
-    def test_battery_takes_each_skew_length_once(self, monkeypatch):
-        # the checks of `dyck verify` on one pair share one pass of statistics
-        calls = 0
-        original = stats.skew_length
+    def test_battery_takes_one_dinv_pass_per_path(self, monkeypatch):
+        # the checks of `dyck verify` on one pair share one pass of
+        # statistics, and bijectivity_report reads dinv off it
+        calls = Counter()
 
-        def counted(path):
-            nonlocal calls
-            calls += 1
-            return original(path)
+        def counted(name):
+            original = getattr(stats, name)
 
-        monkeypatch.setattr(stats, "skew_length", counted)
-        monkeypatch.setattr(verification, "skew_length", counted)
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        # skew_length and dinv reach these through the module, so a call of
+        # either, under any name, shows as a second sort or a second pass
+        for name in ("_dinv_pass", "skew_inversions", "_skew_inversions"):
+            monkeypatch.setattr(stats, name, counted(name))
         verification._path_statistics.cache_clear()
         assert rd.bijectivity_report(9, 7).ok
         assert rd.sl_rank_generating(9, 7) == rd.rational_q_catalan(9, 7)
         assert rd.qt_symmetry_check(9, 7)
         assert len(rd.enumerate_paths(9, 7)) == 715
-        assert calls == 715
+        assert calls == {"_dinv_pass": 715, "_skew_inversions": 715}
+
+    def test_table_equals_the_summary(self):
+        for a, b in coprime_pairs(14):
+            sls, ranks, dinvs = verification._path_statistics(a, b)
+            summaries = list(map(rd.statistics_summary, rd.enumerate_paths(a, b)))
+            assert sls == [s["sl"] for s in summaries]
+            assert ranks["core"] == [s["area"] for s in summaries]
+            assert ranks["path"] == [s["rank"] for s in summaries]
+            assert dinvs == [s["dinv"] for s in summaries]
 
 
 class TestBijectivityReport:
@@ -303,8 +318,13 @@ class TestBijectivityReport:
     def test_transports_fail_independently(self, monkeypatch, broken):
         # sl is compared with the image's coarea and dinv with its area:
         # one statistic off by one breaks its own transport alone
-        original = getattr(verification, broken)
-        monkeypatch.setattr(verification, broken, lambda p: original(p) + 1)
+        original = verification._sl_coarea_dinv
+
+        def off_by_one(path):
+            sl, co, dv = original(path)
+            return (sl + 1, co, dv) if broken == "skew_length" else (sl, co, dv + 1)
+
+        monkeypatch.setattr(verification, "_sl_coarea_dinv", off_by_one)
         verification._path_statistics.cache_clear()
         try:
             report = rd.bijectivity_report(5, 8)

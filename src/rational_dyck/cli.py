@@ -68,6 +68,8 @@ def _add_path_arguments(sub) -> None:
 
 def _paths_from_args(args) -> list[DyckPath]:
     if args.file:
+        if (args.a, args.b, args.path) != (None, None, None):
+            raise _UsageError("--file cannot be combined with --a, --b or --path")
         out = []
         with open(args.file, encoding="utf-8") as handle:
             for lineno, line in enumerate(handle, start=1):

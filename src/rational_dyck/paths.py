@@ -391,7 +391,10 @@ class DyckPath(_Value):
         return tuple((i - y, y) for i, y in enumerate(heights))
 
     def visits(self, x: int, y: int) -> bool:
-        """Whether (x, y) is the path's (x+y)-th point, told by its level."""
+        """Whether (x, y) is the path's (x+y)-th point, told by its level;
+        ValueError unless both coordinates are ints, as in level_point."""
+        if type(x) is not int or type(y) is not int:
+            raise ValueError(f"coordinates must be ints, got ({x!r}, {y!r})")
         a, b = self.a, self.b
         return 0 <= x <= b and 0 <= y <= a and self._levels[x + y] == y * b - x * a
 

@@ -16,19 +16,19 @@ It is built by `statistics_summary`'s one pass, the helper in `stats`
 that returns plain values: one dinv pass, whose sorted east levels the
 skew inversions bisect into, and one pick of the north levels, which
 gives both sl and the coarea, so the core rank (the area).
-`bijectivity_report` reads the skew lengths and dinv off it and compares
-them with each image's coarea and area, `sl_rank_generating` counts
-sl + rank and `qt_catalan` counts (rank, (a-1)(b-1)/2 - sl).  The
-table is keyed by the pair, never by a path, and only the last pair's is
-kept.  `bijectivity_report` keeps image words, never image paths.  On a
+`bijectivity_report` finds each zeta and eta image in the pair's own
+enumeration by its swept word, so it builds no image path, and compares
+each path's skew length and dinv with its image's coarea and area, both
+read off the table's area column; `sl_rank_generating` counts sl + rank
+and `qt_catalan` counts (rank, (a-1)(b-1)/2 - sl).  The table is keyed
+by the pair, never by a path, and only the last pair's is kept.  On a
 2-vCPU host under Python 3.11, `dyck verify --check all` runs every
-coprime pair with a+b <= 18 in 0.7 s and 19.5 MB peak RSS, a+b <= 20 in
-2.8 s and 24 MB, and a+b <= 22 in 8.1 s and 38 MB (medians of five
-runs); the largest pairs alone, (11,9) and (13,9), peak at 20 and
-30 MB.  The enumerated
-paths keep no view: `bijectivity_report` drops each path's sweep once
-its checks are done, and the statistics sort into lists that each call
-drops.
+coprime pair with a+b <= 18 in 0.64 s and 18.9 MB peak RSS, a+b <= 20
+in 2.7 s and 24 MB, and a+b <= 22 in 6.9 s and 36 MB (medians of five
+runs); the largest pairs alone, (11,9) and (13,9), peak at 19.6 and
+28.7 MB.  The enumerated paths keep no view: `bijectivity_report` drops
+each path's sweep once its checks are done, and the statistics sort into
+lists that each call drops.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import add, sub
 
+from . import maps
 from .errors import (
     InconsistentPair,
     InexactDivision,
@@ -46,7 +47,6 @@ from .errors import (
     NotADyckPath,
 )
 from .inverse import iota
-from .maps import eta, zeta
 from .paths import (
     _TABLE_CACHE_SIZE,
     _Value,
@@ -55,7 +55,7 @@ from .paths import (
     enumerate_paths,
     rational_catalan_number,
 )
-from .stats import _sl_coarea_dinv, coarea, path_rank
+from .stats import _sl_coarea_dinv, path_rank
 
 __all__ = [
     "QPolynomial",
@@ -381,13 +381,16 @@ def bijectivity_report(a: int, b: int, *, unique_pair_scan: bool = False) -> Bij
     """Scan zeta over every path: injectivity, statistic transport, and
     optionally the per-image count of partners R accepted by iota.
 
-    One pass over the paths keeps the word of the first path sent to each
-    image word, never an image path.  A partner R of an image Q decodes
-    under iota to the one path P'' with images (Q, R), and the enumeration
-    (checked complete against the Catalan count) holds P''; so counting
-    the paths P with iota(zeta(P), eta(P)) == P counts each partner of
-    each image once, and the counts equal those of a scan over all pairs
-    (Q, R), even where fibres merge.
+    The enumeration, checked complete against the Catalan count, holds
+    every image, so each image is found there by its swept word and no
+    image path is built; its area is read off the pair's table.  One list
+    keeps, for each image index, the word of the first path sent there.
+    A word the enumeration lacks is a bug: InternalInvariantError.  A
+    partner R of an image Q decodes under iota to the one path P'' with
+    images (Q, R), and the enumeration holds P''; so counting the paths P
+    with iota(zeta(P), eta(P)) == P counts each partner of each image
+    once, and the counts equal those of a scan over all pairs (Q, R), even
+    where fibres merge.
     """
     paths = enumerate_paths(a, b)
     if len(paths) != rational_catalan_number(a, b):
@@ -395,38 +398,51 @@ def bijectivity_report(a: int, b: int, *, unique_pair_scan: bool = False) -> Bij
             f"enumerated {len(paths)} ({a},{b})-paths, expected "
             f"{rational_catalan_number(a, b)}"
         )
-    sls, _, dinvs = _path_statistics(a, b)
+    sls, ranks, dinvs = _path_statistics(a, b)
+    areas = ranks["core"]
     half = (a - 1) * (b - 1) // 2
-    first: dict[str, str] = {}
+    index = {p.steps: i for i, p in enumerate(paths)}
+
+    def image_index(word: str) -> int:
+        i = index.get(word)
+        if i is None:
+            maps._image(a, b, word)  # a word that is not a path raises here
+            raise InternalInvariantError(
+                f"image {word} is an ({a},{b})-path the enumeration lacks"
+            )
+        return i
+
+    first: list[str | None] = [None] * len(paths)
     collisions = []
     uniqueness: dict[str, int] | None = {} if unique_pair_scan else None
     sl_ok = True
     dinv_ok = True
     for p, sl, dv in zip(paths, sls, dinvs):
-        q = zeta(p)
-        if q.steps in first:
-            collisions.append((first[q.steps], p.steps))
+        i = image_index(maps._swept_word(p))
+        if first[i] is None:
+            first[i] = p.steps
         else:
-            first[q.steps] = p.steps
-        co = coarea(q)  # area(q) is half - co: one sum of q's north levels
-        if sl != co:
+            collisions.append((first[i], p.steps))
+        if sl != half - areas[i]:  # the image's coarea
             sl_ok = False
-        if dv != half - co:
+        if dv != areas[i]:
             dinv_ok = False
         if uniqueness is not None:
+            q = paths[i]
             try:
-                found = iota(q, eta(p)) == p
+                found = iota(q, paths[image_index(maps._swept_word(p, True))]) == p
             except (NotACycle, NotADyckPath, InconsistentPair):
                 found = False  # eta(p) is not a partner of q
             uniqueness[q.steps] = uniqueness.get(q.steps, 0) + found
         _drop_sweep(p)  # the cached table keeps p, and nothing reads its sweep again
 
+    image_count = len(paths) - first.count(None)
     return BijectivityReport(
         a=a,
         b=b,
         path_count=len(paths),
-        image_count=len(first),
-        injective=len(first) == len(paths),
+        image_count=image_count,
+        injective=image_count == len(paths),
         sl_transport_ok=sl_ok,
         dinv_transport_ok=dinv_ok,
         collisions=tuple(collisions),

@@ -294,17 +294,15 @@ class TestVerifyWitnesses:
         "stat,flag", [("coarea", "sl_transport_ok"), ("dinv", "dinv_transport_ok")]
     )
     def test_zeta_bijective(self, capsys, monkeypatch, stat, flag):
-        if stat == "coarea":  # the image's, summed in the scan
-            true_coarea = verification.coarea
-            monkeypatch.setattr(verification, "coarea", lambda p: true_coarea(p) + 1)
-        else:  # the path's, read off the pair's table
-            true_pass = verification._sl_coarea_dinv
+        # the path's dinv and the image's coarea (its area, read as half
+        # less it) both come off the pair's table
+        true_pass = verification._sl_coarea_dinv
 
-            def dinv_off_by_one(p):
-                sl, co, dv = true_pass(p)
-                return sl, co, dv + 1
+        def off_by_one(p):
+            sl, co, dv = true_pass(p)
+            return (sl, co + 1, dv) if stat == "coarea" else (sl, co, dv + 1)
 
-            monkeypatch.setattr(verification, "_sl_coarea_dinv", dinv_off_by_one)
+        monkeypatch.setattr(verification, "_sl_coarea_dinv", off_by_one)
         verification._path_statistics.cache_clear()
         try:
             violations = self.verify(capsys, "zeta-bijective")
@@ -382,6 +380,27 @@ class TestUsageErrors:
         spec_file.write_text("2 3 NENEE\n2 3 EENEN\n")
         code, _, err = run(capsys, "stats", "--file", str(spec_file))
         assert code == 1 and err.startswith(f"dyck: {spec_file}:2: ")
+
+    @pytest.mark.parametrize(
+        "verb", [["stats"], ["map", "--map", "zeta"], ["invert"]], ids=["stats", "map", "invert"]
+    )
+    @pytest.mark.parametrize(
+        "given",
+        [
+            ["--a", "3"],
+            ["--b", "5"],
+            ["--path", "NNNEEEEE"],
+            ["--a", "3", "--b", "5", "--path", "NNNEEEEE"],
+        ],
+        ids=["a", "b", "path", "all"],
+    )
+    def test_file_with_a_path_argument(self, capsys, tmp_path, verb, given):
+        # the file was read and the other arguments silently dropped
+        spec_file = tmp_path / "paths.txt"
+        spec_file.write_text("2 3 NENEE\n")
+        code, out, err = run(capsys, *verb, *given, "--file", str(spec_file))
+        assert code == 1 and out == ""
+        assert "--file cannot be combined with --a, --b or --path" in err
 
     def test_empty_file(self, capsys, tmp_path):
         spec_file = tmp_path / "paths.txt"

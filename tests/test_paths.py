@@ -258,6 +258,12 @@ class TestViews:
                     for y in range(-2, a + 3):
                         assert p.visits(x, y) == ((x, y) in points), (p, x, y)
 
+    @pytest.mark.parametrize("x,y", [(True, 1), (1, True), (1.0, 1), (1, 1.0)])
+    def test_visits_needs_int_coordinates(self, x, y):
+        # a bool read as 0 or 1, and a float failed to index the levels
+        with pytest.raises(ValueError, match="must be ints"):
+            rd.DyckPath(2, 3, "NENEE").visits(x, y)
+
     @given(cycle_lemma_paths(max_sum=60))
     def test_read_views_keep_equality_hash_copy_and_pickle(self, p):
         views = read_views(p)

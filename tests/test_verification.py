@@ -389,25 +389,32 @@ class TestBijectivityReport:
 
     @pytest.mark.parametrize("unique_pair_scan", (False, True))
     def test_scan_keeps_no_image_path_alive(self, monkeypatch, unique_pair_scan):
-        # the scan keeps image words, not image paths: the image being
-        # built and the last one are the most alive at any time
-        alive = weakref.WeakSet()
-        most = 0
+        # each image is found in the enumeration, so no image path is
+        # built: with the caches cleared, a report without the scan builds
+        # the n enumerated paths alone, and with it iota's decodes too,
+        # none of which outlives the report
+        built = weakref.WeakSet()
+        builds = 0
+        init = rd.DyckPath.__init__
 
-        def watched(p):
-            nonlocal most
-            q = rd.zeta(p)
-            alive.add(q)
-            most = max(most, len(alive))
-            return q
+        def watched(self, *args):
+            nonlocal builds
+            init(self, *args)
+            builds += 1
+            built.add(self)
 
-        monkeypatch.setattr(verification, "zeta", watched)
-        assert rd.bijectivity_report(9, 7, unique_pair_scan=unique_pair_scan).ok
-        assert 0 < most <= 2
+        monkeypatch.setattr(rd.DyckPath, "__init__", watched)
+        rd.enumerate_paths.cache_clear()
+        verification._path_statistics.cache_clear()
+        report = rd.bijectivity_report(9, 7, unique_pair_scan=unique_pair_scan)
+        assert report.ok
+        n = report.path_count
+        assert builds == (2 * n if unique_pair_scan else n)
+        assert set(map(id, built)) == set(map(id, rd.enumerate_paths(9, 7)))
 
-    def test_unique_pair_scan_builds_four_paths_per_path(self, monkeypatch):
-        # enumeration, zeta, eta and iota's decode; iota's round trip
-        # compares swept words and builds no image
+    def test_unique_pair_scan_builds_two_paths_per_path(self, monkeypatch):
+        # the enumeration and iota's decode: each image is found in the
+        # enumeration, and iota's round trip compares swept words
         counts = Counter()
 
         def counting(name, fn):
@@ -431,12 +438,7 @@ class TestBijectivityReport:
             rd.enumerate_paths.cache_clear()
             report = rd.bijectivity_report(a, b, unique_pair_scan=True)
             n = report.path_count
-            assert counts == {
-                "builds": 4 * n,
-                "zeta_via_sweep": n,
-                "eta_via_sweep": n,
-                "iota": report.image_count,
-            }, (a, b)
+            assert counts == {"builds": 2 * n, "iota": report.image_count}, (a, b)
 
     def test_unique_pair_scan_propagates_a_bug_in_iota(self, monkeypatch):
         def broken(q, r):
@@ -452,6 +454,25 @@ class TestBijectivityReport:
         )
         with pytest.raises(InternalInvariantError):
             rd.bijectivity_report(3, 5)
+
+    def test_an_image_word_that_is_not_a_path_is_a_bug(self, monkeypatch):
+        monkeypatch.setattr(maps, "_swept_word", lambda p, eta=False: p.steps[::-1])
+        with pytest.raises(InternalInvariantError, match="is not an"):
+            rd.bijectivity_report(3, 5)
+
+    def test_an_enumeration_that_repeats_a_path_is_a_bug(self, monkeypatch):
+        # the Catalan count still holds, but the path left out is the image
+        # of another path, which the enumeration then lacks
+        paths = rd.enumerate_paths(3, 5)
+        assert rd.zeta(paths[1]) != paths[1]
+        repeated = paths[:1] + paths[:1] + paths[2:]
+        monkeypatch.setattr(verification, "enumerate_paths", lambda a, b: repeated)
+        verification._path_statistics.cache_clear()
+        try:
+            with pytest.raises(InternalInvariantError, match="lacks"):
+                rd.bijectivity_report(3, 5)
+        finally:
+            verification._path_statistics.cache_clear()  # drop the table of the repeats
 
     def test_json_round_trip(self):
         report = rd.bijectivity_report(2, 5)

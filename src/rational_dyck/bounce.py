@@ -263,7 +263,7 @@ def search_delta_traces(path: DyckPath):
                 candidate = _path_from_cycle(a, b, g)
             except (WrongStepCounts, BelowDiagonal):
                 continue
-            # the round trip first: a refused candidate never builds delta's views
+            # a candidate must round-trip to Q and carry the delta d
             if candidate is not None and _sends(candidate, q) and delta(candidate) == d:
                 return g, candidate, d, nxt
         return None

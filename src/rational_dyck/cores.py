@@ -47,8 +47,9 @@ class HookFilling(_Value):
         self.__dict__.update(a=a, b=b)
 
     def value(self, col: int, row: int) -> int:
-        if not (0 <= col < self.b and 0 <= row < self.a):
-            raise ValueError(f"box ({col}, {row}) outside the {self.a}x{self.b} grid")
+        """ValueError unless col and row are ints naming a box of the grid."""
+        if not (type(col) is int and type(row) is int and 0 <= col < self.b and 0 <= row < self.a):
+            raise ValueError(f"box ({col!r}, {row!r}) outside the {self.a}x{self.b} grid")
         return box_value(self.a, self.b, col, row)
 
 
@@ -175,6 +176,15 @@ def core_conjugate(kappa: CorePartition) -> CorePartition:
     return CorePartition(kappa.partition.conjugate().parts, kappa.a, kappa.b)
 
 
+def _filled(values: dict[tuple[int, int], int], col, row) -> int:
+    """The value of box (col, row) in a filling's values; ValueError
+    unless col and row are ints naming a box it fills (a bool is not one,
+    though True == 1 as a key)."""
+    if type(col) is int and type(row) is int and (col, row) in values:
+        return values[(col, row)]
+    raise ValueError(f"box ({col!r}, {row!r}) is not filled")
+
+
 class RowLengthFilling:
     """Row lengths of the core, written into the boxes under the path.
 
@@ -195,7 +205,7 @@ class RowLengthFilling:
         self._values = values
 
     def value(self, col: int, row: int) -> int:
-        return self._values[(col, row)]
+        return _filled(self._values, col, row)
 
     def boxes(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self._values))

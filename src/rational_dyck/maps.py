@@ -4,28 +4,29 @@ zeta sweeps a line of slope a/b across the path from the diagonal towards
 the northwest; eta sweeps from the far corner back southeast.  The sweep,
 which sorts the steps by level, is the canonical construction: it is
 `zeta` and `eta` themselves, in O((a+b) log(a+b)).  Both read one sort,
-the path's kept sweep view (its points in rising order of level): zeta
-takes the step that starts at each point, eta the step that ends there,
-reversed, so a path sorted for one map or round trip is not sorted again
-for the other.  Each call reads its letters through one `itemgetter` over
-the sweep, built for that call, so no Python call runs per letter; the
-path keeps the sweep as a plain tuple and not the itemgetter, which the
-garbage collector would track on every path.  The paper proves it equal to
-three others, computed from the core (boundary-box counts), from a laser
-filling and from an interval-intersection grid.  Those are kept as
-genuinely separate code paths: `cross_check` builds each once, reads it by
-rows for zeta and by columns for eta, and requires all four to agree.
-The core route visits no box: a core row with first-column hook h
-has one hook below m per non-first-column-hook g in [0, h) above h - m.
-The laser and interval routes count on the sorted north and east levels:
-a laser's crossings, and a row's or a column's disjoint intervals, are
-bisections, so neither scans every level per box nor builds the grid
-(`interval_grid` builds it for pictures only).  The module is
-`rational_dyck.maps`, so that `rational_dyck.zeta` names the function.
-Each image is built by the validating DyckPath constructor, from a swept
-word or a bounded partition; an image it rejects is a bug, raised as
-InternalInvariantError.  A round trip compares the swept word with the
-known image's steps, and builds the image only when they differ.
+the sweep (the path's points in rising order of level): zeta takes the
+step that starts at each point, eta the step that ends there, reversed.
+The module keeps the last sweep with its word, one entry replaced on a
+miss, so `zeta(P)` then `eta(P)`, `iota`'s two round trips, and `chi`'s
+round trip then eta each sort a word once, and no path holds a sweep.
+Each call reads its letters through one `itemgetter` over the sweep,
+built for that call, so no Python call runs per letter; the memo keeps
+the sweep as a plain tuple and not the itemgetter.  The paper proves the
+sweep equal to three others, computed from the core (boundary-box
+counts), from a laser filling and from an interval-intersection grid.
+Those are kept as genuinely separate code paths: `cross_check` builds
+each once, reads it by rows for zeta and by columns for eta, and requires
+all four to agree.  The core route visits no box: a core row with
+first-column hook h has one hook below m per non-first-column-hook g in
+[0, h) above h - m.  The laser and interval routes count on the sorted
+north and east levels: a laser's crossings, and a row's or a column's
+disjoint intervals, are bisections, so neither scans every level per box
+nor builds the grid (`interval_grid` builds it for pictures only).  The
+module is `rational_dyck.maps`, so that `rational_dyck.zeta` names the
+function.  Each image is built by the validating DyckPath constructor,
+from a swept word or a bounded partition; an image it rejects is a bug,
+raised as InternalInvariantError.  A round trip compares the swept word
+with the known image's steps, and builds the image only when they differ.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from operator import itemgetter
 
-from .cores import CorePartition, _hooks_below, a_rows, anderson
+from .cores import CorePartition, _filled, _hooks_below, a_rows, anderson
 from .errors import DyckError, InternalInvariantError, MethodDisagreement
 from .paths import DyckPath, Partition, _Value, box_value, path_from_bounded_partition
 
@@ -108,19 +109,36 @@ def eta_via_cores(path: DyckPath) -> DyckPath:
 # Via sweep, the canonical construction
 
 
+def _sweep(path: DyckPath) -> tuple[int, ...]:
+    """The points 0..a+b-1 in rising order of level, the order both sweep
+    maps read the steps in."""
+    return tuple(sorted(range(path.a + path.b), key=path._levels.__getitem__))
+
+
+# The last word swept and its sweep.  A validated word fixes a and b, so
+# the word alone is the key.  One tuple, replaced whole on a miss, so a
+# thread reads a word with its own sweep.
+_last_sweep: tuple[str, tuple[int, ...]] = ("", ())
+
+
 def _swept_word(path: DyckPath, eta: bool = False) -> str:
     """zeta's word: the steps sorted by the level of their start point,
     rising.  eta's: sorted by the level of their end point, falling, which
     sorts the reverse reading word into a southwest path from (b, a), read
-    back northeast.  Both read the path's sweep, its points sorted by
-    level: step p starts at point p, and step p-1 ends there.
+    back northeast.  Both read the sweep: step p starts at point p, and
+    step p-1 ends there.  The sweep of the last word swept is kept, so
+    the next map on the same word does not sort it again.
 
     One itemgetter over the sweep picks every letter in C.  It is built on
     each call and not kept: the sweep stays a plain tuple of ints, which
-    the garbage collector stops tracking, where a kept itemgetter stays
-    tracked on every path and lengthens the collector's passes."""
+    the garbage collector stops tracking."""
+    global _last_sweep
     steps = path.steps
-    pick = itemgetter(*path._sweep)  # a+b >= 2 indices, so pick returns a tuple
+    word, sweep = _last_sweep
+    if word != steps:
+        sweep = _sweep(path)
+        _last_sweep = steps, sweep
+    pick = itemgetter(*sweep)  # a+b >= 2 indices, so pick returns a tuple
     if not eta:
         return "".join(pick(steps))
     return "".join(pick(steps[-1] + steps[:-1]))[::-1]
@@ -195,7 +213,7 @@ class LaserFilling:
         self._column_sums = tuple(column_sums)
 
     def value(self, col: int, row: int) -> int:
-        return self._values[(col, row)]
+        return _filled(self._values, col, row)
 
     def boxes(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self._values))

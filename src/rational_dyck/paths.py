@@ -16,19 +16,18 @@ here (from a bounded partition, north columns, a permutation or a hook
 set) and the inverses rely on this to reject their words: they build a
 word and check nothing that DyckPath or Partition checks.
 
-A path owns its level data: it keeps the levels y*b - x*a that the diagonal
-check walks, and builds each other view on first use and keeps it, so a
-view lives as long as the path does.  Equality and hashing stay on the word.
-Only this module sets an attribute on a path.  The north and east levels
-are not views: `_start_levels` picks them out of the levels through a 0/1
-byte mask of the word made by `bytes.translate`, so no Python call runs
-per step, and `north_levels()` and `east_levels()` sort them on each call,
-like `points()`.  The statistics read them unsorted or sort them in their
-own pass (see `stats`), so a path keeps no sorted copy of its levels.
-The sweep view lists the points 0..a+b-1 in rising order of level; zeta
-and eta both read their words off it, so each path is sorted once for
-both maps and for every round trip through them.  `_drop_sweep` lets a
-scan over a cached table drop each path's sweep once it is done with it.
+A path holds exactly its dimensions, its word and the levels y*b - x*a
+that the diagonal check walks, and every value type holds only what its
+constructor computes: nothing is built lazily on an instance, so a held
+path costs the same before and after any call.  Equality and hashing stay
+on the word.  The north columns, east rows, bounded partition and
+positive hooks are computed on each call.  The north and east levels are
+picked out of the levels by `_start_levels`, through a 0/1 byte mask of
+the word made by `bytes.translate`, so no Python call runs per step, and
+`north_levels()` and `east_levels()` sort them on each call, like
+`points()`.  The statistics read them unsorted or sort them in their own
+pass (see `stats`).  zeta and eta sort the steps by level; that sort
+lives in `maps`, which keeps the last one.
 
 The package's value types are plain immutable classes on `_Value`, which
 gives the equality, hash and repr of a frozen dataclass without importing
@@ -86,9 +85,9 @@ EAST = "E"
 _MASKS = {NORTH: bytes.maketrans(b"NE", b"\1\0"), EAST: bytes.maketrans(b"NE", b"\0\1")}
 
 # Bound of every module cache.  Each is keyed by an (a, b) pair and holds a
-# table whose paths keep their cached views.  A sweep finishes one pair
-# before it starts the next, so one table serves it, and it holds no pair
-# it has left.  None is keyed by a path.
+# table of paths.  A sweep finishes one pair before it starts the next, so
+# one table serves it, and it holds no pair it has left.  None is keyed by
+# a path.
 _TABLE_CACHE_SIZE = 1
 
 
@@ -96,22 +95,6 @@ _TABLE_CACHE_SIZE = 1
 # to the instance's __dict__, it keeps the attributes in the compact layout
 # that CPython reads fastest.
 _setattr = object.__setattr__
-_delattr = object.__delattr__
-
-
-class _view:
-    """functools.cached_property as of Python 3.12, without the lock older
-    versions take on a first read: the value is stored on the instance."""
-
-    def __init__(self, func):  # used as a decorator, so stored under its own name
-        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = self.func(obj)
-        _setattr(obj, self.name, value)
-        return value
 
 
 class _Value:
@@ -194,7 +177,14 @@ class Partition(_Value):
             raise ValueError(f"parts must be integers: {parts}")
         if min(parts, default=0) < 0 or list(parts) != sorted(parts, reverse=True):
             raise ValueError(f"parts not non-negative and weakly decreasing: {parts}")
-        self.__dict__.update(parts=parts)
+        # the number of parts exceeding j, for each column j of the diagram:
+        # bottom row first, each row extends the columns it adds with its
+        # own height
+        heights: list[int] = []
+        for i in range(len(parts) - 1, -1, -1):
+            heights.extend([i + 1] * (parts[i] - len(heights)))
+        # _column_heights is not a field: no eq or hash
+        self.__dict__.update(parts=parts, _column_heights=tuple(heights))
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.parts)
@@ -211,23 +201,13 @@ class Partition(_Value):
         return Partition(tuple(p for p in self.parts if p > 0))
 
     def padded(self, length: int) -> "Partition":
-        """Append zero parts up to the requested length."""
+        """Append zero parts up to the requested length; ValueError for a
+        length that is not an int or is shorter than the parts."""
+        if type(length) is not int:
+            raise ValueError(f"length must be an int, got {length!r}")
         if len(self.parts) > length:
             raise ValueError(f"{self.parts} longer than {length}")
         return Partition(self.parts + (0,) * (length - len(self.parts)))
-
-    @_view
-    def _column_heights(self) -> tuple[int, ...]:
-        """Number of parts exceeding j, for each column j of the diagram.
-
-        Built once, bottom row first: each row extends the columns it
-        adds with its own height.  Not a field, so equality and hashing
-        stay on `parts`.
-        """
-        heights: list[int] = []
-        for i in range(len(self.parts) - 1, -1, -1):
-            heights.extend([i + 1] * (self.parts[i] - len(heights)))
-        return tuple(heights)
 
     def conjugate(self) -> "Partition":
         """Transpose of the Young diagram (no trailing zeros)."""
@@ -239,11 +219,21 @@ class Partition(_Value):
             for j in range(p):
                 yield i, j
 
+    def _check_box(self, i, j) -> None:
+        """ValueError unless i and j are ints naming a box of the diagram."""
+        parts = self.parts
+        if not (type(i) is int and type(j) is int and 0 <= i < len(parts) and 0 <= j < parts[i]):
+            raise ValueError(f"({i!r}, {j!r}) is not a box of {parts}")
+
     def arm(self, i: int, j: int) -> int:
+        """Boxes right of box (row i, col j) in its row."""
+        self._check_box(i, j)
         return self.parts[i] - j - 1
 
     def leg(self, i: int, j: int) -> int:
-        """Boxes below box (row i, col j) in its column; O(1) per call."""
+        """Boxes below box (row i, col j) in its column; O(1) per call, off
+        the column heights the constructor counts."""
+        self._check_box(i, j)
         return self._column_heights[j] - i - 1
 
     def hook(self, i: int, j: int) -> int:
@@ -420,43 +410,25 @@ class DyckPath(_Value):
 
     def north_columns(self) -> tuple[int, ...]:
         """Column of the north step in each row, bottom row first."""
-        return self._north_columns
+        return tuple(accumulate(map(len, self.steps.split(NORTH)[:-1])))
 
     def east_rows(self) -> tuple[int, ...]:
         """Height of the east step in each column, leftmost column first."""
-        return self._east_rows
+        return tuple(accumulate(map(len, self.steps.split(EAST)[:-1])))
 
     def bounded_partition(self) -> Partition:
         """Partition formed by the boxes above the path (trailing zeros dropped)."""
-        return Partition(self._north_columns[::-1]).trimmed()
+        return Partition(self.north_columns()[::-1]).trimmed()
 
     def positive_hooks(self) -> tuple[int, ...]:
         """Positive grid values of boxes below the path, largest first.
 
         These are the first-column hook lengths of the corresponding core.
         """
-        return self._positive_hooks
-
-    @_view
-    def _sweep(self) -> tuple[int, ...]:
-        """The points 0..a+b-1 in rising order of level, the order both
-        sweep maps read the steps in."""
-        return tuple(sorted(range(self.a + self.b), key=self._levels.__getitem__))
-
-    @_view
-    def _north_columns(self) -> tuple[int, ...]:
-        return tuple(accumulate(map(len, self.steps.split(NORTH)[:-1])))
-
-    @_view
-    def _east_rows(self) -> tuple[int, ...]:
-        return tuple(accumulate(map(len, self.steps.split(EAST)[:-1])))
-
-    @_view
-    def _positive_hooks(self) -> tuple[int, ...]:
         # in row y, the boxes right of the north step in column c have
         # values y*b - (c+1)*a, falling by a per column while positive
         a, b = self.a, self.b
-        cols = enumerate(self._north_columns)
+        cols = enumerate(self.north_columns())
         rows = (range(y * b - (c + 1) * a, 0, -a) for y, c in cols)
         return tuple(sorted(chain.from_iterable(rows), reverse=True))
 
@@ -466,15 +438,6 @@ class DyckPath(_Value):
     @classmethod
     def from_json(cls, data: dict) -> "DyckPath":
         return cls(data["a"], data["b"], data["steps"])
-
-
-def _drop_sweep(path: DyckPath) -> None:
-    """Drop the path's sweep view, if it was built: for a scan that is done
-    with a path's maps but leaves the path in a cached table."""
-    try:
-        _delattr(path, "_sweep")
-    except AttributeError:  # never built
-        pass
 
 
 def _start_levels(path: DyckPath, step: str) -> Iterator[int]:

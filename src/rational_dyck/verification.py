@@ -26,9 +26,10 @@ by the pair, never by a path, and only the last pair's is kept.  On a
 coprime pair with a+b <= 18 in 0.64 s and 18.9 MB peak RSS, a+b <= 20
 in 2.7 s and 24 MB, and a+b <= 22 in 6.9 s and 36 MB (medians of five
 runs); the largest pairs alone, (11,9) and (13,9), peak at 19.6 and
-28.7 MB.  The enumerated paths keep no view: `bijectivity_report` drops
-each path's sweep once its checks are done, and the statistics sort into
-lists that each call drops.
+28.7 MB.  The enumerated paths hold nothing past their words and levels:
+the maps keep only the last sweep, and the statistics sort into lists
+that each call drops.  The scan sweeps each path once for its zeta word
+and its eta word, and iota's round trips read that same sweep.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .paths import (
     _TABLE_CACHE_SIZE,
     _Value,
     _check_coprime,
-    _drop_sweep,
     enumerate_paths,
     rational_catalan_number,
 )
@@ -434,7 +434,6 @@ def bijectivity_report(a: int, b: int, *, unique_pair_scan: bool = False) -> Bij
             except (NotACycle, NotADyckPath, InconsistentPair):
                 found = False  # eta(p) is not a partner of q
             uniqueness[q.steps] = uniqueness.get(q.steps, 0) + found
-        _drop_sweep(p)  # the cached table keeps p, and nothing reads its sweep again
 
     image_count = len(paths) - first.count(None)
     return BijectivityReport(

@@ -31,7 +31,7 @@ from itertools import combinations
 import pytest
 from hypothesis import strategies as st
 
-from rational_dyck import DyckPath, Permutation, enumerate_paths, hook_filling, make_path
+from rational_dyck import DyckPath, Permutation, enumerate_paths, hook_filling, make_path, maps
 from rational_dyck.bounce import search_delta_traces
 from rational_dyck.errors import InconsistentPair, NoPreimage, NotACycle, NotADyckPath
 from rational_dyck.inverse import chi, iota, level_point, split_dims
@@ -55,10 +55,11 @@ def running() -> DyckPath:
 
 @pytest.fixture
 def sweep_builds(monkeypatch) -> list[DyckPath]:
-    """The paths whose sweep view is built, in order, while the test runs."""
-    view = vars(DyckPath)["_sweep"]
-    builds, build = [], view.func
-    monkeypatch.setattr(view, "func", lambda path: builds.append(path) or build(path))
+    """The paths the maps sort, in order, while the test runs: each miss of
+    the memo of the last sweep, which the fixture empties first."""
+    builds, build = [], maps._sweep
+    monkeypatch.setattr(maps, "_sweep", lambda path: builds.append(path) or build(path))
+    monkeypatch.setattr(maps, "_last_sweep", ("", ()))
     return builds
 
 

@@ -69,6 +69,35 @@ class TestHookFilling:
             rd.DyckPath(a, b, "")
 
 
+class TestFillingBoxes:
+    """Each filling's value takes an int pair naming a box it fills, and
+    raises ValueError for anything else, as DyckPath.visits does."""
+
+    @pytest.mark.parametrize(
+        "col, row", [(1.5, 0), (True, 0), (0, 2.0), (0, False), (-1, 0), (5, 0), (0, 3), (0, -1)]
+    )
+    def test_hook_filling_needs_a_box_of_the_grid(self, col, row):
+        # (1.5, 0) gave -7.5, (True, 0) was read as column 1, (0, 2.0) gave 7.0
+        with pytest.raises(ValueError, match="outside the 3x5 grid"):
+            rd.hook_filling(3, 5).value(col, row)
+
+    @pytest.mark.parametrize("build", [rd.laser_filling, rd.row_length_filling])
+    def test_path_fillings_need_a_box_they_fill(self, running, build):
+        # a box they do not fill raised a bare KeyError, and (True, 0) read
+        # the value of box (1, 0)
+        filling = build(running)
+        filled = filling.boxes()
+        col, row = next(box for box in filled if box[0] == 1)
+        unfilled = [(c, r) for c in range(-1, 9) for r in range(-1, 6) if (c, r) not in filled]
+        bad = [(True, row), (1.0, row), (col, float(row)), (str(col), row), *unfilled]
+        if row in (0, 1):
+            bad.append((col, bool(row)))
+        filling.value(col, row)  # the int pair is filled
+        for box in bad:
+            with pytest.raises(ValueError, match="is not filled"):
+                filling.value(*box)
+
+
 class TestPositiveHooks:
     def test_running(self, running):
         assert set(running.positive_hooks()) == {1, 2, 3, 4, 6, 7, 9, 11, 14}

@@ -108,11 +108,12 @@ class TestIota:
             "ok": 30, NotACycle: 697, InconsistentPair: 167, NotADyckPath: 6
         }
 
-    def test_round_trips_sort_the_decoded_path_once(self, sweep_builds):
+    def test_round_trips_sort_the_decoded_path_once(self, sweep_builds, monkeypatch):
         # the zeta and the eta round trip read one sweep of the decoded path
         p = cycle_lemma_path(random.Random(7), 121, 173)
         q, r = rd.zeta(p), rd.eta(p)
         sweep_builds.clear()
+        monkeypatch.setattr(maps, "_last_sweep", ("", ()))  # forget p's sweep
         decoded = rd.iota(q, r)
         assert sweep_builds == [decoded] and decoded == p
 
@@ -418,11 +419,12 @@ class TestChi:
         assert rd.chi(q) == rd.eta(running)
         assert rd.chi(q) == rd.zeta(rd.conjugate(running))
 
-    def test_chi_sorts_the_preimage_once(self, sweep_builds):
+    def test_chi_sorts_the_preimage_once(self, sweep_builds, monkeypatch):
         # eta reads the sweep that zeta_inverse's round trip built
         p = cycle_lemma_path(random.Random(7), 121, 173)
         q = rd.zeta(p)
         sweep_builds.clear()
+        monkeypatch.setattr(maps, "_last_sweep", ("", ()))  # forget p's sweep
         assert rd.chi(q) == rd.eta(p)
         assert len(sweep_builds) == 1 and sweep_builds[0] == p
 

@@ -11,7 +11,6 @@ import pkgutil
 import random
 import re
 import weakref
-from collections import Counter
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
@@ -32,7 +31,6 @@ from rational_dyck.paths import (
     Partition,
     Permutation,
     _path_from_cycle,
-    _view,
     box_value,
     standardize,
 )
@@ -275,29 +273,45 @@ class TestViews:
 
 
 class TestViewSemantics:
-    """The views are lock-free cached properties: each runs once per
-    instance, stays out of the fields, and leaves equality, hash and repr
-    on the fields."""
+    """Nothing is cached on a path or a partition: every view is computed on
+    each call, a path holds exactly its dimensions, word and levels after
+    any call, and equality, hash and repr stay on the fields."""
 
-    def test_each_view_runs_once_per_instance(self, monkeypatch):
-        calls = Counter()
-        for cls in (rd.DyckPath, Partition):
-            for name, view in list(vars(cls).items()):
-                if isinstance(view, _view):
+    def test_no_call_leaves_an_attribute_on_a_path(self):
+        kept = {"a", "b", "steps", "_levels"}
 
-                    def counted(obj, func=view.func, name=name):
-                        calls[name] += 1
-                        return func(obj)
+        def iota_round_trip(p):
+            q, r = rd.zeta(p), rd.eta(p)
+            return q, r, rd.iota(q, r)
 
-                    monkeypatch.setattr(view, "func", counted)
-        path_views = "_north_columns _east_rows _positive_hooks"
-        twins = [rd.DyckPath(5, 8, "NNNENEEENEEEE") for _ in range(2)]
-        for p in twins + twins:
-            read_views(p)
-        shape = Partition((4, 2, 1))
-        for _ in range(2):
-            shape.conjugate(), shape.leg(0, 1)
-        assert calls == {**dict.fromkeys(path_views.split(), 2), "_column_heights": 1}
+        def chi_of_the_image(p):
+            q = rd.zeta(p)
+            return q, rd.chi(q)
+
+        calls = {
+            "zeta": rd.zeta,
+            "eta": rd.eta,
+            "cross_check": rd.cross_check,
+            "iota": iota_round_trip,
+            "chi": chi_of_the_image,
+            "anderson": rd.anderson,
+            "positive_hooks": lambda p: p.positive_hooks(),
+            "north_columns": lambda p: p.north_columns(),
+            "east_rows": lambda p: p.east_rows(),
+            "bounded_partition": lambda p: p.bounded_partition(),
+            "statistics_summary": rd.statistics_summary,
+        }
+        for a, b in coprime_pairs(10):
+            for p in rd.enumerate_paths(a, b):
+                for name, call in calls.items():
+                    fresh = rd.DyckPath(p.a, p.b, p.steps)
+                    out = call(fresh)
+                    outs = out if isinstance(out, tuple) else (out,)
+                    for path in (fresh, *(v for v in outs if isinstance(v, rd.DyckPath))):
+                        assert vars(path).keys() == kept, (name, path)
+            rd.bijectivity_report(a, b, unique_pair_scan=True)
+            for p in rd.enumerate_paths(a, b):
+                assert vars(p).keys() == kept, ("bijectivity_report", p)
 
     def test_a_read_path_equals_a_fresh_one(self):
         for p in rd.enumerate_paths(5, 8):
@@ -814,3 +828,33 @@ class TestPartitionType:
         p = Partition((3, 1))
         assert p.padded(4).parts == (3, 1, 0, 0)
         assert p.padded(4).trimmed() == p
+
+    @pytest.mark.parametrize(
+        "i, j",
+        [(1, 2), (0, -1), (0, 5), (-1, 0), (2, 0), (0, 3), (True, 0), (0, True), (0.0, 1), (0, 1.0)],
+    )
+    def test_arm_leg_and_hook_need_a_box(self, i, j):
+        # (1, 2) gave a hook of -2, (0, -1) a hook of 4 and (0, 5) an arm of
+        # -3, while leg(0, 5) raised IndexError
+        p = Partition((3, 1))
+        for stat in (p.arm, p.leg, p.hook):
+            with pytest.raises(ValueError, match="is not a box"):
+                stat(i, j)
+
+    def test_arm_leg_and_hook_of_every_box(self):
+        p = Partition((3, 1))
+        assert [(p.arm(i, j), p.leg(i, j), p.hook(i, j)) for i, j in p.boxes()] == [
+            (2, 1, 4), (1, 0, 2), (0, 0, 1), (0, 0, 1)
+        ]
+
+    @pytest.mark.parametrize("length", [2.5, True, 4.0, "4", None])
+    def test_padded_needs_an_int_length(self, length):
+        # 2.5 raised TypeError, and True acted as 1
+        with pytest.raises(ValueError, match="length must be an int"):
+            Partition((3, 1)).padded(length)
+
+    def test_column_heights_are_computed_by_the_constructor(self):
+        p = Partition((4, 2, 1, 0))
+        assert vars(p) == {"parts": (4, 2, 1, 0), "_column_heights": (3, 2, 1, 1)}
+        p.conjugate(), p.leg(0, 1), p.hook(1, 1)
+        assert vars(p).keys() == {"parts", "_column_heights"}

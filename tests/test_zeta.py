@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import importlib
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
 
 import rational_dyck as rd
+from rational_dyck import maps
 from rational_dyck.cli import main
 from rational_dyck.errors import BelowDiagonal, InternalInvariantError, MethodDisagreement
 from rational_dyck.maps import (
@@ -168,30 +171,74 @@ class TestCanonicalSweep:
         every = [p for a, b in coprime_pairs(14) for p in rd.enumerate_paths(a, b)]
         for p in every + seeded:
             levels = p.levels()
-            assert p._sweep == tuple(sorted(range(p.length), key=lambda i: levels[i]))
-            starts = sorted(zip(levels[:-1], p.steps))
-            ends = sorted(zip(levels[1:], p.steps), reverse=True)
-            assert rd.zeta(p).steps == "".join(step for _, step in starts)
-            assert rd.eta(p).steps == "".join(step for _, step in ends)
+            assert maps._sweep(p) == tuple(sorted(range(p.length), key=lambda i: levels[i]))
+            assert rd.zeta(p).steps == by_start_level(p)
+            assert rd.eta(p).steps == by_end_level(p)
 
-    def test_maps_keep_only_the_sweep_as_a_plain_tuple(self):
-        # the letters are picked through an itemgetter built per call: a
-        # kept one would be one more object on every path for the garbage
+    def test_maps_keep_no_attribute_on_a_path(self):
+        # the sweep lives in the maps' one-entry memo, as a plain tuple: an
+        # itemgetter kept there would be one more object for the garbage
         # collector to track
-        kept = {"a", "b", "steps", "_levels", "_sweep"}
+        kept = {"a", "b", "steps", "_levels"}
         seeded = cycle_lemma_path(random.Random("kept/121/173"), 121, 173)
         every = [p for a, b in coprime_pairs(10) for p in rd.enumerate_paths(a, b)]
         assert {(1, 1), (1, 2)} <= {(p.a, p.b) for p in every}
         for p in every + [seeded]:
-            p = rd.make_path(p.a, p.b, p.steps)  # fresh, so no view is built yet
+            p = rd.make_path(p.a, p.b, p.steps)  # fresh
             rd.zeta(p), rd.eta(p)
             assert vars(p).keys() == kept, p
-            assert type(p._sweep) is tuple, p
+            word, sweep = maps._last_sweep
+            assert word == p.steps and type(sweep) is tuple, p
 
     def test_zeta_and_eta_sort_a_path_once(self, sweep_builds):
         p = cycle_lemma_path(random.Random(7), 121, 173)
         rd.zeta(p), rd.eta(p)
         assert sweep_builds == [p]
+
+    def test_the_memo_keeps_one_word(self, sweep_builds):
+        # a second word replaces the first, which is sorted again
+        p1, p2 = (cycle_lemma_path(random.Random(f"memo/{i}"), 29, 41) for i in range(2))
+        assert p1 != p2
+        assert rd.zeta(p1).steps == by_start_level(p1)
+        assert rd.zeta(p2).steps == by_start_level(p2)
+        assert rd.eta(p1).steps == by_end_level(p1)
+        assert sweep_builds == [p1, p2, p1]
+
+    def test_threads_sharing_the_memo_agree_with_the_definitions(self):
+        # four threads map the same paths in interleaved orders, so each
+        # call may find another thread's word in the memo
+        paths = [cycle_lemma_path(random.Random(f"threads/{i}"), 29, 41) for i in range(24)]
+        expected = [(by_start_level(p), by_end_level(p)) for p in paths]
+
+        def mapped(shift):
+            order = [(i * 5 + shift) % len(paths) for i in range(len(paths))]
+            return [
+                (i, rd.zeta(paths[i]).steps, rd.eta(paths[i]).steps)
+                for _ in range(20)
+                for i in order
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(mapped, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for result in results:
+            assert len(result) == 20 * len(paths)
+            for i, zeta_word, eta_word in result:
+                assert (zeta_word, eta_word) == expected[i], paths[i]
+
+
+def by_start_level(p) -> str:
+    """zeta's word by its definition: the steps sorted by start level, rising."""
+    return "".join(step for _, step in sorted(zip(p.levels()[:-1], p.steps)))
+
+
+def by_end_level(p) -> str:
+    """eta's word by its definition: the steps sorted by end level, falling."""
+    return "".join(step for _, step in sorted(zip(p.levels()[1:], p.steps), reverse=True))
 
 
 # Seeded uniform paths far beyond exhaustive enumeration: only the sweep, at

@@ -35,6 +35,7 @@ from .paths import (
     EAST,
     NORTH,
     _Value,
+    _check_int,
     _gamma_one_line,
     _path_from_cycle,
     conjugate,
@@ -85,9 +86,7 @@ def zeta_predecessor(path: DyckPath, delta_value: int) -> DyckPath:
     east step turns north, the first north step turns east, and the prefix
     is rotated left once.
     """
-    n = path.length
-    if type(delta_value) is not int or not 1 <= delta_value <= n:
-        raise ValueError(f"delta must be an int in 1..{n}, got {delta_value!r}")
+    _check_int("delta_value", delta_value, 1, path.length)
     prefix = list(path.steps[:delta_value])
     try:
         first_east = prefix.index(EAST)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from .errors import NotACore
-from .paths import DyckPath, Partition, _Value, _check_coprime, box_value, path_from_hooks
+from .paths import DyckPath, Partition, _Value, _check_coprime, _check_int, box_value, path_from_hooks
 
 __all__ = [
     "HookFilling",
@@ -48,8 +48,8 @@ class HookFilling(_Value):
 
     def value(self, col: int, row: int) -> int:
         """ValueError unless col and row are ints naming a box of the grid."""
-        if not (type(col) is int and type(row) is int and 0 <= col < self.b and 0 <= row < self.a):
-            raise ValueError(f"box ({col!r}, {row!r}) outside the {self.a}x{self.b} grid")
+        _check_int("col", col, 0, self.b - 1)
+        _check_int("row", row, 0, self.a - 1)
         return box_value(self.a, self.b, col, row)
 
 
@@ -139,7 +139,9 @@ def anderson_inverse(kappa: CorePartition) -> DyckPath:
 
 
 def a_rows(kappa: CorePartition, m: int) -> tuple[int, ...]:
-    """Rows carrying the largest leading hook in each residue class mod m."""
+    """Rows carrying the largest leading hook in each residue class mod m;
+    ValueError unless m is a positive int."""
+    _check_int("m", m, 1)
     if m not in (kappa.a, kappa.b):  # construction checked a and b
         _require_no_hook(kappa, m)
     best: dict[int, int] = {}
@@ -155,7 +157,9 @@ def a_columns(kappa: CorePartition, m: int) -> tuple[int, ...]:
 
 
 def boundary_boxes(kappa: CorePartition, m: int) -> int:
-    """Number of boxes with hook length less than m."""
+    """Number of boxes with hook length less than m; ValueError unless m
+    is a positive int."""
+    _check_int("m", m, 1)
     if m not in (kappa.a, kappa.b):  # construction checked a and b
         _require_no_hook(kappa, m)
     return sum(_hooks_below(kappa, range(kappa.rows), m))
@@ -180,9 +184,11 @@ def _filled(values: dict[tuple[int, int], int], col, row) -> int:
     """The value of box (col, row) in a filling's values; ValueError
     unless col and row are ints naming a box it fills (a bool is not one,
     though True == 1 as a key)."""
-    if type(col) is int and type(row) is int and (col, row) in values:
-        return values[(col, row)]
-    raise ValueError(f"box ({col!r}, {row!r}) is not filled")
+    _check_int("col", col)
+    _check_int("row", row)
+    if (col, row) not in values:
+        raise ValueError(f"box ({col}, {row}) is not filled")
+    return values[col, row]
 
 
 class RowLengthFilling:

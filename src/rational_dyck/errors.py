@@ -1,8 +1,8 @@
 """Exception hierarchy for the rational Dyck path toolkit.
 
 Every domain-level failure raises a subclass of :class:`DyckError`, so callers
-can distinguish bad input from genuine bugs (``InternalInvariantError``) and
-from conjecture-level surprises (``NoPreimage``, ``RoundTripFailure``).
+can distinguish bad input from genuine bugs (``InternalInvariantError``).
+Zeta is a bijection, so an inverse that finds no preimage is a bug too.
 """
 
 from __future__ import annotations
@@ -69,11 +69,6 @@ class NotADyckPath(DyckError):
 
 class InconsistentPair(DyckError):
     """iota produced a path whose images do not reproduce (Q, R)."""
-
-
-class NoPreimage(DyckError):
-    """zeta_inverse proved that Q has no preimage under zeta: value
-    iteration climbed to a level above a*b, which no path reaches."""
 
 
 class DimensionTooSmall(DyckError):

@@ -18,8 +18,8 @@ b mod a+b to its level, so the step l above the lowest level is
 l * b^-1 mod a+b steps into P, and no walk along the cycle is needed; a
 wrong spelling still fails DyckPath's check or the round trip.  Plain
 rounds that have not settled within (a+b)^2 give way to a monotone climb
-on the same levels, which is proven to end: at a preimage, or with a top
-level above a*b, which proves there is none.
+on the same levels, which is proven to end at the preimage; zeta is a
+bijection, so a climb that passes a*b instead is a bug.
 The iteration works on levels as the Thomas-Williams inverse of sweep
 maps does; whether it is that inverse is not worked out.  The paper's
 closed forms and its delta recursion stay callable as cross-checks that
@@ -44,7 +44,6 @@ from .errors import (
     InternalInvariantError,
     InvalidValleyIndex,
     Level1NotVisited,
-    NoPreimage,
     NotACycle,
     NotADyckPath,
     NotSquareCase,
@@ -60,6 +59,7 @@ from .paths import (
     Permutation,
     _Value,
     _check_coprime,
+    _check_int,
     _path_from_cycle,
     full_path,
     path_from_bounded_partition,
@@ -167,8 +167,8 @@ def _plain_rounds(n: int) -> int:
     return n * n
 
 
-def _preimage_by_iteration(q: DyckPath) -> DyckPath | None:
-    """The zeta preimage of Q by value iteration, or None when Q has none.
+def _preimage_by_iteration(q: DyckPath) -> DyckPath:
+    """The zeta preimage of Q by value iteration.
 
     Position i of Q is the step of P with the i-th lowest start level, and
     the end levels of P's steps are its start levels again.  So P's sorted
@@ -199,10 +199,12 @@ def _preimage_by_iteration(q: DyckPath) -> DyckPath | None:
        max(L*, T(L*)) = L*.  If it stops moving, T(x) <= x with equal
        sums, so T(x) = x: a fixed point, which spells a preimage as above.
        Otherwise each round raises the sum by at least 1.
-    4. Every start level of an (a,b)-path is at most a*b.  So a climbed
-       top level above a*b proves that Q has no preimage, and the sum can
-       rise only until some level passes a*b: the loop ends within
-       (a+b)^2 + (a+b)*a*b rounds.
+    4. Every start level of an (a,b)-path is at most a*b, and zeta is a
+       bijection (Thomas and Williams invert every sweep map), so Q has a
+       preimage and by 3 the climb's top level stays at most a*b.  The sum
+       then rises at most (a+b)*a*b times: the loop ends within
+       (a+b)^2 + (a+b)*a*b rounds.  A top level above a*b breaks this
+       bound, which only a bug can do: InternalInvariantError.
     """
     a, b = q.a, q.b
     n = a + b
@@ -219,7 +221,7 @@ def _preimage_by_iteration(q: DyckPath) -> DyckPath | None:
         if done >= plain:
             moved = list(map(max, levels, moved))
             if moved[-1] > top:
-                return None
+                raise InternalInvariantError(f"the climb for {q} passed a*b = {top}")
         levels = moved
 
 
@@ -230,8 +232,8 @@ def zeta_inverse_detailed(q: DyckPath) -> InversionResult:
     Otherwise value iteration runs, its answer is round-tripped through
     zeta, and the label is ``levels``.  A settled iteration fixes P's
     levels in Q's order, so an answer that is not a path, or not a
-    preimage, is its own fault: InternalInvariantError.  An iteration
-    that returns None has proved that no preimage exists: NoPreimage.
+    preimage, is its own fault: InternalInvariantError, as is a climb
+    that passes a*b.
     """
     if q.a == 1 or q.b == 1:
         return InversionResult(q, "table")
@@ -239,8 +241,6 @@ def zeta_inverse_detailed(q: DyckPath) -> InversionResult:
         path = _preimage_by_iteration(q)
     except (BelowDiagonal, WrongStepCounts) as exc:
         raise InternalInvariantError(f"value iteration spelled a non-path for {q}: {exc}") from exc
-    if path is None:
-        raise NoPreimage(f"no preimage of {q}: its levels climbed above {q.a * q.b}")
     if not _sends(path, q):
         raise InternalInvariantError(f"value iteration produced a non-preimage for {q}")
     return InversionResult(path, "levels")
@@ -306,8 +306,7 @@ def split_dims(a: int, b: int) -> tuple[int, int, int, int]:
 def level_point(a: int, b: int, level: int) -> tuple[int, int]:
     """The unique grid lattice point with y*b - x*a equal to the level."""
     _check_coprime(a, b)
-    if type(level) is not int:
-        raise ValueError(f"level must be an int, got {level!r}")
+    _check_int("level", level)
     for y in range(a + 1):
         num = y * b - level
         if num >= 0 and num % a == 0 and num // a <= b:
@@ -375,8 +374,7 @@ def chi_level1(q: DyckPath) -> DyckPath:
 
 def _valley_points(a: int, b: int, k: int) -> list[tuple[int, int]]:
     _check_coprime(a, b)
-    if type(k) is not int or not 0 <= k < min(a, b):
-        raise InvalidValleyIndex(f"need an int 0 <= k < {min(a, b)}, got {k!r}")
+    _check_int("k", k, 0, min(a, b) - 1, InvalidValleyIndex)
     return [level_point(a, b, level) for level in range(1, k + 1)]
 
 
@@ -424,8 +422,7 @@ def justified(a: int, b: int, n: int) -> tuple[Partition, Partition, DyckPath]:
     to the second, and zeta sends P^n to the left-justified path."""
     _check_coprime(a, b)
     limit = (a - 1) * (b - 1) // 2
-    if type(n) is not int or not 0 <= n <= limit:
-        raise TooManyBoxes(f"need an int 0 <= n <= {limit}, got {n!r}")
+    _check_int("n", n, 0, limit, TooManyBoxes)
 
     # column c holds a - ceil((c+1)a/b) boxes above the diagonal, at its
     # top, and row y holds (yb - 1)//a, at its left

@@ -32,8 +32,8 @@ lives in `maps`, which keeps the last one.
 The package's value types are plain immutable classes on `_Value`, which
 gives the equality, hash and repr of a frozen dataclass without importing
 `dataclasses` (and with it `inspect`, `ast`, `dis` and `tokenize`) or
-`typing`.  With bytecode cached, `import rational_dyck` took a median
-21-26 ms this way, on a 2-vCPU host under Python 3.11.
+`typing`.  Every public integer argument, in every module, passes
+`_check_int`.
 """
 
 from __future__ import annotations
@@ -132,13 +132,23 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def _check_int(name, value, lo=None, hi=None, error=ValueError) -> None:
+    """The one rule on integer arguments: `error` unless value is an int (a
+    bool is not one) with lo <= value <= hi, where a None end is open.  Its
+    message names the argument, the range and the value."""
+    if type(value) is not int or (lo is not None and value < lo) or (hi is not None and value > hi):
+        if hi is None:
+            span = "" if lo is None else f" >= {lo}"
+        else:
+            span = f" <= {hi}" if lo is None else f" in {lo}..{hi}"
+        raise error(f"{name} must be an int{span}, got {value!r}")
+
+
 def _check_dimensions(a, b) -> None:
     """The rule on grid dimensions shared by paths, fillings and cores:
-    ValueError unless a and b are positive ints (a bool is not one)."""
-    if type(a) is not int or type(b) is not int:
-        raise ValueError("dimensions must be integers")
-    if a < 1 or b < 1:
-        raise ValueError("dimensions must be positive")
+    ValueError unless a and b are positive ints."""
+    _check_int("a", a, 1)
+    _check_int("b", b, 1)
 
 
 def _check_coprime(a, b) -> None:
@@ -203,10 +213,7 @@ class Partition(_Value):
     def padded(self, length: int) -> "Partition":
         """Append zero parts up to the requested length; ValueError for a
         length that is not an int or is shorter than the parts."""
-        if type(length) is not int:
-            raise ValueError(f"length must be an int, got {length!r}")
-        if len(self.parts) > length:
-            raise ValueError(f"{self.parts} longer than {length}")
+        _check_int("length", length, len(self.parts))
         return Partition(self.parts + (0,) * (length - len(self.parts)))
 
     def conjugate(self) -> "Partition":
@@ -221,9 +228,8 @@ class Partition(_Value):
 
     def _check_box(self, i, j) -> None:
         """ValueError unless i and j are ints naming a box of the diagram."""
-        parts = self.parts
-        if not (type(i) is int and type(j) is int and 0 <= i < len(parts) and 0 <= j < parts[i]):
-            raise ValueError(f"({i!r}, {j!r}) is not a box of {parts}")
+        _check_int("i", i, 0, len(self.parts) - 1)
+        _check_int("j", j, 0, self.parts[i] - 1)
 
     def arm(self, i: int, j: int) -> int:
         """Boxes right of box (row i, col j) in its row."""
@@ -262,17 +268,19 @@ class Permutation(_Value):
         return len(self.one_line)
 
     def __call__(self, i: int) -> int:
-        """The image of i; ValueError unless i is an int in 1..n, as in from_cycle."""
-        if type(i) is int and 0 < i <= len(self.one_line):
-            return self.one_line[i - 1]
-        raise ValueError(f"{i} is not in 1..{len(self.one_line)}")
+        """The image of i; ValueError unless i is an int in 1..n."""
+        _check_int("i", i, 1, len(self.one_line))
+        return self.one_line[i - 1]
 
     @classmethod
     def from_cycle(cls, cycle, n: int | None = None) -> "Permutation":
         """Permutation acting as the given cycle, fixing everything else.
 
-        ValueError if an entry is not an int in 1..n, or repeats."""
+        ValueError if n is not a positive int, or an entry is not an int in
+        1..n, or repeats."""
         cycle = tuple(cycle)
+        if n is not None:
+            _check_int("n", n, 1)
         size = max(cycle) if n is None else n
         in_range = all(type(v) is int and 0 < v <= size for v in cycle)
         if not in_range or len(set(cycle)) < len(cycle):
@@ -382,9 +390,9 @@ class DyckPath(_Value):
 
     def visits(self, x: int, y: int) -> bool:
         """Whether (x, y) is the path's (x+y)-th point, told by its level;
-        ValueError unless both coordinates are ints, as in level_point."""
-        if type(x) is not int or type(y) is not int:
-            raise ValueError(f"coordinates must be ints, got ({x!r}, {y!r})")
+        ValueError unless both coordinates are ints, False off the grid."""
+        _check_int("x", x)
+        _check_int("y", y)
         a, b = self.a, self.b
         return 0 <= x <= b and 0 <= y <= a and self._levels[x + y] == y * b - x * a
 

@@ -44,11 +44,6 @@ north step in row y.
   that returns sl, coarea and dinv as plain values; `dyck verify`'s
   battery shares it, calling it once per path for the pair's table of
   statistics in `verification`, with no dict to build.
-
-On one seeded path each at a+b = 150 / 450 / 1,500 / 4,500 (b about 2a),
-`statistics_summary` took 42 / 159 / 621 / 2,431 µs (best of 40, a fresh
-path each call, the median of three such runs) on a 2-vCPU host under
-Python 3.11.
 """
 
 from __future__ import annotations

@@ -21,15 +21,12 @@ enumeration by its swept word, so it builds no image path, and compares
 each path's skew length and dinv with its image's coarea and area, both
 read off the table's area column; `sl_rank_generating` counts sl + rank
 and `qt_catalan` counts (rank, (a-1)(b-1)/2 - sl).  The table is keyed
-by the pair, never by a path, and only the last pair's is kept.  On a
-2-vCPU host under Python 3.11, `dyck verify --check all` runs every
-coprime pair with a+b <= 18 in 0.64 s and 18.9 MB peak RSS, a+b <= 20
-in 2.7 s and 24 MB, and a+b <= 22 in 6.9 s and 36 MB (medians of five
-runs); the largest pairs alone, (11,9) and (13,9), peak at 19.6 and
-28.7 MB.  The enumerated paths hold nothing past their words and levels:
-the maps keep only the last sweep, and the statistics sort into lists
-that each call drops.  The scan sweeps each path once for its zeta word
-and its eta word, and iota's round trips read that same sweep.
+by the pair, never by a path, and only the last pair's is kept, so
+memory grows with the largest pair's path count.  The enumerated paths
+hold nothing past their words and levels: the maps keep only the last
+sweep, and the statistics sort into lists that each call drops.  The
+scan sweeps each path once for its zeta word and its eta word, and
+iota's round trips read that same sweep.
 """
 
 from __future__ import annotations
@@ -52,6 +49,7 @@ from .paths import (
     _TABLE_CACHE_SIZE,
     _Value,
     _check_coprime,
+    _check_int,
     enumerate_paths,
     rational_catalan_number,
 )
@@ -94,10 +92,7 @@ class QPolynomial(_Value):
 
     @classmethod
     def monomial(cls, power: int, coeff: int = 1) -> "QPolynomial":
-        if type(power) is not int:
-            raise ValueError(f"power must be an integer: {power!r}")
-        if power < 0:
-            raise ValueError(f"negative power {power}")
+        _check_int("power", power, 0)
         return cls((0,) * power + (coeff,))
 
     def __bool__(self) -> bool:
@@ -124,6 +119,7 @@ class QPolynomial(_Value):
         return QPolynomial(tuple(out))
 
     def evaluate(self, x: int) -> int:
+        _check_int("x", x)
         value = 0
         for c in reversed(self.coeffs):
             value = value * x + c
@@ -168,21 +164,19 @@ class QPolynomial(_Value):
 
 def q_bracket(n: int) -> QPolynomial:
     """[n]_q = 1 + q + ... + q^(n-1), zero for n = 0."""
-    if type(n) is not int:
-        raise ValueError(f"bracket index must be an integer: {n!r}")
-    if n < 0:
-        raise ValueError(f"negative bracket [{n}]_q")
+    _check_int("n", n, 0)
     return QPolynomial((1,) * n)
 
 
 def gaussian_binomial(n: int, k: int) -> QPolynomial:
-    """q-binomial coefficient via the Pascal recurrence, on coefficient lists.
+    """q-binomial coefficient via the Pascal recurrence, on coefficient
+    lists; zero for k outside 0..n.
 
     Each pass sets row[j] to row[j-1] + q^j * row[j], from the right, so
     that row[j-1] is still the previous pass's.
     """
-    if type(n) is not int or type(k) is not int:
-        raise ValueError(f"n and k must be integers: {n!r}, {k!r}")
+    _check_int("n", n, 0)
+    _check_int("k", k)
     if not 0 <= k <= n:
         return QPolynomial.zero()
     row: list[list[int]] = [[1]] + [[] for _ in range(k)]
@@ -234,7 +228,7 @@ def rational_q_catalan(a: int, b: int) -> QPolynomial:
 _RANK_VARIANTS = ("core", "path")
 
 
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+@lru_cache(maxsize=_TABLE_CACHE_SIZE, typed=True)  # as enumerate_paths: (2.0, 3) is not (2, 3)
 def _path_statistics(a: int, b: int) -> tuple[list[int], dict[str, list[int]], list[int]]:
     """The skew length of every (a,b)-path, in enumeration order, its rank
     under each variant (the core rank is the area) and its dinv: the one
@@ -291,6 +285,8 @@ class QTPolynomial(_Value):
         return QTPolynomial(tuple(((j, i), c) for (i, j), c in self.terms))
 
     def evaluate(self, q: int, t: int) -> int:
+        _check_int("q", q)
+        _check_int("t", t)
         return sum(c * q**i * t**j for (i, j), c in self.terms)
 
 
@@ -347,6 +343,7 @@ class BijectivityReport(_Value):
         collisions: tuple[tuple[str, str], ...] = (),
         pair_uniqueness: dict[str, int] | None = None,
     ):
+        _check_coprime(a, b)
         self.a, self.b = a, b
         self.path_count, self.image_count = path_count, image_count
         self.injective = injective

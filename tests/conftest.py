@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 
 from rational_dyck import DyckPath, Permutation, enumerate_paths, hook_filling, make_path, maps
 from rational_dyck.bounce import search_delta_traces
-from rational_dyck.errors import InconsistentPair, NoPreimage, NotACycle, NotADyckPath
+from rational_dyck.errors import InconsistentPair, InternalInvariantError, NotACycle, NotADyckPath
 from rational_dyck.inverse import chi, iota, level_point, split_dims
 from rational_dyck.paths import (
     EAST,
@@ -228,10 +228,11 @@ def path_from_permutation(perm: Permutation, a: int, b: int) -> DyckPath:
 
 
 def search_preimage(q: DyckPath) -> tuple[DyckPath, tuple[int, ...]]:
-    """The delta search's preimage of Q and its delta trace, or NoPreimage."""
+    """The delta search's preimage of Q and its delta trace; zeta is a
+    bijection, so a search that finds none is a bug."""
     found, attempts = search_delta_traces(q)
     if not found:
-        raise NoPreimage(f"search found no preimage of {q} ({attempts} decodes)")
+        raise InternalInvariantError(f"search found no preimage of {q} ({attempts} decodes)")
     [(path, deltas)] = found
     return path, deltas
 

@@ -6,6 +6,7 @@ import importlib
 import inspect
 import pkgutil
 import random
+import re
 
 import pytest
 
@@ -105,7 +106,8 @@ class TestZetaPredecessor:
     @pytest.mark.parametrize("delta_value", (True, 2.0))
     def test_delta_that_is_not_an_int(self, delta_value):
         # True would run as 1 and 2.0 would slice; both are refused up front
-        with pytest.raises(ValueError, match="delta must be an int"):
+        message = f"delta_value must be an int in 1..5, got {delta_value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             rd.zeta_predecessor(rd.full_path(2, 3), delta_value)
 
 

@@ -24,7 +24,6 @@ from rational_dyck.errors import (
     InvalidValleyIndex,
     Level1NotVisited,
     MethodDisagreement,
-    NoPreimage,
     NotACycle,
     NotADyckPath,
     NotCoprime,
@@ -234,11 +233,13 @@ class TestZetaInverseDispatcher:
         with pytest.raises(type(error)):
             rd.zeta_inverse_detailed(rd.full_path(4, 5))
 
-    def test_an_iteration_that_finds_none_raises_no_preimage(self, monkeypatch, running):
-        # None is the iteration's proof that Q has no preimage; nothing else runs
-        monkeypatch.setattr(inverse, "_preimage_by_iteration", lambda q: None)
-        with pytest.raises(NoPreimage, match="climbed above 40"):
-            rd.zeta_inverse_detailed(rd.zeta(running))
+    def test_a_climb_past_ab_is_a_bug(self):
+        # zeta is a bijection, so every Dyck path has a preimage whose levels
+        # bound the climb; only a word that is no path, which DyckPath never
+        # holds, lets the climb pass a*b
+        below = SimpleNamespace(a=5, b=8, steps=EAST * 8 + NORTH * 5)
+        with pytest.raises(InternalInvariantError, match=re.escape("passed a*b = 40")):
+            rd.zeta_inverse_detailed(below)
 
     def test_a_scan_answer_that_fails_the_round_trip_is_refused(self, monkeypatch, running):
         # settled levels fix P's levels in Q's order, so a wrong answer is a bug
@@ -281,7 +282,7 @@ class TestZetaInverseDispatcher:
             (inverse, "square_gamma_shaded", NotSquareCase),
             (inverse, "zeta_inverse_level1", Level1NotVisited),
             (bounce, "zeta_inverse_fuss", NotFussCase),
-            (bounce, "search_delta_traces", NoPreimage),
+            (bounce, "search_delta_traces", DimensionTooSmall),
         ):
             monkeypatch.setattr(module, name, failing(error))
         result = rd.zeta_inverse_detailed(rd.full_path(4, 5))
@@ -347,9 +348,10 @@ def probe_images():
 class TestTheClimb:
     """Both halves of the proof that the iteration ends, with the climb
     forced from round 0: every image comes back as its own preimage, and
-    every word that is not a Dyck path gets None.  Each round sorts once,
-    so a patched sorted counts the rounds, and a call that runs past the
-    proven bound (a+b)^2 + (a+b)*a*b fails instead of hanging."""
+    every word that is not a Dyck path, so has no preimage, climbs past
+    a*b into the bug check that no Dyck path reaches.  Each round sorts
+    once, so a patched sorted counts the rounds, and a call that runs past
+    the proven bound (a+b)^2 + (a+b)*a*b fails instead of hanging."""
 
     @pytest.fixture
     def climb(self, monkeypatch):
@@ -393,7 +395,8 @@ class TestTheClimb:
                 word = "".join(NORTH if i in norths else EAST for i in range(a + b))
                 if word not in paths:
                     word_only = SimpleNamespace(a=a, b=b, steps=word)
-                    assert iterate(word_only) is None
+                    with pytest.raises(InternalInvariantError, match=re.escape("passed a*b")):
+                        iterate(word_only)
                     refused += 1
         assert refused == 803
 
@@ -496,15 +499,15 @@ class TestClosedFormDimensions:
     @pytest.mark.parametrize(
         "a, b, message",
         [
-            (0, 5, "positive"),
-            (-3, 2, "positive"),
-            (2, -1, "positive"),
-            (2.0, 3, "integers"),
-            (True, 3, "integers"),
+            pytest.param(0, 5, "a must be an int >= 1, got 0", id="0-5-positive"),
+            pytest.param(-3, 2, "a must be an int >= 1, got -3", id="-3-2-positive"),
+            pytest.param(2, -1, "b must be an int >= 1, got -1", id="2--1-positive"),
+            pytest.param(2.0, 3, "a must be an int >= 1, got 2.0", id="2.0-3-integers"),
+            pytest.param(True, 3, "a must be an int >= 1, got True", id="True-3-integers"),
         ],
     )
     def test_dimensions_checked_like_a_path(self, name, a, b, message):
-        with pytest.raises(ValueError, match=f"dimensions must be {message}"):
+        with pytest.raises(ValueError, match=re.escape(message)):
             CLOSED_FORMS[name](a, b)
 
     @pytest.mark.parametrize("name", CLOSED_FORMS)

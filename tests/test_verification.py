@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import sys
 import weakref
 from collections import Counter
@@ -73,9 +74,9 @@ class TestQPolynomial:
     @pytest.mark.parametrize("n", [True, 2.0])
     def test_bracket_and_monomial_need_an_int(self, n):
         # a bool is not one: True passed as 1 before
-        with pytest.raises(ValueError, match="must be an integer"):
+        with pytest.raises(ValueError, match=re.escape(f"n must be an int >= 0, got {n!r}")):
             rd.q_bracket(n)
-        with pytest.raises(ValueError, match="must be an integer"):
+        with pytest.raises(ValueError, match=re.escape(f"power must be an int >= 0, got {n!r}")):
             QPolynomial.monomial(n)
 
     def test_exact_division(self):
@@ -121,7 +122,8 @@ class TestGaussianBinomial:
 
     @pytest.mark.parametrize("n, k", [(True, 1), (3, True), (3.0, 1), (3, 1.0)])
     def test_n_and_k_must_be_ints(self, n, k):
-        with pytest.raises(ValueError, match="must be integers"):
+        not_int = r"^(n must be an int >= 0|k must be an int), got (True|3\.0|1\.0)$"
+        with pytest.raises(ValueError, match=not_int):
             rd.gaussian_binomial(n, k)
 
     def test_specializes_to_binomial(self):
@@ -153,10 +155,15 @@ class TestRationalQCatalan:
 
     @pytest.mark.parametrize(
         "a, b, message",
-        [(0, 1, "positive"), (2, -1, "positive"), (2.0, 3, "integers"), (True, 2, "integers")],
+        [
+            pytest.param(0, 1, "a must be an int >= 1, got 0", id="0-1-positive"),
+            pytest.param(2, -1, "b must be an int >= 1, got -1", id="2--1-positive"),
+            pytest.param(2.0, 3, "a must be an int >= 1, got 2.0", id="2.0-3-integers"),
+            pytest.param(True, 2, "a must be an int >= 1, got True", id="True-2-integers"),
+        ],
     )
     def test_dimensions_checked_like_a_path(self, a, b, message):
-        with pytest.raises(ValueError, match=f"dimensions must be {message}"):
+        with pytest.raises(ValueError, match=re.escape(message)):
             rd.rational_q_catalan(a, b)
 
     def test_inexact_division_guard_fires_for_non_coprime(self):

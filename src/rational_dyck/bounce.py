@@ -1,15 +1,19 @@
 """Delta-driven predecessor chains, bounce paths, and chain-based inverses.
 
 Walking the image path down its predecessor chain only needs the delta
-statistic of each preimage.  An initial bounce path inside the image pins
-delta exactly when b = a*k + 1 and brackets it in a window of width r
+statistic of each preimage: a path starts with a north step, so the
+chain step moves the first east step of the first delta steps to the end
+of that prefix.  An initial bounce path inside the image pins delta
+exactly when b = a*k + 1 and brackets it in a window of width r
 otherwise.  The first case yields a direct inverse.  In the second, the
 image of each predecessor is itself an image to invert, so the inverse is
 a recursion over the images of the chain, verified at every step; zeta is
 a bijection, so the first d of a window that verifies is the answer.  Its
 only memo, of the images solved, lasts one call; no chain step is cached.
 Both inverses end by decoding a one-line tuple with the cycle decoder of
-iota, whose DyckPath check rejects a candidate that is not a path.
+iota, whose DyckPath check rejects a candidate that is not a path.  A
+chain inverse that finds no preimage is therefore a bug:
+InternalInvariantError, exit 3 at the command line.
 Neither is a hot path: ``zeta_inverse`` runs the value iteration of
 ``inverse``, which ends by proof and calls nothing here.
 ``search_delta_traces``, which also reports the delta trace it decoded,
@@ -22,18 +26,14 @@ from .errors import (
     BelowDiagonal,
     DimensionTooSmall,
     InternalInvariantError,
-    NoBoxToAdd,
     NoEastInPrefix,
-    NoNorthInPrefix,
     NotFussCase,
-    RoundTripFailure,
     WrongStepCounts,
 )
 from .maps import _sends
 from .paths import (
     DyckPath,
     EAST,
-    NORTH,
     _Value,
     _check_int,
     _gamma_one_line,
@@ -60,11 +60,9 @@ def conj_predecessor(path: DyckPath) -> DyckPath:
 
     Computed geometrically and, independently, by conjugating the path's
     cycle permutation with the rotation (1 .. delta); the two must agree.
-    The chain bottoms out at the area-0 path, whose conjugate has no box
-    left to remove.
+    The chain bottoms out at the area-0 path, its own conjugate, which has
+    no box left to remove: AreaZero, from ``predecessor``.
     """
-    if area(path) == 0:
-        raise NoBoxToAdd(f"{path} is the bottom of the predecessor chain")
     geometric = conjugate(predecessor(conjugate(path)))
 
     twisted = _conjugate_by_head_inverse(_gamma_one_line(path), delta(path))
@@ -82,24 +80,18 @@ def conj_predecessor(path: DyckPath) -> DyckPath:
 def zeta_predecessor(path: DyckPath, delta_value: int) -> DyckPath:
     """Image-side predecessor step, driven entirely by delta.
 
-    Steps beyond position delta are untouched; inside the prefix the first
-    east step turns north, the first north step turns east, and the prefix
-    is rotated left once.
+    Steps beyond position delta are untouched.  The paper turns the first
+    east step of the prefix north, its first north step east, and rotates
+    the prefix left once; a path starts with a north step, so this moves
+    the first east step of the prefix to the end of the prefix.
     """
     _check_int("delta_value", delta_value, 1, path.length)
-    prefix = list(path.steps[:delta_value])
-    try:
-        first_east = prefix.index(EAST)
-    except ValueError:
+    prefix = path.steps[:delta_value]
+    first_east = prefix.find(EAST)
+    if first_east < 0:
         raise NoEastInPrefix(f"no east step in the first {delta_value} of {path}")
-    try:
-        first_north = prefix.index(NORTH)
-    except ValueError:
-        raise NoNorthInPrefix(f"no north step in the first {delta_value} of {path}")
-    prefix[first_east] = NORTH
-    prefix[first_north] = EAST
-    rotated = prefix[1:] + prefix[:1]
-    return DyckPath(path.a, path.b, "".join(rotated) + path.steps[delta_value:])
+    moved = prefix[:first_east] + prefix[first_east + 1 :] + EAST
+    return DyckPath(path.a, path.b, moved + path.steps[delta_value:])
 
 
 class BouncePath(_Value):
@@ -175,7 +167,8 @@ def _conjugate_by_head_inverse(g: tuple[int, ...], d: int) -> tuple[int, ...]:
 
 
 def fuss_delta_trace(path: DyckPath) -> tuple[int, ...]:
-    """Delta trace of the predecessor chain when b = a*k + 1."""
+    """Delta trace of the predecessor chain when b = a*k + 1.  Each step
+    raises the area, so a chain longer than the maximal area is a bug."""
     a, b = path.a, path.b
     if a > 1 and b % a != 1:
         raise NotFussCase(f"{b} is not 1 mod {a}")
@@ -184,9 +177,7 @@ def fuss_delta_trace(path: DyckPath) -> tuple[int, ...]:
     current = path
     while area(current) < max_area:
         if len(deltas) > max_area:
-            raise RoundTripFailure(
-                f"chain from {path} did not terminate", tuple(deltas)
-            )
+            raise InternalInvariantError(f"chain from {path} did not end: deltas {deltas}")
         bounce = initial_bounce(current)
         d = bounce.v_total + bounce.h_total + 1
         current = zeta_predecessor(current, d)
@@ -195,7 +186,9 @@ def fuss_delta_trace(path: DyckPath) -> tuple[int, ...]:
 
 
 def zeta_inverse_fuss(path: DyckPath) -> DyckPath:
-    """Exact inverse of zeta when b = a*k + 1, via the bounce-pinned chain."""
+    """Exact inverse of zeta when b = a*k + 1, via the bounce-pinned chain.
+    The bounce pins every delta, so a decode that fails or a preimage that
+    zeta does not send to the image is a bug: InternalInvariantError."""
     a, b = path.a, path.b
     deltas = fuss_delta_trace(path)
     g = _gamma_one_line(lowest_path(a, b))
@@ -203,12 +196,10 @@ def zeta_inverse_fuss(path: DyckPath) -> DyckPath:
         g = _conjugate_by_head(g, d)
     try:
         preimage = _path_from_cycle(a, b, g)
-    except (WrongStepCounts, BelowDiagonal):
-        preimage = None
+    except (WrongStepCounts, BelowDiagonal) as exc:
+        raise InternalInvariantError(f"deltas {deltas} of {path} decode no path") from exc
     if preimage is None or not _sends(preimage, path):
-        raise RoundTripFailure(
-            f"round trip failed for {path} via deltas {deltas}", deltas
-        )
+        raise InternalInvariantError(f"round trip failed for {path} via deltas {deltas}")
     return preimage
 
 
@@ -223,18 +214,20 @@ def search_delta_traces(path: DyckPath):
     preimage P' is found the same way, and the candidate P decoded from
     r_d * gamma(P') * r_d^{-1} is kept only if delta(P) = d and
     zeta(P) = Q.  Zeta is a bijection, so the first d so verified is the
-    answer and the scan of the window stops there.  Every image is
-    inverted once per call, through a memo keyed by image, and the chain
-    is walked with an explicit stack, so depth is bounded by the area and
-    not by the interpreter.
+    answer and the scan of the window stops there; a maximal-area image
+    the lowest path does not reach, or a window in which no d verifies,
+    is a bug: InternalInvariantError.  Every image is inverted once per
+    call, through a memo keyed by image, and the chain is walked with an
+    explicit stack, so depth is bounded by the area and not by the
+    interpreter.
     """
     a, b = path.a, path.b
     n = a + b
     max_area = (a - 1) * (b - 1) // 2
     r = b % a
-    # image -> (gamma of its preimage, preimage, d, predecessor image), or
-    # None when the image has no preimage; d is None at the lowest path
-    memo: dict[DyckPath, tuple | None] = {}
+    # image -> (gamma of its preimage, preimage, d, predecessor image);
+    # d is None at the lowest path
+    memo: dict[DyckPath, tuple] = {}
     attempts = 0
 
     def invert(q: DyckPath, q_area: int):
@@ -243,7 +236,9 @@ def search_delta_traces(path: DyckPath):
         nonlocal attempts
         if q_area == max_area:
             bottom = lowest_path(a, b)
-            return (_gamma_one_line(bottom), bottom, None, None) if _sends(bottom, q) else None
+            if not _sends(bottom, q):
+                raise InternalInvariantError(f"the lowest path does not reach {q}")
+            return _gamma_one_line(bottom), bottom, None, None
         bounce = initial_bounce(q)
         low = bounce.v_total + bounce.h_total + 1
         for d in range(low, min(low + r - 1, n) + 1):
@@ -254,8 +249,6 @@ def search_delta_traces(path: DyckPath):
             if nxt_area <= q_area:
                 continue
             below = memo[nxt] if nxt in memo else (yield nxt, nxt_area)
-            if below is None:
-                continue
             attempts += 1
             g = _conjugate_by_head(below[0], d)
             try:
@@ -265,7 +258,7 @@ def search_delta_traces(path: DyckPath):
             # a candidate must round-trip to Q and carry the delta d
             if candidate is not None and _sends(candidate, q) and delta(candidate) == d:
                 return g, candidate, d, nxt
-        return None
+        raise InternalInvariantError(f"no d in the bounce window from {low} inverts {q}")
 
     stack = [(path, invert(path, area(path)))]
     sent = None
@@ -281,11 +274,8 @@ def search_delta_traces(path: DyckPath):
         sent = None
 
     entry = memo[path]
-    if entry is None:
-        return [], attempts
     preimage, deltas = entry[1], []
     while entry[2] is not None:
         deltas.append(entry[2])
         entry = memo[entry[3]]
     return [(preimage, tuple(deltas))], attempts
-

@@ -14,10 +14,10 @@ import sys
 
 from .bounce import conj_predecessor
 from .errors import (
+    AreaZero,
     DyckError,
     InternalInvariantError,
     MethodDisagreement,
-    NoBoxToAdd,
     PathParseError,
 )
 from .inverse import chi, zeta_inverse_detailed
@@ -144,7 +144,7 @@ def _delta_trace(path: DyckPath) -> list[int]:
     while True:
         try:
             below = conj_predecessor(path)
-        except NoBoxToAdd:
+        except AreaZero:
             return deltas
         deltas.append(delta(path))
         path = below

@@ -79,28 +79,12 @@ class Level1NotVisited(DyckError):
     """The path does not pass through the lattice point of level 1."""
 
 
-class NoBoxToAdd(DyckError):
-    """The predecessor chain already reached its bottom element."""
-
-
 class NoEastInPrefix(DyckError):
     """The first delta steps contain no east step."""
 
 
-class NoNorthInPrefix(DyckError):
-    """The first delta steps contain no north step."""
-
-
 class NotFussCase(DyckError):
     """The width is not congruent to 1 modulo the height."""
-
-
-class RoundTripFailure(DyckError):
-    """A decoded preimage failed its mandatory zeta round-trip check."""
-
-    def __init__(self, message: str, deltas: tuple[int, ...] = ()):
-        self.deltas = deltas
-        super().__init__(message)
 
 
 class InexactDivision(DyckError):

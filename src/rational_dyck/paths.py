@@ -277,10 +277,12 @@ class Permutation(_Value):
         """Permutation acting as the given cycle, fixing everything else.
 
         ValueError if n is not a positive int, or an entry is not an int in
-        1..n, or repeats."""
+        1..n, or repeats, or the cycle is empty and n is not given."""
         cycle = tuple(cycle)
         if n is not None:
             _check_int("n", n, 1)
+        elif not cycle:
+            raise ValueError("the cycle is empty, so n must be given")
         size = max(cycle) if n is None else n
         in_range = all(type(v) is int and 0 < v <= size for v in cycle)
         if not in_range or len(set(cycle)) < len(cycle):
@@ -304,6 +306,7 @@ class Permutation(_Value):
 
     def cycle_from(self, start: int = 1) -> tuple[int, ...]:
         """Cycle notation of a full-cycle permutation, starting at `start`."""
+        _check_int("start", start, 1, self.n)
         out = [start]
         j = self(start)
         while j != start:

@@ -263,8 +263,9 @@ def sl_rank_generating(a: int, b: int, *, rank_variant: str = "core") -> QPolyno
 
 
 class QTPolynomial(_Value):
-    """Sparse integer polynomial in q and t, keyed by (q-power, t-power):
-    one term per key, sorted, each with a nonzero coefficient."""
+    """Sparse integer polynomial in q and t, keyed by (q-power, t-power),
+    both non-negative: one term per key, sorted, each with a nonzero
+    coefficient."""
 
     __match_args__ = ("terms",)
 
@@ -273,6 +274,8 @@ class QTPolynomial(_Value):
         for (i, j), c in terms:
             if not type(i) is type(j) is type(c) is int:  # checked before a sum hides a bool
                 raise ValueError(f"powers and coefficients must be integers: {terms}")
+            if min(i, j) < 0:
+                raise ValueError(f"powers must be non-negative: {terms}")
             sums[i, j] = sums.get((i, j), 0) + c
         self.__dict__.update(terms=tuple(sorted((k, c) for k, c in sums.items() if c)))
 

@@ -16,8 +16,9 @@ from the Pascal recurrence on QPolynomial values, and the q- and
 q,t-generating functions take each path's statistics one path at a time.
 A few definitions of the paper that the library does not need (the
 rotation cycle, conjugation of permutations, the path of a permutation's
-descents, the boundary values of the row-length filling) and the delta
-search's answer as one pair are stated here for the tests that check them.
+descents, the boundary values of the row-length filling, the predecessor
+step as a swap and a rotation) and the delta search's answer as one pair
+are stated here for the tests that check them.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from hypothesis import strategies as st
 
 from rational_dyck import DyckPath, Permutation, enumerate_paths, hook_filling, make_path, maps
 from rational_dyck.bounce import search_delta_traces
-from rational_dyck.errors import InconsistentPair, InternalInvariantError, NotACycle, NotADyckPath
+from rational_dyck.errors import InconsistentPair, NotACycle, NotADyckPath
 from rational_dyck.inverse import chi, iota, level_point, split_dims
 from rational_dyck.paths import (
     EAST,
@@ -227,13 +228,20 @@ def path_from_permutation(perm: Permutation, a: int, b: int) -> DyckPath:
     return DyckPath(a, b, _descent_word(perm.one_line))
 
 
+def zeta_predecessor_by_swap(q: DyckPath, d: int) -> DyckPath:
+    """The paper's predecessor step on an image: in the first d steps the
+    first east step turns north, the first north step turns east, and the
+    prefix rotates left once; the steps after d stay."""
+    prefix = list(q.steps[:d])
+    east, north = prefix.index(EAST), prefix.index(NORTH)
+    prefix[east], prefix[north] = NORTH, EAST
+    return DyckPath(q.a, q.b, "".join(prefix[1:] + prefix[:1]) + q.steps[d:])
+
+
 def search_preimage(q: DyckPath) -> tuple[DyckPath, tuple[int, ...]]:
     """The delta search's preimage of Q and its delta trace; zeta is a
-    bijection, so a search that finds none is a bug."""
-    found, attempts = search_delta_traces(q)
-    if not found:
-        raise InternalInvariantError(f"search found no preimage of {q} ({attempts} decodes)")
-    [(path, deltas)] = found
+    bijection, so the search raises InternalInvariantError if it finds none."""
+    [(path, deltas)], _ = search_delta_traces(q)
     return path, deltas
 
 

@@ -15,12 +15,13 @@ from rational_dyck import bounce
 from rational_dyck.bounce import fuss_delta_trace, search_delta_traces
 from rational_dyck.cli import main
 from rational_dyck.errors import (
+    AreaZero,
     DimensionTooSmall,
     InternalInvariantError,
-    NoBoxToAdd,
     NoEastInPrefix,
     NotFussCase,
 )
+from rational_dyck.paths import EAST
 
 from conftest import (
     conjugated_by,
@@ -28,6 +29,7 @@ from conftest import (
     cycle_lemma_path,
     rotation_cycle,
     search_preimage,
+    zeta_predecessor_by_swap,
 )
 
 
@@ -46,8 +48,10 @@ class TestConjPredecessor:
         assert rd.gamma(succ) == expected
 
     def test_bottom_raises(self):
-        with pytest.raises(NoBoxToAdd):
-            rd.conj_predecessor(rd.lowest_path(3, 5))
+        # the area-0 path is its own conjugate, with no box to remove
+        for a, b in [(3, 5), (1, 4), (5, 2)]:
+            with pytest.raises(AreaZero):
+                rd.conj_predecessor(rd.lowest_path(a, b))
 
     def test_a_bad_decode_is_a_bug(self, running, monkeypatch, capsys):
         # the cycle 1 -> 2 -> ... -> 13 -> 1 decodes to one east step; the
@@ -86,6 +90,18 @@ class TestZetaPredecessor:
                     continue
                 expected = rd.zeta(rd.conj_predecessor(p))
                 assert rd.zeta_predecessor(rd.zeta(p), rd.delta(p)) == expected
+
+    def test_moves_the_first_east_as_the_paper_swaps_and_rotates(self):
+        # every path starts with N, so the swap-and-rotate moves the first
+        # east of the prefix to its end; a prefix with no east is refused
+        for a, b in coprime_pairs(12):
+            for q in rd.enumerate_paths(a, b):
+                first_east = q.steps.index(EAST)
+                for d in range(1, first_east + 1):
+                    with pytest.raises(NoEastInPrefix):
+                        rd.zeta_predecessor(q, d)
+                for d in range(first_east + 1, a + b + 1):
+                    assert rd.zeta_predecessor(q, d) == zeta_predecessor_by_swap(q, d)
 
     def test_prefix_errors(self):
         q = rd.full_path(3, 4)  # NNNEEEE
@@ -177,6 +193,14 @@ class TestFussInverse:
         assert [rd.zeta_inverse_fuss(q) for q in images] == paths
         assert calls == images
 
+    def test_a_failed_round_trip_is_a_bug(self, monkeypatch):
+        # the bounce pins every delta, so a preimage that zeta does not send
+        # to the image is the inverse's fault
+        q = rd.zeta(rd.make_path(3, 7, "NNENEEEEEE"))
+        monkeypatch.setattr(bounce, "_sends", lambda path, image: False)
+        with pytest.raises(InternalInvariantError, match="round trip failed"):
+            rd.zeta_inverse_fuss(q)
+
     def test_trace_of_lowest_image(self):
         # zeta(lowest) is the full path: the chain is already at its end
         assert fuss_delta_trace(rd.full_path(3, 4)) == ()
@@ -213,6 +237,14 @@ class TestSearchInverse:
         q = rd.zeta(running)
         monkeypatch.setattr(rd.DyckPath, "east_rows", lambda self: (self.a + 1,) * self.b)
         with pytest.raises(InternalInvariantError, match="bounce climb"):
+            search_delta_traces(q)
+
+    def test_a_window_where_no_d_verifies_is_a_bug(self, running, monkeypatch):
+        # zeta is a bijection, so some d of every window verifies; with delta
+        # patched to miss every d, the search reports a bug, not no preimage
+        q = rd.zeta(running)
+        monkeypatch.setattr(bounce, "delta", lambda path: 0)
+        with pytest.raises(InternalInvariantError, match="no d in the bounce window"):
             search_delta_traces(q)
 
     def test_running_example(self, running):

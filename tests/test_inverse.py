@@ -29,7 +29,6 @@ from rational_dyck.errors import (
     NotCoprime,
     NotFussCase,
     NotSquareCase,
-    RoundTripFailure,
     TooManyBoxes,
 )
 from rational_dyck.inverse import level_point
@@ -222,7 +221,6 @@ class TestZetaInverseDispatcher:
         (
             InternalInvariantError("demo"),
             MethodDisagreement("zeta(demo)", {"cores": "x", "sweep": "y"}),
-            RoundTripFailure("demo"),
         ),
     )
     def test_auto_propagates_a_strategy_bug(self, monkeypatch, error):

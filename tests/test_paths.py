@@ -355,7 +355,8 @@ class TestPermutations:
         for i in (0, -1, g.n + 1):
             with pytest.raises(ValueError, match=re.escape(f"i must be an int in 1..13, got {i}")):
                 g(i)
-            with pytest.raises(ValueError, match=re.escape(f"i must be an int in 1..13, got {i}")):
+            message = f"start must be an int in 1..13, got {i}"
+            with pytest.raises(ValueError, match=re.escape(message)):
                 g.cycle_from(i)
         assert (g(1), g(g.n)) == (3, 11)
 
@@ -363,9 +364,16 @@ class TestPermutations:
     def test_entries_that_are_not_ints_are_refused(self, running, i):
         # True == 1 would start a cycle that from_cycle refuses
         g = rd.gamma(running)
-        for call in (g, g.cycle_from):
-            with pytest.raises(ValueError, match=re.escape(f"i must be an int in 1..13, got {i}")):
+        for name, call in (("i", g), ("start", g.cycle_from)):
+            message = f"{name} must be an int in 1..13, got {i}"
+            with pytest.raises(ValueError, match=re.escape(message)):
                 call(i)
+
+    def test_an_empty_cycle_needs_n(self):
+        # with no n the size would be the largest entry, and there is none
+        with pytest.raises(ValueError, match="the cycle is empty"):
+            Permutation.from_cycle(())
+        assert Permutation.from_cycle((), 3).one_line == (1, 2, 3)
 
     def test_descents_match_east_steps(self, running):
         assert rd.sigma(running).right_cyclic_descents() == (4, 6, 7, 8, 10, 11, 12, 13)

@@ -232,6 +232,12 @@ class TestQTSymmetry:
         with pytest.raises(ValueError, match="must be integers"):
             QTPolynomial(terms)
 
+    @pytest.mark.parametrize("key", [(-1, 0), (0, -2)])
+    def test_negative_power_rejected(self, key):
+        # q^-1 at q = 2 would evaluate to 0.5, which is no integer polynomial
+        with pytest.raises(ValueError, match="powers must be non-negative"):
+            QTPolynomial(((key, 1),))
+
     def test_specialization(self):
         for a, b in [(3, 4), (5, 2)]:
             poly = rd.qt_catalan(a, b)

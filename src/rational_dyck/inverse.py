@@ -34,8 +34,8 @@ set of boxes.
 
 from __future__ import annotations
 
-from itertools import accumulate, count, repeat
-from operator import add, mod, mul, sub
+from itertools import accumulate, count
+from operator import add
 
 from .errors import (
     BelowDiagonal,
@@ -214,10 +214,10 @@ def _preimage_by_iteration(q: DyckPath) -> DyckPath:
     for done in count():
         moved = sorted(map(add, levels, rise))
         if moved == levels:
-            above = map(sub, levels, repeat(levels[0]))
-            into = map(mod, map(mul, above, repeat(pow(b, -1, n))), repeat(n))
-            spelled = dict(zip(into, q.steps))
-            return DyckPath(a, b, "".join(map(spelled.__getitem__, range(n))))
+            lowest, inverse_b, spelled = levels[0], pow(b, -1, n), [""] * n
+            for level, letter in zip(levels, q.steps):
+                spelled[(level - lowest) * inverse_b % n] = letter
+            return DyckPath(a, b, "".join(spelled))
         if done >= plain:
             moved = list(map(max, levels, moved))
             if moved[-1] > top:

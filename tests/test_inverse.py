@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 import random
 import re
-from itertools import combinations
+from itertools import chain, combinations
 from operator import add
 from types import SimpleNamespace
 
@@ -30,6 +30,7 @@ from rational_dyck.errors import (
     NotFussCase,
     NotSquareCase,
     TooManyBoxes,
+    WrongStepCounts,
 )
 from rational_dyck.inverse import level_point
 from rational_dyck.paths import EAST, NORTH, _path_from_cycle
@@ -264,6 +265,17 @@ class TestZetaInverseDispatcher:
         with pytest.raises(InternalInvariantError, match="non-preimage"):
             rd.zeta_inverse_detailed(rd.full_path(5, 8))
 
+    def test_colliding_spelled_positions_are_a_non_path(self, monkeypatch, capsys):
+        # settled levels that are not a complete residue system (only a bug
+        # makes them) leave a slot empty, so the short word fails DyckPath
+        monkeypatch.setattr(inverse, "pow", lambda *args: 0, raising=False)
+        with pytest.raises(InternalInvariantError, match="non-path") as caught:
+            rd.zeta_inverse_detailed(rd.full_path(5, 8))
+        assert isinstance(caught.value.__cause__, WrongStepCounts)
+        argv = ["invert", "--a", "5", "--b", "8", "--path", rd.full_path(5, 8).steps]
+        assert cli.main(argv) == 3
+        assert "non-path" in capsys.readouterr().err
+
     def test_single_path_families_keep_the_table_label(self):
         for q in (rd.lowest_path(1, 4), rd.lowest_path(5, 1)):
             assert rd.zeta_inverse_detailed(q) == inverse.InversionResult(q, "table")
@@ -298,19 +310,24 @@ class TestValueIteration:
 
     def test_residue_spelling_equals_the_cycle_decode(self):
         # the oracle settles the plain rounds itself, then walks the
-        # successor cycle from the lowest level and reads its descents
-        for a, b in coprime_pairs(14, min_dim=2):
-            rise = {NORTH: b, EAST: -a}
-            for p in rd.enumerate_paths(a, b):
-                q = rd.zeta(p)
-                steps = [rise[s] for s in q.steps]
-                levels = list(range(a + b))
-                while (moved := sorted(map(add, levels, steps))) != levels:
-                    levels = moved
-                position = {v: i for i, v in enumerate(levels)}
-                successors = [position[v + r] + 1 for v, r in zip(levels, steps)]
-                decoded = _path_from_cycle(a, b, successors)
-                assert inverse._preimage_by_iteration(q) == decoded == p
+        # successor cycle from the lowest level and reads its descents; every
+        # path with a+b <= 14, then the probe images and the seeded chi paths
+        small = (p for a, b in coprime_pairs(14, min_dim=2) for p in rd.enumerate_paths(a, b))
+        seeded = (
+            cycle_lemma_path(random.Random(f"chi/{a}/{b}"), a, b)
+            for a, b in ((121, 173), (173, 121))
+        )
+        for p in chain(small, probe_images(), seeded):
+            a, b = p.a, p.b
+            q = rd.zeta(p)
+            steps = [{NORTH: b, EAST: -a}[s] for s in q.steps]
+            levels = list(range(a + b))
+            while (moved := sorted(map(add, levels, steps))) != levels:
+                levels = moved
+            position = {v: i for i, v in enumerate(levels)}
+            successors = [position[v + r] + 1 for v, r in zip(levels, steps)]
+            decoded = _path_from_cycle(a, b, successors)
+            assert inverse._preimage_by_iteration(q) == decoded == p
 
     @settings(deadline=None)
     @given(cycle_lemma_paths(max_sum=120))
